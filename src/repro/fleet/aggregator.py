@@ -58,9 +58,23 @@ class MachineVerdict:
     campaign_fingerprints: List[str] = field(default_factory=list)
 
     def to_dict(self) -> Dict:
-        record = asdict(self)
-        record["type"] = "fleet-machine"
-        return record
+        # Field by field in declaration order: the same dict asdict()
+        # builds, without its recursive deepcopy (this runs for every
+        # journaled verdict and every distributed lease reply).
+        return {"machine": self.machine, "epoch": self.epoch,
+                "verdict": self.verdict, "findings": self.findings,
+                "noise": self.noise, "scanned": self.scanned,
+                "skipped": self.skipped, "escalated": self.escalated,
+                "confirmed": self.confirmed,
+                "confirmed_by": self.confirmed_by,
+                "baseline_id": self.baseline_id,
+                "scan_seconds": self.scan_seconds, "error": self.error,
+                "finding_ids": list(self.finding_ids),
+                "mass_hiding": self.mass_hiding, "sampled": self.sampled,
+                "coverage": self.coverage,
+                "sampling_escalated": self.sampling_escalated,
+                "campaign_fingerprints": list(self.campaign_fingerprints),
+                "type": "fleet-machine"}
 
     @classmethod
     def from_dict(cls, record: Dict) -> "MachineVerdict":

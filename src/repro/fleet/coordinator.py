@@ -150,6 +150,10 @@ class FleetCoordinator:
         if console_index:
             from repro.console.index import JournalIndex
             self.index = JournalIndex(fleet_dir)
+        # Scheduler history: replayed here once, then folded record by
+        # record in _journal(), so steady epochs never re-read the
+        # journal.
+        self.history = load_history(self.epochs_path)
         # Cross-epoch campaign correlation (fuzzy fingerprints survive
         # per-epoch identity rotation).  Tracker state spans epochs, so
         # a restarted coordinator rebuilds it from the journal: alerts
@@ -175,6 +179,7 @@ class FleetCoordinator:
     def _journal(self, record: Dict) -> None:
         record = dict(record, at=round(self.clock.now(), 6))
         start, end = append_journal(self.epochs_path, record)
+        self.history.note_record(record)
         if self.index is not None:
             self.index.note_epoch_record(record, start, end)
 
@@ -194,7 +199,7 @@ class FleetCoordinator:
     def next_epoch_number(self) -> int:
         if self.queue.epoch is not None:
             return self.queue.epoch
-        return load_history(self.epochs_path).last_epoch_no + 1
+        return self.history.last_epoch_no + 1
 
     def run_epoch(self, kill_after_acks: Optional[int] = None
                   ) -> FleetAggregator:
@@ -238,7 +243,6 @@ class FleetCoordinator:
             self._sampled_tier = self._journaled_sampled(epoch)
             metrics.incr("fleet.epoch.resumed")
         else:
-            history = load_history(self.epochs_path)
             timings: Dict[str, float] = {}
             for name, machine in self.machines.items():
                 stored = self.store.scan_seconds(name)
@@ -253,7 +257,7 @@ class FleetCoordinator:
                     timings[name] = estimate_scan_seconds(
                         machine, self.resources)
             plan = self.scheduler.plan(
-                sorted(self.machines), epoch, history,
+                sorted(self.machines), epoch, self.history,
                 scan_seconds=timings,
                 quarantined=self._quarantined)
             self.queue.open_epoch(epoch, self.scheduler.assignments(plan))
@@ -298,8 +302,11 @@ class FleetCoordinator:
                 if self.retain_epochs:
                     # Retention rewrites the epochs journal and rebuilds
                     # the whole index (which also re-reads the freshly
-                    # compacted store and WAL).
+                    # compacted store and WAL); the history is replayed
+                    # from the rewrite so a restarted coordinator plans
+                    # from the same one.
                     self.index.compact(self.retain_epochs)
+                    self.history = load_history(self.epochs_path)
                 else:
                     # The store/WAL rewrites changed those journals'
                     # heads; the next update() notices and rebuilds.

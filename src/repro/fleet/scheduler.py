@@ -51,9 +51,10 @@ def stable_shard(machine: str, shards: int) -> int:
 class FleetHistory:
     """What past epochs taught us about each machine.
 
-    Rebuilt by replaying the epochs journal (see
-    :func:`repro.fleet.coordinator.load_history`); the scheduler only
-    reads it.
+    Replayed from the epochs journal once, when a coordinator opens (see
+    :func:`repro.fleet.scheduler.load_history`), then kept current by
+    folding every record the coordinator appends through
+    :meth:`note_record`; the scheduler only reads it.
     """
 
     last_epoch: Dict[str, int] = field(default_factory=dict)
@@ -73,6 +74,19 @@ class FleetHistory:
                 self.confirmations.get(machine, 0) + 1
         if errored:
             self.failures[machine] = self.failures.get(machine, 0) + 1
+
+    def note_record(self, record: Dict) -> None:
+        """Fold one epochs-journal record; other record types are no-ops."""
+        if record.get("type") == "fleet-machine":
+            self.note_verdict(
+                epoch=int(record.get("epoch", 0)),
+                machine=record.get("machine", "?"),
+                infected=record.get("verdict") == "infected",
+                confirmed=bool(record.get("confirmed")),
+                errored=record.get("error") is not None)
+        elif record.get("type") == "epoch-end":
+            self.last_epoch_no = max(self.last_epoch_no,
+                                     int(record.get("epoch", 0)))
 
 
 def recent_write_probe(machine, horizon_seconds: float = 3600.0,
@@ -194,23 +208,15 @@ class FleetScheduler:
 def load_history(path: str) -> FleetHistory:
     """Rebuild scheduler history from an epochs journal.
 
-    Torn or half-written lines are skipped with a warning, like every
-    other JSONL reader in the system — history is advisory, and losing
-    one line costs at most one slightly-misranked machine.
+    A coordinator calls this when it opens and after retention compaction
+    rewrites the journal, never per epoch.  Torn or half-written lines
+    are skipped with a warning, like every other JSONL reader in the
+    system — history is advisory, and losing one line costs at most one
+    slightly-misranked machine.
     """
     from repro.telemetry.journal_io import iter_journal
 
     history = FleetHistory()
     for line in iter_journal(path):
-        record = line.record
-        if record.get("type") == "fleet-machine":
-            history.note_verdict(
-                epoch=int(record.get("epoch", 0)),
-                machine=record.get("machine", "?"),
-                infected=record.get("verdict") == "infected",
-                confirmed=bool(record.get("confirmed")),
-                errored=record.get("error") is not None)
-        elif record.get("type") == "epoch-end":
-            history.last_epoch_no = max(history.last_epoch_no,
-                                        int(record.get("epoch", 0)))
+        history.note_record(line.record)
     return history

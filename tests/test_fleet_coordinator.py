@@ -10,6 +10,8 @@ an uninterrupted run's and no acked machine may be scanned twice.
 from __future__ import annotations
 
 import json
+import logging
+import os
 from collections import Counter
 
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from repro.clock import SimClock
 from repro.errors import CoordinatorKilled, StaleLease
 from repro.fleet import (EscalationPolicy, FleetCoordinator, WorkQueue,
-                         fleet_status)
+                         fleet_status, load_history)
 from repro.ghostware import Aphex, HackerDefender
 from repro.machine import Machine
 from repro.telemetry.metrics import global_metrics
@@ -472,6 +474,159 @@ class TestLeaseRecoveryEdgeCases:
             workers=1, queue_durable=True)
         coordinator.run_epoch()
         assert counts["n"] >= per_op
+
+
+def assert_history_current(coordinator):
+    """The in-memory scheduler history equals a replay of the journal."""
+    assert coordinator.history == load_history(coordinator.epochs_path)
+
+
+def next_plan(coordinator):
+    """The dispatch order the coordinator would open its next epoch with."""
+    timings = {name: coordinator.store.scan_seconds(name)
+               for name in coordinator.machines}
+    plan = coordinator.scheduler.plan(
+        sorted(coordinator.machines), coordinator.next_epoch_number(),
+        coordinator.history, scan_seconds=timings)
+    return [(entry.machine, entry.score) for entry in plan]
+
+
+def torn_line_warnings(caplog):
+    return sum(1 for record in caplog.records
+               if "skipping torn journal line" in record.getMessage())
+
+
+class TestSchedulerHistory:
+    """One in-memory history per coordinator: replayed from the epochs
+    journal at open, folded at journal-write time, replayed again after
+    retention compaction — and always equal to a fresh replay."""
+
+    def test_late_ack_duplicates_fold_like_a_replay(self, tmp_path):
+        fleet_dir = str(tmp_path)
+        machines = build_fleet(size=3, infected=(1,))
+        # Scans outlast the lease, so every fresh verdict is journaled,
+        # acked late, and journaled again by the re-lease.
+        coordinator = FleetCoordinator(fleet_dir, machines, workers=1,
+                                       lease_seconds=0.01)
+        for epoch in range(1, 4):
+            aggregate = coordinator.run_epoch()
+            assert aggregate.summary.late_acks >= 1
+            assert_history_current(coordinator)
+            machines[epoch % 3].volume.create_file(
+                f"\\Temp\\churn{epoch}.txt", b"payload")
+        counts = Counter(record["machine"]
+                         for record in machine_records(fleet_dir, epoch=1))
+        assert set(counts.values()) == {2}
+        assert coordinator.history.detections["m01"] >= 2
+
+    def test_kill_and_resume_keep_history_current(self, tmp_path):
+        fleet_dir = str(tmp_path)
+        machines = build_fleet(size=4, infected=(1, 3))
+        killed = FleetCoordinator(fleet_dir, machines, workers=2)
+        with pytest.raises(CoordinatorKilled):
+            killed.run_epoch(kill_after_acks=2)
+        assert_history_current(killed)
+
+        # Die again inside a checkpoint: journaled, never acked.
+        gap = FleetCoordinator(fleet_dir, machines, workers=2)
+        assert_history_current(gap)
+
+        def gap_ack(lease, **payload):
+            raise CoordinatorKilled("died after journal, before ack")
+
+        gap.queue.ack = gap_ack
+        with pytest.raises(CoordinatorKilled):
+            gap.run_epoch()
+        assert_history_current(gap)
+
+        resumed = FleetCoordinator(fleet_dir, machines, workers=2)
+        assert_history_current(resumed)
+        for __ in range(3):
+            resumed.run_epoch()
+            assert_history_current(resumed)
+        assert resumed.history.last_epoch_no == 3
+        assert Counter(record["machine"] for record
+                       in machine_records(fleet_dir, epoch=1)
+                       ).most_common(1)[0][1] == 2
+
+    def test_retention_drop_plans_like_a_fresh_open(self, tmp_path):
+        """Compaction drops the only epoch holding m01's detection; the
+        live coordinator must forget it exactly as a restart would."""
+        from repro.core import disinfect
+
+        fleet_dir = str(tmp_path)
+        machines = build_fleet(size=3, infected=(1,))
+        options = dict(workers=1, compact_every=2, retain_epochs=1)
+        coordinator = FleetCoordinator(fleet_dir, machines, **options)
+        coordinator.run_epoch()
+        assert_history_current(coordinator)
+        assert coordinator.history.detections == {"m01": 1}
+
+        disinfect(machines_by_name(machines)["m01"])
+        second = coordinator.run_epoch()
+        assert "m01" not in second.infected_machines()
+        assert_history_current(coordinator)
+        assert coordinator.history.detections == {}
+        assert coordinator.history.confirmations == {}
+
+        fresh = FleetCoordinator(fleet_dir, machines, **options)
+        assert fresh.history == coordinator.history
+        assert next_plan(coordinator) == next_plan(fresh)
+        coordinator.run_epoch()
+        assert_history_current(coordinator)
+
+    def test_steady_epochs_never_replay_the_journal(self, tmp_path,
+                                                    monkeypatch):
+        import repro.fleet.coordinator as coordinator_mod
+        import repro.telemetry.journal_io as journal_io
+
+        fleet_dir = str(tmp_path)
+        machines = build_fleet(size=3, infected=(1,))
+        FleetCoordinator(fleet_dir, machines, workers=2).run_epoch()
+
+        epochs_path = os.path.abspath(os.path.join(fleet_dir,
+                                                   "epochs.jsonl"))
+        loads, reads = [], []
+        real_load = coordinator_mod.load_history
+        real_iter = journal_io.iter_journal
+
+        def counting_load(path):
+            loads.append(path)
+            return real_load(path)
+
+        def counting_iter(path, start=0, **kwargs):
+            if os.path.abspath(path) == epochs_path and not start:
+                reads.append(path)
+            return real_iter(path, start, **kwargs)
+
+        monkeypatch.setattr(coordinator_mod, "load_history", counting_load)
+        monkeypatch.setattr(coordinator_mod, "iter_journal", counting_iter)
+        monkeypatch.setattr(journal_io, "iter_journal", counting_iter)
+        coordinator = FleetCoordinator(fleet_dir, machines, workers=2)
+        assert reads, "opening replays the journal: the counter sees it"
+        del loads[:], reads[:]
+        for __ in range(3):
+            aggregate = coordinator.run_epoch()
+            assert aggregate.summary.skipped == 3
+        assert loads == [] and reads == []
+
+    def test_torn_journal_line_is_warned_once_at_open(self, tmp_path,
+                                                      caplog):
+        fleet_dir = str(tmp_path)
+        machines = build_fleet(size=2, infected=())
+        first = FleetCoordinator(fleet_dir, machines, workers=1)
+        first.run_epoch()
+        with open(first.epochs_path, "ab") as handle:
+            handle.write(b'{"type": "fleet-machine", "trunc\n')
+        first.run_epoch()   # the torn line is now mid-journal
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            coordinator = FleetCoordinator(fleet_dir, machines, workers=1)
+            assert torn_line_warnings(caplog) == 1
+            coordinator.run(3)
+        assert torn_line_warnings(caplog) == 1
+        assert_history_current(coordinator)
 
 
 class TestCliAndReport:

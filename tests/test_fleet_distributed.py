@@ -17,7 +17,7 @@ import sys
 import pytest
 
 from repro.__main__ import main
-from repro.fleet import FleetCoordinator, fleet_status
+from repro.fleet import FleetCoordinator, fleet_status, load_history
 from repro.fleet.controller import AGENT_DEAD
 from repro.ghostware import Aphex, HackerDefender
 from repro.workloads.scenarios import build_home_pc
@@ -58,8 +58,21 @@ def reference_key(tmp_path_factory):
 class TestDistributedSweep:
     def test_matches_single_process(self, tmp_path, reference_key):
         coordinator = FleetCoordinator(str(tmp_path), roster(), workers=2)
+        # The scheduler history is folded by the controller's
+        # checkpoints: after every epoch it must equal a journal replay.
+        history_current = []
+        finish_epoch = coordinator._finish_epoch
+
+        def finish_and_check(aggregator):
+            finish_epoch(aggregator)
+            history_current.append(
+                coordinator.history == load_history(coordinator.epochs_path))
+
+        coordinator._finish_epoch = finish_and_check
         aggregates = coordinator.run_distributed(
             2, fleet_factory, agents=2)
+        assert history_current == [True, True]
+        assert coordinator.history == load_history(coordinator.epochs_path)
         assert verdict_key(aggregates[0]) == reference_key
         # Epoch 2: agents still hold their epoch-1 clones, so machines
         # re-leased to the same agent ride their baselines.  A machine

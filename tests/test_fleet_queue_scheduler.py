@@ -306,10 +306,31 @@ class TestFleetAggregator:
         assert sorted(alert.identity for alert in fired) == ["g1", "g2"]
 
     def test_verdict_round_trips_through_dict(self):
-        original = self.verdict("a", verdict="infected", findings=3,
-                                escalated=True, confirmed=True,
-                                confirmed_by="vmscan",
-                                finding_ids=["x"], mass_hiding=True)
-        record = original.to_dict()
-        assert record["type"] == "fleet-machine"
-        assert MachineVerdict.from_dict(record) == original
+        """to_dict() is asdict()'s record, key order included; its lists
+        are the caller's own copies; from_dict() inverts it."""
+        from dataclasses import asdict
+
+        partial = self.verdict("a", verdict="infected", findings=3,
+                               escalated=True, confirmed=True,
+                               confirmed_by="vmscan",
+                               finding_ids=["x"], mass_hiding=True)
+        full = self.verdict(
+            "b", epoch=4, verdict="infected", findings=2, noise=1,
+            skipped=True, escalated=True, confirmed=True,
+            confirmed_by="winpe", baseline_id="b-000007",
+            scan_seconds=12.5, error="transient", mass_hiding=True,
+            finding_ids=["file:\\windows\\hxdef100.exe", "asep:hxdef"],
+            sampled=True, coverage=0.375, sampling_escalated=True,
+            campaign_fingerprints=["file:\\windows\\*.exe"])
+        for original in (partial, full):
+            record = original.to_dict()
+            assert record["type"] == "fleet-machine"
+            assert list(record.items()) == list(
+                dict(asdict(original), type="fleet-machine").items())
+            assert MachineVerdict.from_dict(record) == original
+            lists = (list(original.finding_ids),
+                     list(original.campaign_fingerprints))
+            record["finding_ids"].append("file:\\extra")
+            record["campaign_fingerprints"].clear()
+            assert (original.finding_ids,
+                    original.campaign_fingerprints) == lists
