@@ -1105,6 +1105,33 @@ def bench_distributed_sweep(fleet_size: int, file_count: int,
     }
 
 
+def checkpoint_on_disk(fleet_dir: str, coordinator, aggregate) -> list:
+    """Failures of the checkpoint read back from the fleet directory.
+
+    Every non-error verdict of ``aggregate`` must name the baseline the
+    reopened store holds for its machine, and a replay of the epochs
+    journal must plan from the live coordinator's history.
+    """
+    from repro.core.baseline import BaselineStore
+    from repro.fleet import load_history
+
+    store = BaselineStore(fleet_dir)
+    failures = []
+    for verdict in aggregate.verdicts:
+        if verdict.verdict == "error":
+            continue
+        stored = store.get(verdict.machine)
+        stored_id = stored.baseline_id if stored is not None else None
+        if stored_id != verdict.baseline_id:
+            failures.append(f"{verdict.machine}: verdict names baseline "
+                            f"{verdict.baseline_id}, store holds "
+                            f"{stored_id}")
+    if load_history(coordinator.epochs_path) != coordinator.history:
+        failures.append("epochs.jsonl replays to a different scheduler "
+                        "history than the live coordinator's")
+    return failures
+
+
 def run_distributed_soak(epochs: int, fleet_size: int, agents: int,
                          file_count: int = 120,
                          kill_after_leases: int = 3) -> int:
@@ -1115,7 +1142,8 @@ def run_distributed_soak(epochs: int, fleet_size: int, agents: int,
     a worker's power cord); the controller's liveness reaper reclaims
     the orphaned lease and the surviving agents finish the fleet.
     Every epoch is gated element-identical against an uninterrupted
-    single-process reference over the same golden image.
+    single-process reference over the same golden image, and the last
+    epoch's checkpoint is read back from disk.
     """
     from repro.fleet import FleetCoordinator, fleet_status
     from repro.fleet.controller import AGENT_DEAD
@@ -1164,6 +1192,7 @@ def run_distributed_soak(epochs: int, fleet_size: int, agents: int,
             for agent, info in sorted(agents_status.items())))
         if "agent-0" not in dead:
             failures.append("murdered agent-0 was never declared dead")
+        failures.extend(checkpoint_on_disk(tmp, coordinator, aggregates[-1]))
     for failure in failures:
         print(f"  [FAIL] {failure}", file=sys.stderr)
     if not failures:
@@ -1175,7 +1204,8 @@ def run_distributed_soak(epochs: int, fleet_size: int, agents: int,
 
 def run_fleet_soak(epochs: int, fleet_size: int, rate: float,
                    seed: int, file_count: int = 120) -> int:
-    """The CI soak: epochs under chaos, gated on zero lost machines."""
+    """The CI soak: epochs under chaos, gated on zero lost machines
+    and on the last epoch's checkpoint read back from disk."""
     from repro.faults import context as faults_context
     from repro.faults.plan import FaultPlan
     from repro.fleet import FleetCoordinator
@@ -1205,6 +1235,7 @@ def run_fleet_soak(epochs: int, fleet_size: int, rate: float,
                         f"{summary.machines}/{fleet_size}")
         finally:
             faults_context.install_global_plan(previous)
+        failures.extend(checkpoint_on_disk(tmp, coordinator, aggregate))
     fired = plan.fired_count()
     print(f"soak: {fired} fault(s) fired across "
           f"{len({f.site for f in plan.fired()})} site(s)")

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional
 
 from repro.core.diff import DetectionReport
 from repro.core.reporting import report_from_dict, report_to_dict
-from repro.telemetry.journal_io import iter_journal
+from repro.telemetry.journal_io import append_journal, iter_journal
 from repro.telemetry.metrics import global_metrics
 
 logger = logging.getLogger(__name__)
@@ -134,22 +134,20 @@ class BaselineStore:
             extra=dict(extra or {}),
         )
         with self._lock:
-            os.makedirs(self.directory, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(self._record_line(baseline) + "\n")
+            append_journal(self.path, self._record(baseline))
             self._baselines[machine] = baseline
         return baseline
 
     @staticmethod
-    def _record_line(baseline: MachineBaseline) -> str:
-        return json.dumps({
+    def _record(baseline: MachineBaseline) -> Dict:
+        return {
             "machine": baseline.machine,
             "baseline_id": baseline.baseline_id,
             "disk_generation": baseline.disk_generation,
             "scan_seconds": baseline.scan_seconds,
             "report": baseline.report,
             "extra": baseline.extra,
-        }, sort_keys=True)
+        }
 
     def compact(self) -> Dict[str, int]:
         """Rewrite the JSONL down to the newest record per machine.
@@ -167,8 +165,9 @@ class BaselineStore:
             tmp_path = self.path + ".tmp"
             with open(tmp_path, "w", encoding="utf-8") as handle:
                 for machine in sorted(self._baselines):
-                    handle.write(
-                        self._record_line(self._baselines[machine]) + "\n")
+                    handle.write(json.dumps(
+                        self._record(self._baselines[machine]),
+                        sort_keys=True) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, self.path)

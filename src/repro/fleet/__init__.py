@@ -10,9 +10,10 @@ streaming aggregator with outbreak detection
 (:mod:`repro.fleet.aggregator`).
 
 Distributed mode splits the coordinator across processes: a
-:class:`~repro.fleet.controller.ScanController` keeps sole custody of
-the durable state while crash-tolerant :class:`~repro.fleet.agent.
-ScanAgent` processes lease, scan, and ack over the wire protocol of
+:class:`~repro.fleet.controller.ScanController` serves the
+coordinator's lease draw and checkpoint, in the coordinator's process,
+while crash-tolerant :class:`~repro.fleet.agent.ScanAgent` processes
+lease, scan, and ack over the wire protocol of
 :mod:`repro.fleet.transport`.
 """
 

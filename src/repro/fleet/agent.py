@@ -24,10 +24,12 @@ The failure story is the point:
   distributed analogue of the coordinator's ``kill_after_acks`` power
   cord, used by the kill -9 soak to prove verdicts stay
   element-identical.
-* **Generation-gated skips.**  lease-ok carries the stored baseline's
-  disk generation and rehydrated verdict; a machine whose clone still
-  matches is acked without scanning, same as the single-process skip
-  path.
+* **Generation-gated skips.**  lease-ok carries only the skip offer:
+  the ``baseline_generation`` the coordinator's one skip rule accepts
+  (stored baseline plus the sampled-tier rule).  A machine whose clone
+  is still at that generation is acked ``{"skip": true}`` without
+  scanning, and the controller rehydrates the verdict from its own
+  store, same as the single-process skip path.
 
 Heartbeats ride a second, chaos-free connection: a partitioned *work*
 channel must not look like a dead agent, or every transport fault
@@ -56,6 +58,9 @@ from repro.telemetry.metrics import global_metrics
 
 logger = logging.getLogger(__name__)
 
+# Backed-off reconnect attempts before an agent gives up on its controller.
+MAX_RECONNECTS = 60
+
 
 class ScanAgent:
     """One agent's lease → scan → ack loop against a controller."""
@@ -71,10 +76,8 @@ class ScanAgent:
                  resources: Sequence[str] = ("files", "registry"),
                  reconnect_base_s: float = 0.05,
                  reconnect_cap_s: float = 1.0,
-                 max_reconnects: int = 60,
                  poll_seconds: float = 0.02,
                  kill_after_leases: Optional[int] = None,
-                 heartbeats: bool = True,
                  scan_config: Optional[Dict] = None):
         self.address = tuple(address)
         self.secret = secret
@@ -90,10 +93,8 @@ class ScanAgent:
         self.resources = tuple(resources)
         self.reconnect_base_s = reconnect_base_s
         self.reconnect_cap_s = reconnect_cap_s
-        self.max_reconnects = int(max_reconnects)
         self.poll_seconds = poll_seconds
         self.kill_after_leases = kill_after_leases
-        self.heartbeats = heartbeats
         # Stealth counter-move knobs, mirroring the coordinator's
         # single-process scan body (stabilize_rounds / flag_unstable /
         # scan_order_jitter).
@@ -136,7 +137,7 @@ class ScanAgent:
         if self._channel is not None:
             self._channel.close()
             self._channel = None
-        for attempt in range(self.max_reconnects):
+        for attempt in range(MAX_RECONNECTS):
             self.stats["reconnects"] += 1
             global_metrics().incr("fleet.agent.reconnect_attempts")
             # Deterministic jitter: seeded by (agent, attempt) so two
@@ -153,7 +154,7 @@ class ScanAgent:
                 continue
         raise TransportError(
             f"agent {self.agent_id} gave up after "
-            f"{self.max_reconnects} reconnect attempts")
+            f"{MAX_RECONNECTS} reconnect attempts")
 
     def _request(self, message: Dict) -> Dict:
         """One request/reply exchange; reconnects and resends on failure.
@@ -178,12 +179,10 @@ class ScanAgent:
 
     def run(self) -> Dict:
         """Serve leases until the controller says shutdown; returns stats."""
-        heartbeat_thread = None
-        if self.heartbeats:
-            heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop,
-                name=f"{self.agent_id}-heartbeat", daemon=True)
-            heartbeat_thread.start()
+        heartbeat_thread = threading.Thread(
+            target=self._heartbeat_loop,
+            name=f"{self.agent_id}-heartbeat", daemon=True)
+        heartbeat_thread.start()
         try:
             while True:
                 if self._adopted:
@@ -207,8 +206,7 @@ class ScanAgent:
                         f"unexpected lease reply: {reply!r}")
         finally:
             self._stop.set()
-            if heartbeat_thread is not None:
-                heartbeat_thread.join(timeout=2.0)
+            heartbeat_thread.join(timeout=2.0)
             if self._channel is not None:
                 self._channel.close()
                 self._channel = None
@@ -232,18 +230,18 @@ class ScanAgent:
         epoch = int(lease["epoch"])
         token = int(lease["token"])
         self._held[name] = token
-        baseline = reply.get("baseline")
         try:
-            ack = self._scan_to_ack(name, epoch, token, baseline)
+            ack = self._scan_to_ack(name, epoch, token,
+                                    reply.get("baseline_generation"))
         finally:
             self._held.pop(name, None)
         self._pending_ack = ack
         self._flush_pending_ack()
 
     def _scan_to_ack(self, name: str, epoch: int, token: int,
-                     baseline: Optional[Dict]) -> Dict:
+                     baseline_generation: Optional[int]) -> Dict:
         base = {"op": "ack", "machine": name, "epoch": epoch,
-                "token": token, "report": None}
+                "token": token}
         try:
             machine = self._machines.get(name)
             if machine is None:
@@ -251,15 +249,11 @@ class ScanAgent:
                 self._machines[name] = machine
         except Exception as exc:
             self.stats["errors"] += 1
-            return dict(base, verdict={
-                "machine": name, "epoch": epoch, "verdict": "error",
-                "error": f"machine build failed: {exc}"})
-        if (baseline is not None
-                and machine.disk.generation
-                == int(baseline["disk_generation"])):
+            return dict(base, error=f"machine build failed: {exc}")
+        if (baseline_generation is not None
+                and machine.disk.generation == int(baseline_generation)):
             self.stats["skips"] += 1
-            return dict(base, verdict=dict(baseline["verdict"],
-                                           machine=name, epoch=epoch))
+            return dict(base, skip=True)
         try:
             outcome = perform_machine_scan(
                 machine, epoch, self.policy, self.noise_filter,
@@ -273,11 +267,9 @@ class ScanAgent:
             self.stats["errors"] += 1
             logger.warning("agent %s scan of %s failed: %s",
                            self.agent_id, name, exc)
-            return dict(base, verdict={
-                "machine": name, "epoch": epoch, "verdict": "error",
-                "error": f"{type(exc).__name__}: {exc}"})
+            return dict(base, error=f"{type(exc).__name__}: {exc}")
         self.stats["scans"] += 1
-        verdict = outcome.verdict(name, epoch, baseline_id=None)
+        verdict = outcome.verdict(name, epoch)
         return dict(base, verdict=verdict.to_dict(),
                     report=report_to_dict(outcome.report),
                     disk_generation=outcome.disk_generation,

@@ -2,11 +2,13 @@ r"""The scan controller service: the fleet's single writing authority.
 
 Distributed mode splits the coordinator's worker loop across processes:
 scan **agents** (:mod:`repro.fleet.agent`) do the GIL-heavy parsing,
-while this controller keeps sole custody of every durable structure —
-the :class:`~repro.fleet.queue.WorkQueue` WAL, the
+while this controller serves them the coordinator's durable state — the
+:class:`~repro.fleet.queue.WorkQueue` WAL, the
 :class:`~repro.core.baseline.BaselineStore`, the epochs journal, and
 the streaming :class:`~repro.fleet.aggregator.FleetAggregator` — behind
-the wire protocol of :mod:`repro.fleet.transport`.
+the wire protocol of :mod:`repro.fleet.transport`.  The controller owns
+frame decode/encode, agent sessions and liveness; the epoch protocol
+itself (lease draw, checkpoint, late acks) is the coordinator's.
 
 Failure-first design decisions, in order of importance:
 
@@ -17,9 +19,11 @@ Failure-first design decisions, in order of importance:
   replay it after reconnecting.  An ack bearing a superseded or
   reclaimed lease gets ``ack-late`` (counted as ``fleet.ack.late``) —
   the current lease holder's scan is the one that lands.
-* **Checkpoint custody.**  The write order ``BaselineStore.put`` →
-  ``fleet-machine`` journal record → ``WorkQueue.ack`` is enforced
-  here, in one process, under one lock — agents never write.
+* **Checkpoint custody.**  Every ack lands through the coordinator's
+  one checkpoint (``BaselineStore.put`` → ``fleet-machine`` journal
+  record → ``WorkQueue.ack``), in one process, under the coordinator's
+  lock — agents never write.  A skip acks as ``{"skip": true}`` and the
+  controller rehydrates its verdict from its own baseline store.
 * **Heartbeat liveness.**  Every frame an agent sends (work channel or
   its dedicated heartbeat channel) refreshes its session's
   ``last_seen`` on the liveness clock (wall-monotonic by default,
@@ -43,12 +47,10 @@ from __future__ import annotations
 import logging
 import socket
 import threading
-from dataclasses import replace
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.reporting import report_from_dict
-from repro.errors import (CircuitOpen, StaleLease, TransientIoError,
-                          TransportError, TransportTimeout)
+from repro.errors import StaleLease, TransportError, TransportTimeout
 from repro.fleet import transport
 from repro.fleet.aggregator import MachineVerdict
 from repro.fleet.queue import Lease
@@ -65,6 +67,9 @@ AGENT_DEAD = "dead"
 AGENT_DONE = "done"
 
 DEFAULT_FLAP_THRESHOLD = 3
+
+# How often an idle connection thread rechecks that the controller runs.
+RECV_POLL_SECONDS = 0.25
 
 
 def fold_agent_records(records: Iterable[Dict]) -> Dict[str, Dict]:
@@ -123,8 +128,7 @@ class ScanController:
                  heartbeat_seconds: float = 0.25,
                  agent_timeout_seconds: float = 5.0,
                  flap_threshold: int = DEFAULT_FLAP_THRESHOLD,
-                 liveness_clock=None,
-                 recv_poll_seconds: float = 0.25):
+                 liveness_clock=None):
         self.coordinator = coordinator
         self.secret = secret
         self.host = host
@@ -133,18 +137,13 @@ class ScanController:
         self.agent_timeout_seconds = agent_timeout_seconds
         self.flap_threshold = max(1, int(flap_threshold))
         self.liveness_clock = liveness_clock or transport.WallClock()
-        self.recv_poll_seconds = recv_poll_seconds
+        # Sessions are guarded by coordinator.lock, the lock every
+        # durable write of an epoch serializes on.
         self.sessions: Dict[str, AgentSession] = {}
-        # One lock for sessions *and* the checkpoint (put → journal →
-        # ack → aggregate): the whole point of the controller is that
-        # these writes happen in one place, serialized.
-        self._lock = threading.RLock()
         self._server: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._running = False
         self._shutdown = False
-        self._epoch: Optional[int] = None
-        self._aggregator = None
         self.address = None
 
     # -- lifecycle ---------------------------------------------------------------
@@ -174,7 +173,7 @@ class ScanController:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
-        with self._lock:
+        with self.coordinator.lock:
             for session in self.sessions.values():
                 for channel in session.channels:
                     channel.close()
@@ -184,23 +183,8 @@ class ScanController:
         """Tell agents (via lease-none state=shutdown) to say bye."""
         self._shutdown = True
 
-    def begin_epoch(self, epoch: int, aggregator) -> None:
-        with self._lock:
-            self._epoch = epoch
-            self._aggregator = aggregator
-
-    def end_epoch(self) -> None:
-        with self._lock:
-            self._epoch = None
-            self._aggregator = None
-
-    @property
-    def lock(self) -> threading.RLock:
-        """The checkpoint lock; the epoch driver closes epochs under it."""
-        return self._lock
-
     def session_snapshots(self) -> Dict[str, Dict]:
-        with self._lock:
+        with self.coordinator.lock:
             return {agent_id: session.snapshot()
                     for agent_id, session in self.sessions.items()}
 
@@ -210,7 +194,7 @@ class ScanController:
         """Mark silent sessions dead and requeue exactly their leases."""
         now = self.liveness_clock.now() if now is None else now
         dead: List[str] = []
-        with self._lock:
+        with self.coordinator.lock:
             for session in self.sessions.values():
                 if session.state in (AGENT_DEAD, AGENT_DONE):
                     continue
@@ -240,7 +224,8 @@ class ScanController:
                   "worker": session.worker,
                   "reconnects": session.reconnects,
                   "leases_held": len(session.leases),
-                  "acks": session.acks, "epoch": self._epoch}
+                  "acks": session.acks,
+                  "epoch": self.coordinator.queue.epoch}
         if reclaimed:
             record["reclaimed"] = sorted(reclaimed)
         self.coordinator._journal(record)
@@ -278,7 +263,7 @@ class ScanController:
             return
         agent_id = str(hello["agent"])
         role = hello.get("role", "work")
-        with self._lock:
+        with self.coordinator.lock:
             now = self.liveness_clock.now()
             session = self.sessions.get(agent_id)
             fresh = session is None
@@ -305,7 +290,7 @@ class ScanController:
                             else AGENT_ALIVE)
                         global_metrics().incr("fleet.agent.reconnects")
                 # Reconnect replay, server half: hand back the leases
-                # this worker already holds (with baselines), so an
+                # this worker already holds (with skip offers), so an
                 # agent that lost the lease-ok frame still scans them.
                 reply["outstanding"] = [
                     self._lease_reply(lease)
@@ -319,7 +304,7 @@ class ScanController:
         except TransportError:
             pass
         finally:
-            with self._lock:
+            with self.coordinator.lock:
                 if channel in session.channels:
                     session.channels.remove(channel)
             channel.close()
@@ -328,12 +313,12 @@ class ScanController:
                       session: AgentSession) -> None:
         while self._running:
             try:
-                message = channel.recv(timeout=self.recv_poll_seconds)
+                message = channel.recv(timeout=RECV_POLL_SECONDS)
             except TransportTimeout:
                 continue
             except TransportError:
                 return
-            with self._lock:
+            with self.coordinator.lock:
                 session.last_seen = self.liveness_clock.now()
                 try:
                     reply = self._dispatch(session, message)
@@ -344,7 +329,7 @@ class ScanController:
             if message.get("op") == "bye":
                 return
 
-    # -- op handlers (all called under self._lock) --------------------------------
+    # -- op handlers (all called under coordinator.lock) -------------------------
 
     def _dispatch(self, session: AgentSession, message: Dict) -> Dict:
         op = message.get("op")
@@ -360,58 +345,29 @@ class ScanController:
             return self._handle_bye(session)
         return {"op": "error", "error": f"unknown op {op!r}"}
 
-    def _epoch_state(self) -> Optional[str]:
-        if self._shutdown:
-            return "shutdown"
-        if (self._epoch is None
-                or self.coordinator.queue.epoch is None):
-            return "closed"
-        return None
-
     def _handle_lease(self, session: AgentSession) -> Dict:
-        state = self._epoch_state()
-        if state is not None:
+        if self._shutdown:
+            return {"op": "lease-none", "state": "shutdown"}
+        if self.coordinator.aggregator is None:
+            return {"op": "lease-none", "state": "closed"}
+        lease = self.coordinator._lease(session.worker)
+        if lease is None:
+            state = ("drained" if self.coordinator.queue.epoch_drained()
+                     else "waiting")
             return {"op": "lease-none", "state": state}
-        queue = self.coordinator.queue
-        metrics = global_metrics()
-        while True:
-            try:
-                lease = queue.lease(session.worker)
-            except TransientIoError:
-                # The fleet.lease chaos site fired; the machine stays
-                # pending and the next draw retries it.
-                metrics.incr("fleet.lease.faults")
-                continue
-            if lease is None:
-                state = "drained" if queue.epoch_drained() else "waiting"
-                return {"op": "lease-none", "state": state}
-            try:
-                self.coordinator.breaker.allow(lease.machine)
-            except CircuitOpen as exc:
-                # Quarantined machine: the controller self-acks the
-                # error verdict (mirroring the single-process worker)
-                # and keeps drawing for the agent.
-                metrics.incr("fleet.quarantined")
-                self._checkpoint(
-                    session, lease,
-                    MachineVerdict(machine=lease.machine,
-                                   epoch=lease.epoch, verdict="error",
-                                   error=str(exc)),
-                    self_ack=True)
-                continue
-            session.leases[lease.machine] = lease
-            return dict(self._lease_reply(lease), op="lease-ok")
+        session.leases[lease.machine] = lease
+        return dict(self._lease_reply(lease), op="lease-ok")
 
     def _lease_reply(self, lease: Lease) -> Dict:
         reply: Dict = {"lease": {
             "machine": lease.machine, "epoch": lease.epoch,
             "worker": lease.worker, "token": lease.token,
             "expires_at": lease.expires_at, "shard": lease.shard}}
-        baseline = self.coordinator.store.get(lease.machine)
+        baseline = self.coordinator._skip_baseline(lease.machine)
         if baseline is not None:
-            reply["baseline"] = {
-                "disk_generation": baseline.disk_generation,
-                "verdict": skip_verdict(baseline, lease.epoch).to_dict()}
+            # The skip offer: an agent whose clone is still at this
+            # generation acks {"skip": true} instead of scanning.
+            reply["baseline_generation"] = baseline.disk_generation
         return reply
 
     def _handle_renew(self, session: AgentSession, message: Dict) -> Dict:
@@ -432,79 +388,49 @@ class ScanController:
         self._journal_agent(session, "bye")
         return {"op": "bye-ok"}
 
-    # -- the checkpoint ----------------------------------------------------------
+    # -- acks --------------------------------------------------------------------
 
     def _handle_ack(self, session: AgentSession, message: Dict) -> Dict:
-        queue = self.coordinator.queue
+        coordinator = self.coordinator
         machine = str(message.get("machine"))
         token = int(message.get("token", -1))
         epoch = int(message.get("epoch", -1))
-        acked = queue.acked_machines().get(machine)
-        if acked is not None:
-            if (int(acked.get("token", -2)) == token
-                    and int(acked.get("epoch", -2)) == epoch):
-                # Reconnect replay of an ack that already landed:
-                # idempotent, nothing is written twice.
-                global_metrics().incr("fleet.ack.duplicates")
-                session.leases.pop(machine, None)
-                return {"op": "ack-ok", "duplicate": True}
-            return self._late_ack(session, machine)
-        current = queue.leased_machines().get(machine)
-        if current is None or current.token != token:
-            # The lease was reclaimed (agent declared dead, machine
-            # re-leased or already redone): the late result is dropped.
-            session.leases.pop(machine, None)
-            return self._late_ack(session, machine)
+        session.leases.pop(machine, None)
+        acked = coordinator.queue.acked_machines().get(machine)
+        if (acked is not None and int(acked.get("token", -2)) == token
+                and int(acked.get("epoch", -2)) == epoch):
+            # Reconnect replay of an ack that already landed:
+            # idempotent, nothing is written twice.
+            global_metrics().incr("fleet.ack.duplicates")
+            return {"op": "ack-ok", "duplicate": True}
+        current = coordinator.queue.leased_machines().get(machine)
+        if current is not None and current.token == token:
+            if coordinator._checkpoint(
+                    current, *self._acked_verdict(machine, epoch, message)):
+                session.acks += 1
+                return {"op": "ack-ok", "duplicate": False}
+        else:
+            # Acked under another lease, or the lease was reclaimed
+            # (agent declared dead, machine re-leased or already
+            # redone): the late result is dropped.
+            coordinator._late_ack(machine)
+        session.late_acks += 1
+        return {"op": "ack-late"}
 
+    def _acked_verdict(self, machine: str, epoch: int, message: Dict
+                       ) -> Tuple[MachineVerdict, Optional[Dict]]:
+        """An ack frame's verdict, and a fresh scan's baseline to store."""
+        coordinator = self.coordinator
+        if message.get("skip"):
+            return skip_verdict(coordinator.store.get(machine), epoch), None
+        if "error" in message:
+            return coordinator._scan_failed(machine, epoch,
+                                            str(message["error"])), None
         verdict = MachineVerdict.from_dict(dict(message["verdict"],
                                                 machine=machine,
                                                 epoch=epoch))
-        if message.get("report") is not None:
-            # Fresh scan: the controller owns step 1 of the checkpoint.
-            report = report_from_dict(message["report"])
-            stored = self.coordinator.store.put(
-                machine, report,
-                disk_generation=int(message["disk_generation"]),
-                scan_seconds=float(message.get("scan_seconds", 0.0)),
-                extra=dict(message.get("extra") or {}))
-            verdict = replace(verdict, baseline_id=stored.baseline_id)
-        if verdict.verdict == "error":
-            self.coordinator.breaker.record_failure(machine)
-            global_metrics().incr("fleet.scan.errors")
-        elif verdict.scanned:
-            self.coordinator.breaker.record_success(machine)
-        try:
-            self._checkpoint(session, current, verdict)
-        except StaleLease:
-            return self._late_ack(session, machine)
-        session.leases.pop(machine, None)
-        return {"op": "ack-ok", "duplicate": False}
-
-    def _checkpoint(self, session: AgentSession, lease: Lease,
-                    verdict: MachineVerdict, self_ack: bool = False
-                    ) -> None:
-        """Steps 2 and 3: journal the verdict, then ack the queue."""
-        coordinator = self.coordinator
-        coordinator._journal(verdict.to_dict())
-        coordinator.queue.ack(lease, verdict=verdict.verdict,
-                              scanned=verdict.scanned,
-                              confirmed=verdict.confirmed)
-        if not self_ack:
-            session.acks += 1
-        global_metrics().incr("fleet.epoch.checkpoints")
-        if self._aggregator is not None:
-            for alert in self._aggregator.observe(verdict):
-                coordinator._journal(alert.to_dict())
-                logger.warning("%s", alert.describe())
-        for alert in coordinator.campaigns.observe(verdict):
-            coordinator._journal(alert.to_dict())
-            logger.warning("%s", alert.describe())
-
-    def _late_ack(self, session: AgentSession, machine: str) -> Dict:
-        global_metrics().incr("fleet.ack.late")
-        session.late_acks += 1
-        if self._aggregator is not None:
-            self._aggregator.summary.late_acks += 1
-        logger.warning("late ack for %s from %s dropped",
-                       machine, session.agent_id)
-        return {"op": "ack-late"}
+        return verdict, {
+            "report": report_from_dict(message["report"]),
+            "disk_generation": int(message["disk_generation"]),
+            "scan_seconds": float(message.get("scan_seconds", 0.0)),
+            "extra": dict(message.get("extra") or {})}

@@ -27,6 +27,8 @@ verdict exactly once.  The coordinator:
 ====  ==========================================================
 
 so any machine the queue says is acked has a durable verdict on disk.
+:meth:`FleetCoordinator._checkpoint` is that sequence, and both the
+in-process drain and the distributed controller call it.
 A coordinator killed between any two steps resumes by replaying the
 queue WAL: acked machines keep their recorded verdicts (never
 re-scanned), unacked machines are re-leased and re-scanned.  Because
@@ -43,13 +45,16 @@ die anyway (every step in between is one atomic append).
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
+import threading
 import time
-from typing import Dict, Iterable, List, Optional, Union
+from dataclasses import replace
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.clock import SimClock
-from repro.core.baseline import BaselineStore
+from repro.core.baseline import BaselineStore, MachineBaseline
 from repro.core.costmodel import estimate_scan_seconds
 from repro.core.noise import NoiseFilter
 from repro.errors import (CircuitOpen, CoordinatorKilled, FleetError,
@@ -61,7 +66,7 @@ from repro.fleet.aggregator import (DEFAULT_OUTBREAK_THRESHOLD,
                                     MachineVerdict)
 from repro.fleet.controller import ScanController, fold_agent_records
 from repro.fleet.policy import EscalationPolicy
-from repro.fleet.queue import WorkQueue
+from repro.fleet.queue import Lease, WorkQueue
 from repro.fleet.scanwork import (perform_machine_scan,
                                   perform_sampled_machine_scan, skip_verdict)
 from repro.fleet.scheduler import FleetScheduler, load_history
@@ -74,6 +79,9 @@ from repro.telemetry.metrics import global_metrics
 logger = logging.getLogger(__name__)
 
 EPOCHS_FILE = "epochs.jsonl"
+
+# Distributed mode fails an epoch that goes this long without an ack.
+STALL_TIMEOUT_S = 60.0
 
 
 class FleetCoordinator:
@@ -127,6 +135,12 @@ class FleetCoordinator:
         self.scheduler = scheduler or FleetScheduler(shards=self.workers)
         self.breaker = CircuitBreaker(failure_threshold=breaker_threshold)
         self._quarantined: List[str] = []   # errored last epoch → risk
+        # Opens, closes and distributed checkpoints serialize on this.
+        self.lock = threading.RLock()
+        self.aggregator: Optional[FleetAggregator] = None  # open epoch's
+        self._kill_after_acks: Optional[int] = None
+        self._acks = 0
+        self._drained = threading.Event()  # set by the epoch's last checkpoint
         self._epochs_run = 0
         # Optional SamplingPolicy (repro.workloads.sampling): machines
         # in the epoch's sample tier get the cheap stratified pass
@@ -206,26 +220,37 @@ class FleetCoordinator:
         """Run (or resume) one epoch to completion; returns its aggregate.
 
         ``kill_after_acks=N`` raises :class:`CoordinatorKilled` right
-        after the N-th ack of *this invocation* commits — the test
-        harness's deterministic power cord.
+        after the N-th checkpoint of *this invocation* commits — the
+        test harness's deterministic power cord.
         """
+        return self._run_epoch(self._drain_epoch, kill_after_acks)
+
+    def _run_epoch(self, drain: Callable[[int], None],
+                   kill_after_acks: Optional[int] = None,
+                   **span_fields) -> FleetAggregator:
+        """The epoch lifecycle both modes share: open or resume, then
+        ``drain(epoch)`` until every machine is acked, then seal."""
+        self._kill_after_acks, self._acks = kill_after_acks, 0
+        self._drained.clear()
+        with self.lock:
+            aggregator, resuming = self._open_or_resume()
+        epoch = aggregator.summary.epoch
+        with telemetry_context.current_tracer().span(
+                "fleet.epoch", clock=self.clock, epoch=epoch,
+                resumed=resuming, **span_fields):
+            drain(epoch)
+        with self.lock:
+            self._finish_epoch(aggregator)
+        return aggregator
+
+    def _open_or_resume(self) -> Tuple[FleetAggregator, bool]:
+        """Open the next epoch or resume the one the WAL says is open;
+        returns its aggregator (kept as :attr:`aggregator`) and whether
+        it resumed."""
+        metrics = global_metrics()
         epoch = self.next_epoch_number()
         aggregator = FleetAggregator(
             epoch, outbreak_threshold=self.outbreak_threshold)
-        resuming = self._open_or_resume(epoch, aggregator)
-
-        with telemetry_context.current_tracer().span(
-                "fleet.epoch", clock=self.clock, epoch=epoch,
-                resumed=resuming):
-            self._drain_epoch(epoch, aggregator, kill_after_acks)
-
-        self._finish_epoch(aggregator)
-        return aggregator
-
-    def _open_or_resume(self, epoch: int,
-                        aggregator: FleetAggregator) -> bool:
-        """Open a fresh epoch or resume the one the WAL says is open."""
-        metrics = global_metrics()
         resuming = self.queue.epoch is not None
         if resuming:
             recovered = self.queue.recover_leases()
@@ -271,7 +296,8 @@ class FleetCoordinator:
                 start_record["sampled"] = sorted(self._sampled_tier)
             self._journal(start_record)
             metrics.incr("fleet.epoch.started")
-        return resuming
+        self.aggregator = aggregator
+        return aggregator, resuming
 
     def _journaled_sampled(self, epoch: int) -> set:
         """The resumed epoch's journaled sample tier (fixed at open)."""
@@ -285,6 +311,7 @@ class FleetCoordinator:
     def _finish_epoch(self, aggregator: FleetAggregator) -> None:
         """Seal a drained epoch: journal the summary, close, compact."""
         metrics = global_metrics()
+        self.aggregator = None
         self._journal(dict(aggregator.summary.to_dict(), type="epoch-end"))
         self.queue.close_epoch()
         self._quarantined = sorted(
@@ -318,57 +345,19 @@ class FleetCoordinator:
         return [self.run_epoch(kill_after_acks=kill_after_acks)
                 for __ in range(int(epochs))]
 
-    def _drain_epoch(self, epoch: int, aggregator: FleetAggregator,
-                     kill_after_acks: Optional[int]) -> None:
-        metrics = global_metrics()
-        acks = 0
+    def _drain_epoch(self, epoch: int) -> None:
+        """The in-process drain: logical workers lease, scan, checkpoint."""
         while not self.queue.epoch_drained():
             progressed = False
             for worker in range(self.workers):
                 if self.queue.epoch_drained():
                     break
-                try:
-                    lease = self.queue.lease(worker)
-                except TransientIoError:
-                    # The fleet.lease chaos site fired: the exchange
-                    # failed, the machine is still pending, the next
-                    # pass retries it.
-                    metrics.incr("fleet.lease.faults")
-                    progressed = True
-                    continue
+                lease = self._lease(worker)
                 if lease is None:
                     continue
-                verdict = self._scan_machine(epoch, lease.machine)
-                self._journal(verdict.to_dict())
-                try:
-                    self.queue.ack(lease, verdict=verdict.verdict,
-                                   scanned=verdict.scanned,
-                                   confirmed=verdict.confirmed)
-                except StaleLease:
-                    # The lease timed out under a pathologically slow
-                    # scan and someone else will redo the machine; the
-                    # journal keeps both records, last one wins.  Each
-                    # drop is a whole scan's work wasted, so it is
-                    # counted — in the metrics registry (surfaces via
-                    # the FleetHealth metrics snapshot) and on the
-                    # epoch summary the journal and scan_report render.
-                    metrics.incr("fleet.ack.late")
-                    aggregator.summary.late_acks += 1
-                    logger.warning("late ack for %s dropped", lease.machine)
-                    progressed = True
-                    continue
-                metrics.incr("fleet.epoch.checkpoints")
-                for alert in aggregator.observe(verdict):
-                    self._journal(alert.to_dict())
-                    logger.warning("%s", alert.describe())
-                for alert in self.campaigns.observe(verdict):
-                    self._journal(alert.to_dict())
-                    logger.warning("%s", alert.describe())
+                self._checkpoint(lease,
+                                 *self._scan_machine(epoch, lease.machine))
                 progressed = True
-                acks += 1
-                if kill_after_acks is not None and acks >= kill_after_acks:
-                    raise CoordinatorKilled(
-                        f"killed after {acks} ack(s) in epoch {epoch}")
             if not progressed and not self.queue.epoch_drained():
                 # Every pending shard is empty but leases are still out
                 # (e.g. a test leased directly and died): ride the clock
@@ -381,75 +370,148 @@ class FleetCoordinator:
                 self.clock.advance(max(0.0, deadline - self.clock.now()))
                 self.queue.expire_leases()
 
+    # -- the control plane both modes share --------------------------------------
+
+    def _lease(self, worker: int) -> Optional[Lease]:
+        """The next machine ``worker`` should scan, or None.
+
+        A fired ``fleet.lease`` fault leaves the machine pending and is
+        redrawn; a machine whose circuit breaker is open is quarantined
+        (its error verdict self-acked) and the draw goes on.
+        """
+        metrics = global_metrics()
+        while True:
+            try:
+                lease = self.queue.lease(worker)
+            except TransientIoError:
+                metrics.incr("fleet.lease.faults")
+                continue
+            if lease is None:
+                return None
+            try:
+                self.breaker.allow(lease.machine)
+            except CircuitOpen as exc:
+                metrics.incr("fleet.quarantined")
+                self._checkpoint(lease, MachineVerdict(
+                    machine=lease.machine, epoch=lease.epoch,
+                    verdict="error", error=str(exc)))
+                continue
+            return lease
+
+    def _checkpoint(self, lease: Lease, verdict: MachineVerdict,
+                    fresh: Optional[Dict] = None) -> bool:
+        """Land one leased machine's verdict; False if it came late.
+
+        ``fresh`` holds a new scan's :meth:`BaselineStore.put` arguments
+        (skips, failed scans and quarantines have none).  A lease gone
+        stale before the ack drops the result as a late ack: the machine
+        is redone, and the journal keeps both records, last one wins.
+        """
+        if fresh is not None:
+            stored = self.store.put(lease.machine, **fresh)
+            self.breaker.record_success(lease.machine)
+            verdict = replace(verdict, baseline_id=stored.baseline_id)
+        self._journal(verdict.to_dict())
+        try:
+            self.queue.ack(lease, verdict=verdict.verdict,
+                           scanned=verdict.scanned,
+                           confirmed=verdict.confirmed)
+        except StaleLease:
+            self._late_ack(lease.machine)
+            return False
+        if self.queue.epoch_drained():
+            self._drained.set()
+        global_metrics().incr("fleet.epoch.checkpoints")
+        for alert in (self.aggregator.observe(verdict)
+                      + self.campaigns.observe(verdict)):
+            self._journal(alert.to_dict())
+            logger.warning("%s", alert.describe())
+        self._acks += 1
+        if (self._kill_after_acks is not None
+                and self._acks >= self._kill_after_acks):
+            raise CoordinatorKilled(
+                f"killed after {self._acks} ack(s) in epoch {lease.epoch}")
+        return True
+
+    def _late_ack(self, machine: str) -> None:
+        """Count a result dropped because its lease went stale: a whole
+        scan's work wasted, on the metrics and the epoch summary."""
+        global_metrics().incr("fleet.ack.late")
+        if self.aggregator is not None:
+            self.aggregator.summary.late_acks += 1
+        logger.warning("late ack for %s dropped", machine)
+
+    def _scan_failed(self, name: str, epoch: int,
+                     error: str) -> MachineVerdict:
+        """A scan that raised: count it against the machine's breaker."""
+        self.breaker.record_failure(name)
+        global_metrics().incr("fleet.scan.errors")
+        logger.warning("epoch %d scan of %s failed: %s", epoch, name, error)
+        return MachineVerdict(machine=name, epoch=epoch, verdict="error",
+                              error=error)
+
+    def _skip_baseline(self, name: str) -> Optional[MachineBaseline]:
+        """The stored baseline ``name`` skips on if its disk still matches.
+
+        A *sampled* baseline only holds at its recorded coverage, so it
+        never satisfies a full-tier epoch: the rotation's whole point
+        is to periodically re-verify the strata the cheap pass skipped,
+        churn or no churn.
+        """
+        baseline = self.store.get(name)
+        if baseline is None or (baseline.extra.get("sampled")
+                                and name not in self._sampled_tier):
+            return None
+        return baseline
+
     # -- per-machine scan --------------------------------------------------------
 
-    def _scan_machine(self, epoch: int, name: str) -> MachineVerdict:
+    def _scan_machine(self, epoch: int, name: str
+                      ) -> Tuple[MachineVerdict, Optional[Dict]]:
+        """A leased machine's verdict, and a fresh scan's baseline."""
         machine = self.machines.get(name)
         if machine is None:
             return MachineVerdict(machine=name, epoch=epoch,
                                   verdict="error",
-                                  error="machine not in roster")
-        baseline = self.store.get(name)
+                                  error="machine not in roster"), None
+        baseline = self._skip_baseline(name)
         if (baseline is not None
-                and machine.disk.generation == baseline.disk_generation
-                and (not baseline.extra.get("sampled")
-                     or name in self._sampled_tier)):
+                and machine.disk.generation == baseline.disk_generation):
             # Steady state: the disk has not changed since the stored
             # verdict, so the verdict still holds — rehydrate it (and
-            # its escalation provenance) without touching the box.  A
-            # *sampled* baseline only holds at its recorded coverage,
-            # so it never satisfies a full-tier epoch: the rotation's
-            # whole point is to periodically re-verify the strata the
-            # cheap pass skipped, churn or no churn.
-            return skip_verdict(baseline, epoch)
-
-        try:
-            self.breaker.allow(name)
-        except CircuitOpen as exc:
-            global_metrics().incr("fleet.quarantined")
-            return MachineVerdict(machine=name, epoch=epoch,
-                                  verdict="error", error=str(exc))
-        try:
-            return self._scan_body(epoch, machine)
-        except ReproError as exc:
-            self.breaker.record_failure(name)
-            global_metrics().incr("fleet.scan.errors")
-            logger.warning("epoch %d scan of %s failed: %s",
-                           epoch, name, exc)
-            return MachineVerdict(machine=name, epoch=epoch,
-                                  verdict="error",
-                                  error=f"{type(exc).__name__}: {exc}")
-
-    def _scan_body(self, epoch: int, machine: Machine) -> MachineVerdict:
-        name = machine.name
+            # its escalation provenance) without touching the box.
+            return skip_verdict(baseline, epoch), None
         # The scan body itself is shared with the distributed agents
         # (repro.fleet.scanwork); scan costs are charged to the
         # machine's own clock and the fleet clock (leases, checkpoints)
         # mirrors the elapsed time when the two are distinct, so lease
         # expiry sees scans take time.
-        if self.sampling is not None and name in self._sampled_tier:
-            outcome = perform_sampled_machine_scan(
-                machine, epoch, self.sampling, self.policy,
-                self.noise_filter, self.resources, self.fault_plan,
-                span_clock=self.clock,
-                stabilize_rounds=self.stabilize_rounds,
-                flag_unstable=self.flag_unstable,
-                scan_order_jitter=self.scan_order_jitter)
-        else:
-            outcome = perform_machine_scan(
-                machine, epoch, self.policy, self.noise_filter,
-                self.resources, self.fault_plan, span_clock=self.clock,
-                stabilize_rounds=self.stabilize_rounds,
-                flag_unstable=self.flag_unstable,
-                scan_order_jitter=self.scan_order_jitter)
+        try:
+            if self.sampling is not None and name in self._sampled_tier:
+                outcome = perform_sampled_machine_scan(
+                    machine, epoch, self.sampling, self.policy,
+                    self.noise_filter, self.resources, self.fault_plan,
+                    span_clock=self.clock,
+                    stabilize_rounds=self.stabilize_rounds,
+                    flag_unstable=self.flag_unstable,
+                    scan_order_jitter=self.scan_order_jitter)
+            else:
+                outcome = perform_machine_scan(
+                    machine, epoch, self.policy, self.noise_filter,
+                    self.resources, self.fault_plan, span_clock=self.clock,
+                    stabilize_rounds=self.stabilize_rounds,
+                    flag_unstable=self.flag_unstable,
+                    scan_order_jitter=self.scan_order_jitter)
+        except ReproError as exc:
+            return self._scan_failed(
+                name, epoch, f"{type(exc).__name__}: {exc}"), None
         if machine.clock is not self.clock:
             self.clock.advance(outcome.scan_seconds)
-        stored = self.store.put(name, outcome.report,
-                                disk_generation=outcome.disk_generation,
-                                scan_seconds=outcome.scan_seconds,
-                                extra=outcome.extra(epoch))
-        self.breaker.record_success(name)
-        return outcome.verdict(name, epoch, baseline_id=stored.baseline_id)
+        return (outcome.verdict(name, epoch),
+                {"report": outcome.report,
+                 "disk_generation": outcome.disk_generation,
+                 "scan_seconds": outcome.scan_seconds,
+                 "extra": outcome.extra(epoch)})
 
     # -- trace record / replay ---------------------------------------------------
 
@@ -482,7 +544,6 @@ class FleetCoordinator:
                      transport_rate: float = 0.0,
                      heartbeat_seconds: float = 0.25,
                      kill_after_leases: Optional[Dict[int, int]] = None,
-                     mp_context: str = "fork",
                      first_index: int = 0) -> List:
         """Fork ``count`` agent processes against a running controller.
 
@@ -498,7 +559,7 @@ class FleetCoordinator:
 
         from repro.fleet.agent import run_agent_process
 
-        ctx = multiprocessing.get_context(mp_context)
+        ctx = multiprocessing.get_context("fork")
         kills = kill_after_leases or {}
         processes = []
         for offset in range(count):
@@ -538,10 +599,7 @@ class FleetCoordinator:
                         fault_rate: float = 0.0,
                         transport_seed: Optional[int] = None,
                         transport_rate: float = 0.0,
-                        kill_after_leases: Optional[Dict[int, int]] = None,
-                        mp_context: str = "fork",
-                        respawn: bool = True,
-                        stall_timeout_s: float = 60.0
+                        kill_after_leases: Optional[Dict[int, int]] = None
                         ) -> List[FleetAggregator]:
         """Run epochs with the scan fan-out in separate agent processes.
 
@@ -549,9 +607,9 @@ class FleetCoordinator:
         hosts the :class:`~repro.fleet.controller.ScanController`); the
         ``agents`` forked children do the GIL-heavy parsing and talk the
         wire protocol.  Crash tolerance is the controller's liveness
-        reaper plus (when ``respawn``) fresh agents forked whenever the
-        whole pool has died with work still pending — ``kill -9`` of any
-        agent mid-lease costs wall time, never a machine or a verdict.
+        reaper plus fresh agents forked whenever the whole pool has died
+        with work still pending — ``kill -9`` of any agent mid-lease
+        costs wall time, never a machine or a verdict.
         """
         secret = secret or transport.new_secret()
         controller = ScanController(
@@ -559,70 +617,42 @@ class FleetCoordinator:
             heartbeat_seconds=heartbeat_seconds,
             agent_timeout_seconds=agent_timeout_seconds)
         controller.start()
-        self.controller = controller
-        processes = self.spawn_agents(
-            agents, controller.address, secret, machine_factory,
-            fault_seed=fault_seed, fault_rate=fault_rate,
+        spawn = functools.partial(
+            self.spawn_agents, agents, controller.address, secret,
+            machine_factory, fault_seed=fault_seed, fault_rate=fault_rate,
             transport_seed=transport_seed, transport_rate=transport_rate,
-            heartbeat_seconds=heartbeat_seconds,
-            kill_after_leases=kill_after_leases, mp_context=mp_context)
+            heartbeat_seconds=heartbeat_seconds)
+        processes = spawn(kill_after_leases=kill_after_leases)
         agent_seq = agents
-        aggregates: List[FleetAggregator] = []
+
+        def wait_for_agents(epoch: int) -> None:
+            nonlocal processes, agent_seq
+            last_acked, last_progress = -1, time.monotonic()
+            while True:
+                with self.lock:
+                    if self.queue.epoch_drained():
+                        return
+                    acked = len(self.queue.acked_machines())
+                controller.reap()
+                if not any(p.is_alive() for p in processes):
+                    # Respawn a whole fresh pool under new agent ids (and
+                    # without the deterministic kill switch); the dead
+                    # agents' leases come back via the reaper.
+                    processes = spawn(first_index=agent_seq)
+                    agent_seq += agents
+                    global_metrics().incr("fleet.agent.respawns", agents)
+                if acked != last_acked:
+                    last_acked, last_progress = acked, time.monotonic()
+                elif time.monotonic() - last_progress > STALL_TIMEOUT_S:
+                    raise FleetError(
+                        f"epoch {epoch} stalled: no ack for "
+                        f"{STALL_TIMEOUT_S:.0f}s with "
+                        f"{self.queue.pending_count()} pending")
+                self._drained.wait(0.02)
+
         try:
-            for __ in range(int(epochs)):
-                epoch = self.next_epoch_number()
-                aggregator = FleetAggregator(
-                    epoch, outbreak_threshold=self.outbreak_threshold)
-                with controller.lock:
-                    resuming = self._open_or_resume(epoch, aggregator)
-                    controller.begin_epoch(epoch, aggregator)
-                with telemetry_context.current_tracer().span(
-                        "fleet.epoch", clock=self.clock, epoch=epoch,
-                        resumed=resuming, distributed=True):
-                    last_acked = -1
-                    last_progress = time.monotonic()
-                    while True:
-                        with controller.lock:
-                            if self.queue.epoch_drained():
-                                break
-                            acked = len(self.queue.acked_machines())
-                        controller.reap()
-                        if not any(p.is_alive() for p in processes):
-                            if not respawn:
-                                raise FleetError(
-                                    f"epoch {epoch}: every agent died "
-                                    f"with work pending")
-                            # Respawn a whole fresh pool under new agent
-                            # ids (and without the deterministic kill
-                            # switch); the dead agents' leases come back
-                            # via the reaper.
-                            processes = self.spawn_agents(
-                                agents, controller.address, secret,
-                                machine_factory,
-                                fault_seed=fault_seed,
-                                fault_rate=fault_rate,
-                                transport_seed=transport_seed,
-                                transport_rate=transport_rate,
-                                heartbeat_seconds=heartbeat_seconds,
-                                mp_context=mp_context,
-                                first_index=agent_seq)
-                            agent_seq += agents
-                            global_metrics().incr("fleet.agent.respawns",
-                                                  agents)
-                        if acked != last_acked:
-                            last_acked = acked
-                            last_progress = time.monotonic()
-                        elif (time.monotonic() - last_progress
-                                > stall_timeout_s):
-                            raise FleetError(
-                                f"epoch {epoch} stalled: no ack for "
-                                f"{stall_timeout_s:.0f}s with "
-                                f"{self.queue.pending_count()} pending")
-                        time.sleep(0.02)
-                with controller.lock:
-                    controller.end_epoch()
-                    self._finish_epoch(aggregator)
-                aggregates.append(aggregator)
+            return [self._run_epoch(wait_for_agents, distributed=True)
+                    for __ in range(int(epochs))]
         finally:
             controller.begin_shutdown()
             for process in processes:
@@ -632,7 +662,6 @@ class FleetCoordinator:
                     process.terminate()
                     process.join(timeout=2.0)
             controller.stop()
-        return aggregates
 
 
 # -- operator status -----------------------------------------------------------

@@ -43,7 +43,7 @@ from repro.clock import SimClock
 from repro.errors import FleetError, StaleLease
 from repro.faults import context as faults_context
 from repro.faults.plan import SITE_FLEET_LEASE
-from repro.telemetry.journal_io import iter_journal
+from repro.telemetry.journal_io import append_journal, iter_journal
 from repro.telemetry.metrics import global_metrics
 
 logger = logging.getLogger(__name__)
@@ -107,12 +107,8 @@ class WorkQueue:
 
     def _append(self, record: dict) -> None:
         record = dict(record, at=round(self.clock.now(), 6))
-        os.makedirs(self.directory, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            if self.durable or record.get("op") in self._FSYNC_OPS:
-                handle.flush()
-                os.fsync(handle.fileno())
+        append_journal(self.path, record, fsync=(
+            self.durable or record.get("op") in self._FSYNC_OPS))
         self._recorded_at = max(self._recorded_at, record["at"])
 
     def _replay(self) -> None:

@@ -39,11 +39,11 @@ from repro.telemetry import context as telemetry_context
 class ScanOutcome:
     """Everything one fresh scan produced, before the checkpoint.
 
-    The caller owns the checkpoint: the coordinator's worker loop does
-    ``BaselineStore.put`` locally, while an agent ships the outcome
-    over the wire and the controller does the put — either way the
-    write order (put → journal → ack) is enforced in exactly one
-    process.
+    The caller owns the checkpoint: the coordinator's worker loop hands
+    the outcome to ``FleetCoordinator._checkpoint`` directly, while an
+    agent ships it over the wire and the controller hands it to the
+    same checkpoint — either way the write order (put → journal → ack)
+    is enforced in exactly one process.
     """
 
     report: DetectionReport
@@ -70,8 +70,8 @@ class ScanOutcome:
                 "sampled": self.sampled, "coverage": self.coverage,
                 "sampling_escalated": self.sampling_escalated}
 
-    def verdict(self, machine: str, epoch: int,
-                baseline_id: Optional[str]) -> MachineVerdict:
+    def verdict(self, machine: str, epoch: int) -> MachineVerdict:
+        """The scan's verdict; the checkpoint sets its baseline id."""
         report = self.report
         return MachineVerdict(
             machine=machine, epoch=epoch,
@@ -81,7 +81,6 @@ class ScanOutcome:
             scanned=True, skipped=False,
             escalated=self.escalated, confirmed=self.confirmed,
             confirmed_by=self.confirmed_by,
-            baseline_id=baseline_id,
             scan_seconds=self.scan_seconds,
             finding_ids=list(self.finding_ids),
             mass_hiding=self.mass_hiding,

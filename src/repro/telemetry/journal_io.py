@@ -20,10 +20,10 @@ Two properties matter beyond "skip bad lines":
   yield it *or* advance past it, so an incremental indexer resumes at
   exactly that offset and picks the record up once the newline lands.
 
-A newline-*terminated* line that fails to parse (the classic torn-then-
-overwritten tail, where a dead writer's partial line and the next
-append fused into one corrupt line) is skipped with a warning and
-counted, exactly like every reader always did.
+A newline-*terminated* line that fails to parse (a dead writer's
+partial line, which :func:`append_journal` terminates before its next
+append) is skipped with a warning and counted, exactly like every
+reader always did.
 """
 
 from __future__ import annotations
@@ -141,22 +141,39 @@ def read_record_at(path, start: int, end: int) -> Optional[dict]:
     return record if isinstance(record, dict) else None
 
 
-def append_journal(path, record: dict) -> tuple:
+def append_journal(path, record: dict, fsync: bool = False) -> tuple:
     """Append one record; returns its ``(start, end)`` byte range.
 
-    The standard append discipline every writer in the system uses: one
+    The one append path every writer in the system uses (the epochs
+    journal, the work-queue WAL, the baseline store): one
     ``json.dumps(sort_keys=True)`` line per record, parent directory
-    created on demand.  Returning the byte range lets write-time index
-    hooks (:class:`repro.console.index.JournalIndex`) note the record's
+    created on demand, ``fsync`` forcing the line to stable storage.
+    Returning the byte range lets write-time index hooks
+    (:class:`repro.console.index.JournalIndex`) note the record's
     location without re-reading the file.
+
+    A file whose last byte is not a newline ends in the torn tail of a
+    writer killed mid-line; the tail is terminated first, so it stays
+    one skipped line instead of fusing with this record into one.
     """
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     payload = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-    with open(path, "ab") as handle:
-        start = handle.tell()
-        handle.write(payload)
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        start = os.lseek(fd, 0, os.SEEK_END)
+        data = payload
+        if start and os.pread(fd, 1, start - 1) != b"\n":
+            data = b"\n" + payload
+            start += 1
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if fsync:
+            os.fsync(fd)
+    finally:
+        os.close(fd)
     return start, start + len(payload)
 
 

@@ -19,11 +19,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.clock import SimClock
+from repro.core.baseline import BaselineStore
 from repro.errors import CoordinatorKilled, StaleLease
 from repro.fleet import (EscalationPolicy, FleetCoordinator, WorkQueue,
                          fleet_status, load_history)
 from repro.ghostware import Aphex, HackerDefender
 from repro.machine import Machine
+from repro.telemetry.journal_io import read_journal
 from repro.telemetry.metrics import global_metrics
 
 
@@ -144,6 +146,17 @@ class TestEpochLifecycle:
         assert status["acked"] == 1
         assert status["pending"] + status["leased"] == 2
         assert status["epochs_completed"] == 0
+
+    def test_only_the_last_checkpoint_signals_the_drain(self, tmp_path):
+        # The distributed drain wakes on this signal instead of on its
+        # next poll, so it must fire exactly when the epoch drains.
+        machines = build_fleet(size=3, infected=())
+        coordinator = FleetCoordinator(str(tmp_path), machines, workers=1)
+        with pytest.raises(CoordinatorKilled):
+            coordinator.run_epoch(kill_after_acks=2)
+        assert not coordinator._drained.is_set()
+        coordinator.run_epoch()
+        assert coordinator._drained.is_set()
 
 
 class TestResumeSoundness:
@@ -627,6 +640,35 @@ class TestSchedulerHistory:
             coordinator.run(3)
         assert torn_line_warnings(caplog) == 1
         assert_history_current(coordinator)
+
+    def test_torn_tails_never_swallow_the_resumed_checkpoint(self,
+                                                             tmp_path):
+        fleet_dir = str(tmp_path)
+        machines = build_fleet(size=4, infected=(1,))
+        with pytest.raises(CoordinatorKilled):
+            FleetCoordinator(fleet_dir, machines, workers=2).run_epoch(
+                kill_after_acks=1)
+        # The dead coordinator's last appends were cut mid-line.
+        for name, torn in (("epochs.jsonl",
+                            b'{"type": "fleet-machine", "tru'),
+                           ("baselines.jsonl", b'{"machine": "m0')):
+            with open(os.path.join(fleet_dir, name), "ab") as handle:
+                handle.write(torn)
+
+        resumed = FleetCoordinator(fleet_dir, machines, workers=2)
+        with pytest.raises(CoordinatorKilled):
+            resumed.run_epoch(kill_after_acks=1)
+        acked = WorkQueue(fleet_dir).acked_machines()
+        assert len(acked) == 2
+        journaled = {record["machine"] for record
+                     in read_journal(resumed.epochs_path,
+                                     on_torn=lambda *_: None)
+                     if record.get("type") == "fleet-machine"}
+        store = BaselineStore(fleet_dir)
+        for machine in acked:
+            assert machine in journaled
+            assert store.get(machine) is not None
+        assert_history_current(resumed)
 
 
 class TestCliAndReport:

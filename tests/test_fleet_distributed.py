@@ -16,10 +16,16 @@ import sys
 
 import pytest
 
+import repro.fleet.agent as agent_mod
+import repro.fleet.coordinator as coordinator_mod
 from repro.__main__ import main
+from repro.errors import TransientIoError
 from repro.fleet import FleetCoordinator, fleet_status, load_history
 from repro.fleet.controller import AGENT_DEAD
 from repro.ghostware import Aphex, HackerDefender
+from repro.machine import Machine
+from repro.telemetry.journal_io import read_journal
+from repro.telemetry.metrics import global_metrics
 from repro.workloads.scenarios import build_home_pc
 
 pytestmark = pytest.mark.skipif(
@@ -112,6 +118,62 @@ class TestDistributedSweep:
         key = verdict_key(aggregates[0])
         assert set(key) == set(roster()), "a machine was lost"
         assert key == reference_key
+
+
+class TestQuarantine:
+    """The circuit breaker, reached through the one lease draw."""
+
+    def test_breaker_quarantines_identically_in_both_modes(
+            self, tmp_path, monkeypatch):
+        def failing(real):
+            def scan(machine, *args, **kwargs):
+                if machine.name == "m-bad":
+                    raise TransientIoError("m-bad's disk never answers")
+                return real(machine, *args, **kwargs)
+            return scan
+
+        # Patched before the fork, so the agents inherit it too.
+        for module in (coordinator_mod, agent_mod):
+            monkeypatch.setattr(module, "perform_machine_scan",
+                                failing(module.perform_machine_scan))
+
+        def factory(name):
+            machine = Machine(name, disk_mb=256, max_records=8192)
+            machine.boot()
+            return machine
+
+        names = ["m-bad", "m-00", "m-01"]
+
+        def journaled_verdicts(fleet_dir):
+            return sorted(
+                (record["epoch"], record["machine"], record["verdict"],
+                 record["error"])
+                for record in read_journal(f"{fleet_dir}/epochs.jsonl")
+                if record.get("type") == "fleet-machine")
+
+        def quarantines():
+            return global_metrics().counter("fleet.quarantined")
+
+        before = quarantines()
+        FleetCoordinator(str(tmp_path / "single"),
+                         [factory(name) for name in names],
+                         workers=2).run(5)
+        assert quarantines() == before + 2
+        before = quarantines()
+        FleetCoordinator(str(tmp_path / "dist"), names,
+                         workers=2).run_distributed(5, factory, agents=2)
+        assert quarantines() == before + 2
+
+        single = journaled_verdicts(tmp_path / "single")
+        assert journaled_verdicts(tmp_path / "dist") == single
+        bad = [(epoch, error) for epoch, machine, verdict, error in single
+               if machine == "m-bad"]
+        assert [epoch for epoch, __ in bad] == [1, 2, 3, 4, 5]
+        assert all(error.startswith("TransientIoError")
+                   for __, error in bad[:3])
+        assert all(error.startswith("circuit open") for __, error in bad[3:])
+        assert all(verdict == "clean" for __, machine, verdict, __ in single
+                   if machine != "m-bad")
 
 
 class TestDistributedCli:

@@ -23,14 +23,14 @@ from repro.core.reporting import report_to_dict
 from repro.errors import TransportError, TransportTimeout
 from repro.faults.plan import (SITE_FLEET_RECV, SITE_FLEET_SEND, FaultPlan,
                                FaultSpec)
-from repro.fleet import (EscalationPolicy, FleetAggregator,
-                         FleetCoordinator, ScanAgent, fleet_status,
-                         transport)
+from repro.fleet import (EscalationPolicy, FleetCoordinator, ScanAgent,
+                         fleet_status, transport)
 from repro.fleet.controller import (AGENT_DEAD, AGENT_FLAPPING,
                                     ScanController, fold_agent_records)
-from repro.fleet.scanwork import perform_machine_scan
+from repro.fleet.scanwork import perform_machine_scan, skip_verdict
 from repro.ghostware import HackerDefender
 from repro.machine import Machine
+from repro.telemetry.journal_io import read_journal
 from repro.telemetry.metrics import global_metrics
 
 
@@ -197,23 +197,6 @@ def start_controller(tmp_path, roster, **kwargs):
     return coordinator, controller, secret
 
 
-def open_epoch(coordinator, controller):
-    epoch = coordinator.next_epoch_number()
-    aggregator = FleetAggregator(
-        epoch, outbreak_threshold=coordinator.outbreak_threshold)
-    with controller.lock:
-        coordinator._open_or_resume(epoch, aggregator)
-        controller.begin_epoch(epoch, aggregator)
-    return epoch, aggregator
-
-
-def finish_epoch(coordinator, controller, aggregator):
-    with controller.lock:
-        assert coordinator.queue.epoch_drained()
-        controller.end_epoch()
-        coordinator._finish_epoch(aggregator)
-
-
 def dial(controller, secret, agent_id="agent-x", worker=0, role="work"):
     channel = transport.connect(controller.address)
     channel.send(transport.make_hello(secret, agent_id, worker=worker,
@@ -230,7 +213,7 @@ def scan_ack(lease_reply, machines):
     outcome = perform_machine_scan(
         machine, lease["epoch"], EscalationPolicy(), NoiseFilter(),
         ("files", "registry"), None)
-    verdict = outcome.verdict(name, lease["epoch"], baseline_id=None)
+    verdict = outcome.verdict(name, lease["epoch"])
     return {"op": "ack", "machine": name, "epoch": lease["epoch"],
             "token": lease["token"], "verdict": verdict.to_dict(),
             "report": report_to_dict(outcome.report),
@@ -253,7 +236,7 @@ class TestControllerProtocol:
         coordinator, controller, secret = start_controller(
             tmp_path, ["m00"])
         try:
-            epoch, aggregator = open_epoch(coordinator, controller)
+            aggregator, __ = coordinator._open_or_resume()
             channel, hello = dial(controller, secret, "agent-a")
             assert hello["op"] == "hello-ok"
             assert hello["outstanding"] == []
@@ -272,7 +255,7 @@ class TestControllerProtocol:
                 assert sum(1 for line in handle
                            if '"op": "ack"' in line) == 1
             assert coordinator.queue.epoch_drained()
-            finish_epoch(coordinator, controller, aggregator)
+            coordinator._finish_epoch(aggregator)
             assert aggregator.summary.machines == 1
             assert aggregator.summary.late_acks == 0
             channel.close()
@@ -283,7 +266,7 @@ class TestControllerProtocol:
         coordinator, controller, secret = start_controller(
             tmp_path, ["m00", "m01"])
         try:
-            open_epoch(coordinator, controller)
+            coordinator._open_or_resume()
             channel, __ = dial(controller, secret, "agent-a")
             channel.send({"op": "lease"})
             lease_reply = channel.recv(timeout=5.0)
@@ -303,7 +286,7 @@ class TestControllerProtocol:
         coordinator, controller, secret = start_controller(
             tmp_path, ["m00"])
         try:
-            open_epoch(coordinator, controller)
+            coordinator._open_or_resume()
             channel, __ = dial(controller, secret, "agent-a")
             channel.send({"op": "lease"})
             lease = channel.recv(timeout=5.0)["lease"]
@@ -320,6 +303,70 @@ class TestControllerProtocol:
             controller.stop()
 
 
+class TestSkipOnTheWire:
+    def test_skip_offer_is_a_generation_and_lands_like_a_local_skip(
+            self, tmp_path):
+        coordinator, controller, secret = start_controller(
+            tmp_path, ["m00"])
+        machines = {}
+        try:
+            channel, __ = dial(controller, secret, "agent-a")
+            aggregator, __ = coordinator._open_or_resume()
+            channel.send({"op": "lease"})
+            channel.send(scan_ack(channel.recv(timeout=5.0), machines))
+            assert channel.recv(timeout=5.0)["op"] == "ack-ok"
+            coordinator._finish_epoch(aggregator)
+
+            aggregator, __ = coordinator._open_or_resume()
+            channel.send({"op": "lease"})
+            offer = channel.recv(timeout=5.0)
+            assert offer["op"] == "lease-ok"
+            assert (offer["baseline_generation"]
+                    == machines["m00"].disk.generation)
+            assert "baseline" not in offer and "verdict" not in offer
+            lease = offer["lease"]
+            channel.send({"op": "ack", "machine": "m00",
+                          "epoch": lease["epoch"], "token": lease["token"],
+                          "skip": True})
+            assert channel.recv(timeout=5.0)["op"] == "ack-ok"
+            coordinator._finish_epoch(aggregator)
+            assert aggregator.summary.skipped == 1
+            landed = [record for record in read_journal(
+                          coordinator.epochs_path)
+                      if record.get("type") == "fleet-machine"
+                      and record["epoch"] == 2]
+            local = skip_verdict(coordinator.store.get("m00"), 2)
+            assert [dict(record, at=None) for record in landed] == [
+                dict(local.to_dict(), at=None)]
+            channel.close()
+        finally:
+            controller.stop()
+
+    def test_sampled_baseline_is_not_offered_outside_its_tier(
+            self, tmp_path):
+        coordinator, controller, secret = start_controller(
+            tmp_path, ["m00"])
+        outcome = perform_machine_scan(
+            build_machine("m00"), 1, EscalationPolicy(), NoiseFilter(),
+            ("files", "registry"), None)
+        coordinator.store.put(
+            "m00", outcome.report, disk_generation=outcome.disk_generation,
+            extra=dict(outcome.extra(1), sampled=True))
+        try:
+            # No sampling policy: every machine is in the full tier, which
+            # a sampled baseline never satisfies.
+            coordinator._open_or_resume()
+            channel, __ = dial(controller, secret, "agent-a")
+            channel.send({"op": "lease"})
+            offer = channel.recv(timeout=5.0)
+            assert offer["op"] == "lease-ok"
+            assert "baseline_generation" not in offer
+            assert "baseline" not in offer
+            channel.close()
+        finally:
+            controller.stop()
+
+
 class TestLivenessAndReclaim:
     def test_reap_marks_dead_and_requeues_exactly_its_leases(
             self, tmp_path):
@@ -328,7 +375,7 @@ class TestLivenessAndReclaim:
             tmp_path, ["m00", "m01"], agent_timeout_seconds=5.0,
             liveness_clock=clock)
         try:
-            open_epoch(coordinator, controller)
+            coordinator._open_or_resume()
             channel_a, __ = dial(controller, secret, "agent-a", worker=0)
             channel_a.send({"op": "lease"})
             leased_a = channel_a.recv(timeout=5.0)["lease"]["machine"]
@@ -358,7 +405,7 @@ class TestLivenessAndReclaim:
             tmp_path, ["m00"], agent_timeout_seconds=5.0,
             liveness_clock=clock)
         try:
-            __, aggregator = open_epoch(coordinator, controller)
+            aggregator, __ = coordinator._open_or_resume()
             channel, __ = dial(controller, secret, "agent-a")
             channel.send({"op": "lease"})
             lease_reply = channel.recv(timeout=5.0)
@@ -411,7 +458,7 @@ class TestLivenessAndReclaim:
             tmp_path, ["m00"], agent_timeout_seconds=5.0,
             liveness_clock=clock)
         try:
-            open_epoch(coordinator, controller)
+            coordinator._open_or_resume()
             work, __ = dial(controller, secret, "agent-a")
             work.send({"op": "lease"})
             work.recv(timeout=5.0)
@@ -441,7 +488,7 @@ class TestControllerRestart:
         machines = {}
         coordinator, controller, secret = start_controller(
             fleet_dir, roster)
-        epoch, __aggregator = open_epoch(coordinator, controller)
+        coordinator._open_or_resume()
         channel, __ = dial(controller, secret, "agent-a")
         channel.send({"op": "lease"})
         first_reply = channel.recv(timeout=5.0)
@@ -459,7 +506,7 @@ class TestControllerRestart:
                                      agent_timeout_seconds=30.0)
         controller2.start()
         try:
-            __, aggregator2 = open_epoch(restarted, controller2)
+            aggregator2, __ = restarted._open_or_resume()
             # Resume requeued the orphaned lease; the acked machine
             # stayed acked.
             assert len(restarted.queue.acked_machines()) == 1
@@ -478,7 +525,7 @@ class TestControllerRestart:
                     == second_reply["lease"]["machine"])
             rejoin.send(scan_ack(retry_reply, machines))
             assert rejoin.recv(timeout=5.0)["op"] == "ack-ok"
-            finish_epoch(restarted, controller2, aggregator2)
+            restarted._finish_epoch(aggregator2)
             assert verdict_key(aggregator2) == verdict_key(reference)
             assert aggregator2.summary.late_acks == 1
             rejoin.close()
@@ -491,35 +538,27 @@ class TestControllerRestart:
 
 def drive_epochs(coordinator, controller, agents, epochs=1,
                  timeout_s=120.0):
+    """Agent threads serve ``epochs`` epochs of the shared lifecycle."""
+    def wait_drained(epoch):
+        deadline = time.monotonic() + timeout_s
+        while True:
+            with coordinator.lock:
+                if coordinator.queue.epoch_drained():
+                    return
+            assert time.monotonic() < deadline, f"epoch {epoch} stalled"
+            time.sleep(0.01)
+
     threads = [threading.Thread(target=agent.run, daemon=True)
                for agent in agents]
-    aggregates = []
     for thread in threads:
         thread.start()
     try:
-        for __ in range(epochs):
-            epoch = coordinator.next_epoch_number()
-            aggregator = FleetAggregator(
-                epoch, outbreak_threshold=coordinator.outbreak_threshold)
-            with controller.lock:
-                coordinator._open_or_resume(epoch, aggregator)
-                controller.begin_epoch(epoch, aggregator)
-            deadline = time.monotonic() + timeout_s
-            while True:
-                with controller.lock:
-                    if coordinator.queue.epoch_drained():
-                        break
-                assert time.monotonic() < deadline, "epoch stalled"
-                time.sleep(0.01)
-            with controller.lock:
-                controller.end_epoch()
-                coordinator._finish_epoch(aggregator)
-            aggregates.append(aggregator)
+        return [coordinator._run_epoch(wait_drained)
+                for __ in range(epochs)]
     finally:
         controller.begin_shutdown()
         for thread in threads:
             thread.join(timeout=10.0)
-    return aggregates
 
 
 class TestScanAgentLoop:
@@ -562,8 +601,8 @@ class TestScanAgentLoop:
         finally:
             controller.stop()
         assert aggregates[0].summary.scanned == 3
-        # The agent holds its machines across epochs, so epoch 2 rides
-        # the baselines shipped in lease-ok — zero scans.
+        # The agent holds its machines across epochs, so epoch 2 takes
+        # every skip offer in lease-ok — zero scans.
         assert aggregates[1].summary.scanned == 0
         assert aggregates[1].summary.skipped == 3
         assert verdict_key(aggregates[0]) == verdict_key(aggregates[1])

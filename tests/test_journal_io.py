@@ -53,6 +53,15 @@ class TestIterJournal:
                                torn.append((no, why)))
         assert records == [{"n": 0}, {"n": 1}]
         assert len(torn) == 1 and torn[0][0] == 3
+        # The next append terminates the torn line instead of fusing
+        # into it: one skipped line, the new record intact at its range.
+        start, end = append_journal(path, {"n": 3})
+        torn.clear()
+        records = read_journal(path, on_torn=lambda no, why:
+                               torn.append((no, why)))
+        assert records == [{"n": 0}, {"n": 1}, {"n": 3}]
+        assert [no for no, __ in torn] == [3]
+        assert read_record_at(path, start, end) == {"n": 3}
 
     def test_torn_middle_line_is_skipped_not_fatal(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -162,6 +171,8 @@ class TestConsumersShareTornTailBehavior:
         reloaded = BaselineStore(str(tmp_path))
         assert reloaded.get("bl-m0") is not None
         assert reloaded.get("bl-m1") is None
+        reloaded.put("bl-m2", report, disk_generation=1)
+        assert BaselineStore(str(tmp_path)).get("bl-m2") is not None
 
     def test_work_queue_survives_torn_tail(self, tmp_path):
         from repro.fleet import WorkQueue
@@ -173,6 +184,9 @@ class TestConsumersShareTornTailBehavior:
         replayed = WorkQueue(str(tmp_path))
         # The torn ack never happened: both machines still pending.
         assert sorted(replayed.pending_machines()) == ["m0", "m1"]
+        lease = replayed.lease(0)
+        assert set(WorkQueue(str(tmp_path)).leased_machines()) == {
+            lease.machine}
 
     def test_telemetry_load_jsonl_survives_torn_tail(self, tmp_path):
         from repro.telemetry.health import load_jsonl
