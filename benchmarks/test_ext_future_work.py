@@ -4,18 +4,21 @@
   no enumeration API; the ADS scanner closes that gap and the regular
   file diff demonstrably cannot.
 * **RIS**: Section 5 proposes replacing the CD boot with a network boot
-  for enterprise automation; the sweep scans a small fleet and picks the
-  infected client without a console visit.
+  for enterprise automation; one fleet epoch network-boots every client
+  and picks the infected one without a console visit.
 * **Registry callbacks**: Section 3 names kernel registry callbacks as
   an alternative interception the diff handles identically.
 """
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
 
-from repro.core import (GhostBuster, RisServer, executable_streams,
+from repro.core import (GhostBuster, executable_streams,
                         scan_alternate_streams)
+from repro.fleet import EscalationPolicy, FleetCoordinator
 from repro.ghostware import AdsGhost, CmCallbackGhost, HackerDefender
 from repro.machine import Machine
 
@@ -46,7 +49,7 @@ def test_ads_scan_closes_the_future_work_gap(benchmark):
                for entry in executables)
 
 
-def test_ris_fleet_sweep(benchmark):
+def test_ris_fleet_sweep(benchmark, tmp_path):
     def run(__):
         machines = []
         for index in range(4):
@@ -55,16 +58,22 @@ def test_ris_fleet_sweep(benchmark):
             machine.boot()
             machines.append(machine)
         HackerDefender().install(machines[2])
-        return RisServer().sweep(machines)
+        fleet_dir = tempfile.mkdtemp(dir=tmp_path)   # fresh per round
+        return FleetCoordinator(fleet_dir, machines,
+                                policy=EscalationPolicy("ris")).run_epoch()
 
-    result = bench_once(benchmark, setup=lambda: None, action=run)
-    rows = [(name, "INFECTED" if name in result.infected_machines
-             else "clean",
-             f"{result.reports[name].durations['network-boot']:.0f} s")
-            for name in sorted(result.reports)]
+    epoch = bench_once(benchmark, setup=lambda: None, action=run)
+    rows = [(v.machine, v.verdict,
+             f"confirmed by {v.confirmed_by}" if v.confirmed else "-",
+             f"{v.scan_seconds:.0f} s")
+            for v in sorted(epoch.verdicts, key=lambda v: v.machine)]
     print_table("X1 — RIS network-boot fleet sweep",
-                ("client", "verdict", "network boot"), rows)
-    assert result.infected_machines == ["ris-client-2"]
+                ("client", "verdict", "outside view", "scan"), rows)
+    assert epoch.summary.escalated == 4     # every client network-booted
+    assert epoch.infected_machines() == ["ris-client-2"]
+    infected = next(v for v in epoch.verdicts
+                    if v.machine == "ris-client-2")
+    assert infected.confirmed_by == "ris"
 
 
 def test_cm_callback_technique(benchmark):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Substrate hot-path benchmark: the trajectory future PRs must beat.
 
-Measures the hot paths and writes the timings to ``BENCH_PR6.json``:
+Measures the hot paths and writes the timings to ``BENCH_PR10.json``:
 
 1. **raw MFT parse (cold)** — one full namespace parse of a 1000-file
    disk with every cache cleared;
@@ -11,57 +11,53 @@ Measures the hot paths and writes the timings to ``BENCH_PR6.json``:
 3. **raw ASEP scan (multi-hive)** — repeated low-level registry scans,
    against the pre-caching behaviour (full MFT re-parse per hive file
    plus an unmemoized hive parse per scan);
-4. **RIS fleet sweep** — 50 clients cloned from one golden image, serial
-   vs 8 workers, with a per-client wait modelling the PXE/TFTP transfer
-   and client-side I/O the server spends its time on in a real
-   deployment (the simulated scan itself is in-process compute, which
-   the GIL serializes; the latency-dominated regime is where a real RIS
-   server lives and where parallel sweeps pay off);
-5. **10k-entry cross-view diff** — the detection engine's inner loop;
-6. **telemetry overhead** — the repeated-read loop with the default
+4. **10k-entry cross-view diff** — the detection engine's inner loop;
+5. **telemetry overhead** — the repeated-read loop with the default
    no-op telemetry vs a fully nulled-out registry, gating the cost of
    the (inactive) instrumentation at <= 5%;
-7. **chaos sweep** — the same fleet swept fault-free and then under a
-   5% deterministic fault plan, gating that recall is unchanged (same
-   infected machines, same finding identities), nothing errors or
-   quarantines, and the plan actually fired faults;
-8. **delta rescan** — the low-level truth re-derivation (full MFT
+6. **chaos sweep** — one RIS coordinator epoch (every machine
+   network-booted) over a cloned fleet fault-free and one over an
+   identical clone under a 5% deterministic fault plan, gating that
+   recall is unchanged (same verdicts, confirmations, inside and
+   outside finding identities, no outside layer lost), no machine gets
+   an error verdict (a quarantine is one), and the plan actually fired;
+7. **delta rescan** — the low-level truth re-derivation (full MFT
    namespace plus every raw hive parse) on a 1000-file machine, cold vs
    warm after K small mutations, where the warm arm repairs its caches
    through the change journal instead of re-walking the volume — gated
    at >= 10x with byte-identical findings;
-9. **delta fleet sweep** — the 50-machine fleet swept ``mode="delta"``
-   against a seeded :class:`BaselineStore` with 3 machines changed,
-   vs a full re-sweep — gated at >= 5x with identical
-   ``infected_machines``;
-10. **fleet epoch** — a checkpointed :mod:`repro.fleet` coordinator
+8. **delta fleet sweep** — a coordinator's delta epoch over the
+   50-machine fleet with 3 machines changed since its seed epoch, vs a
+   full rescan by a fresh coordinator — gated at >= 5x with identical
+   verdicts, and every unchanged machine skipped;
+9. **fleet epoch** — a checkpointed :mod:`repro.fleet` coordinator
     epoch over the 50-machine fleet: the seed epoch scans everything,
     the steady-state epoch rides the baselines — gated at >= 5x over a
     naive serial full sweep;
-11. **fleet escalation** — a twelve-strain fleet (one corpus member per
+10. **fleet escalation** — a twelve-strain fleet (one corpus member per
     machine plus clean controls) run through the inside→outside
     escalation policy — gated at precision 1.0 (no clean machine ever
     pays for a confirmation boot) with ``confirmed_by`` provenance on
     every confirmed detection;
-12. **cold zero-copy parse** — one cold MFT+hive truth derivation at
+11. **cold zero-copy parse** — one cold MFT+hive truth derivation at
     Machine-default scale (65536 MFT slots) through the flat backend's
     batched ``memoryview`` walk, against the seed's per-record read
     loop — gated at >= 5x with an identical parsed namespace and
     byte-identical detection reports;
-13. **memory ceiling** — machines-per-GB of a copy-on-write fleet
+12. **memory ceiling** — machines-per-GB of a copy-on-write fleet
     (every clone sharing one sealed golden extent) vs deep-copied
-    clones — gated at >= 4x density with element-identical sweep
-    verdicts after clone-divergence writes;
-14. **console query** — per-machine point lookups against a
+    clones — gated at >= 4x density with element-identical coordinator
+    epoch verdicts after clone-divergence writes;
+13. **console query** — per-machine point lookups against a
     50-machine x 20-epoch journal, answered through the console's
     sidecar :class:`~repro.console.index.JournalIndex` (p50/p95) vs a
     full journal replay per lookup — gated at >= 10x on the median
     with record-identical answers and an index ``fleet_status`` that
     matches the replayed one;
-15. **index overhead** — the steady-state fleet epoch re-run with the
+14. **index overhead** — the steady-state fleet epoch re-run with the
     coordinator's write-time index hooks enabled vs disabled — gated
     at <= 5% added wall clock (the console must be free to leave on);
-16. **distributed sweep** — the parse-heavy corpus swept by
+15. **distributed sweep** — the parse-heavy corpus swept by
     ``run_distributed`` (a controller plus forked scan-agent
     processes) vs the single-process coordinator at equal worker
     count: the GIL serializes in-process parse workers, the agent
@@ -72,7 +68,7 @@ Measures the hot paths and writes the timings to ``BENCH_PR6.json``:
     wire frames dropped/delayed/duplicated/torn) that must lose zero
     machines and change zero verdicts.
 
-17. **sampled sweep** — a 200-machine profiled fleet under a seeded
+16. **sampled sweep** — a 200-machine profiled fleet under a seeded
     HackerDefender infection wave, swept in full and then with the
     stratified :class:`~repro.workloads.sampling.SamplingPolicy` at
     three file-sampling rates; steady-state (post-cold-start)
@@ -81,7 +77,7 @@ Measures the hot paths and writes the timings to ``BENCH_PR6.json``:
     operating point with >= 5x reduction at recall >= 0.95 (the ASEP
     stratum is never sampled, which is the paper's persistence
     argument doing the recall work);
-18. **trace replay** — a recorded 20-machine sweep trace replayed on
+17. **trace replay** — a recorded 20-machine sweep trace replayed on
     both disk backends — gated on element-identical verdicts and
     byte-identical ``epochs.jsonl`` journals across the backends.
 
@@ -101,9 +97,9 @@ cached numbers are fast, not just that they are.
 Run:  PYTHONPATH=src python scripts/bench.py [--smoke] [--out FILE]
                                              [--telemetry-out DIR]
 
-``--telemetry-out DIR`` additionally runs a tiny telemetry-collecting
-sweep and writes ``sweep_telemetry.jsonl`` + ``metrics_snapshot.json``
-there (CI uploads them as artifacts).
+``--telemetry-out DIR`` additionally runs a traced 3-machine
+coordinator epoch and writes its ``epochs.jsonl``, ``spans.jsonl`` and
+``metrics_snapshot.json`` there (CI uploads them as artifacts).
 
 ``--workload-replay`` runs only the CI workload-replay smoke: record a
 2-epoch x 20-machine trace, replay it twice, and gate element-identical
@@ -130,7 +126,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import BaselineStore, GhostBuster, RisServer  # noqa: E402
+from repro.core import GhostBuster                          # noqa: E402
 from repro.core.diff import DetectionReport, cross_view_diff  # noqa: E402
 from repro.core.scanners.registry import low_level_asep_scan  # noqa: E402
 from repro.core.snapshot import (FileEntry, ResourceType,     # noqa: E402
@@ -177,7 +173,7 @@ def delta_counters() -> dict:
     """The journal / bin-delta repair counters, for bench attribution."""
     counters = global_metrics().snapshot()["counters"]
     return {name: counters[name] for name in sorted(counters)
-            if name.startswith(("journal.", "hive.delta.", "ris.delta."))}
+            if name.startswith(("journal.", "hive.delta."))}
 
 
 def finding_identities(report) -> str:
@@ -211,6 +207,54 @@ def cloned_fleet(golden: Machine, count: int, infected=()):
                        infect=lambda machine:
                        HackerDefender().install(machine),
                        max_records=8192)
+
+
+def ris_policy(fault_plan=None):
+    """A RIS policy that keeps each machine's latest network-boot
+    outcome in ``policy.outside``, for the identity gates."""
+    from repro.fleet import EscalationPolicy
+
+    class OutsideRecorder(EscalationPolicy):
+        def __init__(self):
+            super().__init__("ris", fault_plan=fault_plan)
+            self.outside = {}
+
+        def confirm(self, machine, inside_report):
+            outcome = super().confirm(machine, inside_report)
+            self.outside[machine.name] = outcome
+            return outcome
+
+    return OutsideRecorder()
+
+
+def ris_epoch(fleet, workers: int, fault_plan=None):
+    """One RIS coordinator epoch in a throwaway fleet dir.
+
+    Returns the epoch's aggregate, its wall-clock seconds and the
+    :func:`ris_policy` that ran it.
+    """
+    from repro.fleet import FleetCoordinator
+
+    policy = ris_policy(fault_plan)
+    with tempfile.TemporaryDirectory(prefix="gb-bench-epoch-") as tmp:
+        coordinator = FleetCoordinator(tmp, fleet, workers=workers,
+                                       fault_plan=fault_plan, policy=policy)
+        started = time.perf_counter()
+        aggregate = coordinator.run_epoch()
+        return aggregate, time.perf_counter() - started, policy
+
+
+def verdict_identities(aggregate, policy) -> list:
+    """Per machine: verdict, confirmation, inside finding identities,
+    and the network boot's outside finding identities and completeness."""
+    def outside(name):
+        outcome = policy.outside.get(name)
+        return (None if outcome is None else
+                (outcome.finding_ids, outcome.outside_report.is_complete))
+
+    return sorted((v.machine, v.verdict, v.confirmed_by, v.finding_ids,
+                   outside(v.machine))
+                  for v in aggregate.verdicts)
 
 
 # -- hot paths ----------------------------------------------------------------
@@ -281,37 +325,6 @@ def bench_raw_asep_scan(file_count: int, scans: int) -> dict:
     return {"legacy_s": legacy_s, "cached_s": cached_s,
             "speedup": legacy_s / cached_s,
             "cache_counters": cache_counters()}
-
-
-def bench_ris_sweep(fleet_size: int, workers: int, client_wait: float,
-                    file_count: int) -> dict:
-    golden = golden_machine(file_count)
-    infected = tuple(range(0, fleet_size, max(1, fleet_size // 3)))[:3]
-    server = RisServer(client_wait_seconds=client_wait)
-
-    def finding_key(result):
-        return sorted(
-            (name, sorted((f.resource_type.value, str(f.entry.identity))
-                          for f in report.findings if not f.is_noise))
-            for name, report in result.reports.items())
-
-    serial_fleet = cloned_fleet(golden, fleet_size, infected)
-    serial = server.sweep(serial_fleet, max_workers=1)
-    parallel_fleet = cloned_fleet(golden, fleet_size, infected)
-    parallel = server.sweep(parallel_fleet, max_workers=workers)
-
-    identical = finding_key(serial) == finding_key(parallel)
-    return {
-        "fleet_size": fleet_size,
-        "workers": workers,
-        "client_wait_s": client_wait,
-        "serial_s": serial.wall_seconds,
-        "parallel_s": parallel.wall_seconds,
-        "speedup": serial.wall_seconds / parallel.wall_seconds,
-        "findings_identical": identical,
-        "infected_machines": parallel.infected_machines,
-        "simulated_seconds": parallel.simulated_seconds,
-    }
 
 
 def bench_diff_10k(entry_count: int) -> float:
@@ -425,32 +438,24 @@ def bench_chaos_sweep(fleet_size: int, workers: int, file_count: int,
                       rate: float = 0.05, seed: int = 2026) -> dict:
     """Recall under chaos: the PR-3 acceptance sweep.
 
-    The same cloned fleet is swept twice — fault-free, then with a
+    Two identically cloned fleets each run one RIS coordinator epoch,
+    network-booting every machine — fault-free, then with a
     deterministic :class:`FaultPlan` firing at ``rate`` across every
-    instrumented site — and the two sweeps must convict exactly the
-    same machines on exactly the same evidence, with zero unhandled
-    errors and zero quarantines.
+    instrumented site — and the two epochs must convict exactly the
+    same machines on exactly the same inside and outside evidence, with
+    zero error verdicts (a quarantine is one).
     """
     from repro.faults.plan import FaultPlan
 
     golden = golden_machine(file_count)
     infected = tuple(range(0, fleet_size, max(1, fleet_size // 3)))[:3]
 
-    def identities(result):
-        return sorted(
-            (name, sorted((f.resource_type.value, str(f.entry.identity))
-                          for f in report.findings if not f.is_noise))
-            for name, report in result.reports.items())
-
-    baseline_fleet = cloned_fleet(golden, fleet_size, infected)
-    baseline = RisServer().sweep(baseline_fleet, max_workers=workers)
-
+    baseline, baseline_s, baseline_policy = ris_epoch(
+        cloned_fleet(golden, fleet_size, infected), workers)
     plan = FaultPlan.default(seed=seed, rate=rate)
-    chaos_fleet = cloned_fleet(golden, fleet_size, infected)
-    started = time.perf_counter()
-    chaotic = RisServer(fault_plan=plan).sweep(chaos_fleet,
-                                               max_workers=workers)
-    chaos_wall = time.perf_counter() - started
+    chaotic, chaos_s, chaos_policy = ris_epoch(
+        cloned_fleet(golden, fleet_size, infected), workers,
+        fault_plan=plan)
 
     return {
         "fleet_size": fleet_size,
@@ -459,14 +464,14 @@ def bench_chaos_sweep(fleet_size: int, workers: int, file_count: int,
         "faults_fired": plan.fired_count(),
         "fault_sites": sorted({f.site for f in plan.fired()}),
         "sequence_digest": plan.sequence_digest(),
-        "baseline_infected": baseline.infected_machines,
-        "chaos_infected": chaotic.infected_machines,
-        "recall_unchanged": identities(baseline) == identities(chaotic),
-        "errors": dict(chaotic.errors),
-        "quarantined": dict(chaotic.quarantined),
-        "retries": dict(chaotic.retry_counts),
-        "baseline_wall_s": baseline.wall_seconds,
-        "chaos_wall_s": chaos_wall,
+        "baseline_infected": baseline.infected_machines(),
+        "chaos_infected": chaotic.infected_machines(),
+        "recall_unchanged": (verdict_identities(baseline, baseline_policy)
+                             == verdict_identities(chaotic, chaos_policy)),
+        "errors": {v.machine: v.error for v in chaotic.verdicts
+                   if v.verdict == "error"},
+        "baseline_wall_s": baseline_s,
+        "chaos_wall_s": chaos_s,
     }
 
 
@@ -538,30 +543,29 @@ def bench_delta_rescan(file_count: int, mutations: int) -> dict:
     }
 
 
-def bench_delta_sweep(fleet_size: int, workers: int, client_wait: float,
-                      file_count: int, changed: int) -> dict:
-    """Delta sweep against seeded baselines vs a full re-sweep.
+def bench_delta_sweep(fleet_size: int, workers: int, file_count: int,
+                      changed: int) -> dict:
+    """Delta epoch against seeded baselines vs a full rescan.
 
-    A golden-image fleet is swept once in full with a
-    :class:`BaselineStore` attached (seeding one baseline per machine),
+    A golden-image fleet runs a seed epoch (one baseline per machine),
     ``changed`` machines then receive one small write each, and the
-    fleet is swept again in ``mode="delta"`` — which must skip every
-    unchanged machine — and once more in full for the reference wall
-    clock and verdict.
+    next epoch — which must skip every unchanged machine — is timed
+    against a full rescan of the same fleet by a fresh coordinator with
+    no baselines.  Both network-boot every machine they scan (RIS).
     """
+    from repro.fleet import FleetCoordinator
+
     golden = golden_machine(file_count)
     infected = tuple(range(0, fleet_size, max(1, fleet_size // 3)))[:3]
     fleet = cloned_fleet(golden, fleet_size, infected)
-    server = RisServer(client_wait_seconds=client_wait)
 
-    def identities(result):
-        return sorted((name, finding_identities(report))
-                      for name, report in result.reports.items())
-
-    with tempfile.TemporaryDirectory(prefix="gb-bench-baselines-") as tmp:
-        store = BaselineStore(tmp)
-        seed = server.sweep(fleet, max_workers=workers, mode="full",
-                            baseline_store=store)
+    policy = ris_policy()
+    with tempfile.TemporaryDirectory(prefix="gb-bench-delta-") as tmp:
+        coordinator = FleetCoordinator(tmp, fleet, workers=workers,
+                                       policy=policy)
+        started = time.perf_counter()
+        coordinator.run_epoch()
+        seed_s = time.perf_counter() - started
         step = max(1, fleet_size // max(1, changed))
         changed_names = []
         for index in range(changed):
@@ -569,26 +573,31 @@ def bench_delta_sweep(fleet_size: int, workers: int, client_wait: float,
             machine.volume.create_file(
                 f"\\Temp\\delta-{machine.name}.bin", b"delta payload")
             changed_names.append(machine.name)
-        delta = server.sweep(fleet, max_workers=workers, mode="delta",
-                             baseline_store=store)
-        full = server.sweep(fleet, max_workers=workers)
+        patched_before = global_metrics().counter("journal.records_patched")
+        started = time.perf_counter()
+        delta = coordinator.run_epoch()
+        delta_s = time.perf_counter() - started
+        patched = (global_metrics().counter("journal.records_patched")
+                   - patched_before)
+    full, full_s, full_policy = ris_epoch(fleet, workers)
 
     return {
         "fleet_size": fleet_size,
         "workers": workers,
-        "client_wait_s": client_wait,
         "changed_machines": changed_names,
-        "seed_full_s": seed.wall_seconds,
-        "delta_s": delta.wall_seconds,
-        "full_s": full.wall_seconds,
-        "speedup": full.wall_seconds / delta.wall_seconds,
-        "skipped": len(delta.delta_skipped),
-        "rescanned": fleet_size - len(delta.delta_skipped),
+        "seed_epoch_s": seed_s,
+        "delta_s": delta_s,
+        "full_s": full_s,
+        "speedup": full_s / delta_s,
+        "skipped": delta.summary.skipped,
+        "rescanned": delta.summary.scanned,
         "infected_identical":
-            delta.infected_machines == full.infected_machines,
-        "findings_identical": identities(delta) == identities(full),
-        "infected_machines": delta.infected_machines,
-        "delta_stats": delta.delta_stats,
+            delta.infected_machines() == full.infected_machines(),
+        "findings_identical":
+            (verdict_identities(delta, policy)
+             == verdict_identities(full, full_policy)),
+        "infected_machines": delta.infected_machines(),
+        "records_patched": patched,
     }
 
 
@@ -786,9 +795,9 @@ def bench_memory_ceiling(fleet_size: int, file_count: int) -> dict:
     clones with private writes.  Physical cost is
     :func:`fleet_storage_stats` — on the flat backend every clone
     shares one sealed golden extent and pays only its divergence, on
-    the sparse backend every clone deep-copies the sector dict.  The
-    sweeps over the two fleets must convict the same machines on the
-    same evidence.
+    the sparse backend every clone deep-copies the sector dict.  One
+    coordinator epoch over each fleet must convict the same machines on
+    the same evidence.
     """
     def build(backend: str) -> Machine:
         machine = Machine("ceil-" + backend,
@@ -826,14 +835,8 @@ def bench_memory_ceiling(fleet_size: int, file_count: int) -> dict:
     cow_per_gb = fleet_size / (cow["total_bytes"] / gb)
     deep_per_gb = fleet_size / (deep["total_bytes"] / gb)
 
-    def verdict_key(result):
-        return (result.infected_machines,
-                sorted((name, finding_identities(report))
-                       for name, report in result.reports.items()))
-
-    server = RisServer()
-    cow_sweep = server.sweep(cow_fleet, max_workers=4)
-    deep_sweep = server.sweep(deep_fleet, max_workers=4)
+    cow_epoch, __, cow_policy = ris_epoch(cow_fleet, workers=4)
+    deep_epoch, __, deep_policy = ris_epoch(deep_fleet, workers=4)
 
     return {
         "fleet_size": fleet_size,
@@ -843,9 +846,9 @@ def bench_memory_ceiling(fleet_size: int, file_count: int) -> dict:
         "cow_machines_per_gb": cow_per_gb,
         "deep_copy_machines_per_gb": deep_per_gb,
         "density_ratio": cow_per_gb / deep_per_gb,
-        "infected_machines": cow_sweep.infected_machines,
-        "verdicts_identical": verdict_key(cow_sweep)
-        == verdict_key(deep_sweep),
+        "infected_machines": cow_epoch.infected_machines(),
+        "verdicts_identical": verdict_identities(cow_epoch, cow_policy)
+        == verdict_identities(deep_epoch, deep_policy),
     }
 
 
@@ -1707,16 +1710,26 @@ def run_trace_replay(trace_path: Path) -> int:
 
 
 def write_telemetry_artifacts(directory: Path) -> None:
-    """A tiny telemetry-collecting sweep for the CI artifact upload."""
-    from repro.core.risboot import RisServer as _RisServer
+    """A traced 3-machine coordinator epoch for the CI artifact upload:
+    its epochs journal, span JSONL and metrics snapshot."""
+    import shutil
+
+    from repro.fleet import EscalationPolicy, FleetCoordinator
+    from repro.telemetry import Telemetry
 
     reset_global_metrics()
     golden = golden_machine(120)
     fleet = cloned_fleet(golden, 3, infected=(1,))
-    result = _RisServer().sweep(fleet, max_workers=3,
-                                collect_telemetry=True)
+    telemetry = Telemetry.enabled()
     directory.mkdir(parents=True, exist_ok=True)
-    result.health.write_jsonl(directory / "sweep_telemetry.jsonl")
+    with tempfile.TemporaryDirectory(prefix="gb-bench-trace-") as tmp:
+        coordinator = FleetCoordinator(tmp, fleet,
+                                       policy=EscalationPolicy("ris"))
+        with telemetry.activate():
+            coordinator.run_epoch()
+        shutil.copy(coordinator.epochs_path, directory / "epochs.jsonl")
+    (directory / "spans.jsonl").write_text(
+        telemetry.tracer.to_jsonl() + "\n")
     (directory / "metrics_snapshot.json").write_text(
         global_metrics().dump_json() + "\n")
     print(f"wrote telemetry artifacts to {directory}")
@@ -1730,11 +1743,12 @@ def main() -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="tiny profiles, no perf gates (CI)")
     parser.add_argument("--out", type=Path, default=None,
-                        help="output JSON path (default: BENCH_PR6.json "
+                        help="output JSON path (default: BENCH_PR10.json "
                              "for full runs, none for --smoke)")
     parser.add_argument("--telemetry-out", type=Path, default=None,
-                        help="directory for sweep telemetry JSONL + "
-                             "metrics snapshot (CI artifacts)")
+                        help="directory for a traced epoch's journal, "
+                             "span JSONL and metrics snapshot (CI "
+                             "artifacts)")
     parser.add_argument("--fleet-soak", action="store_true",
                         help="run only the fleet soak (epochs under "
                              "chaos, zero-lost-machines gate) and exit")
@@ -1792,7 +1806,7 @@ def main() -> int:
 
     if args.smoke:
         profile = dict(files=120, reads=10, scans=3, fleet=6, workers=2,
-                       client_wait=0.02, diff_entries=2_000,
+                       diff_entries=2_000,
                        overhead_reads=500, delta_mutations=4,
                        delta_changed=3, strains=5, zc_files=120,
                        ceiling_fleet=6, ceiling_files=120,
@@ -1804,7 +1818,7 @@ def main() -> int:
                        stealth_fleet=12, stealth_epochs=3)
     else:
         profile = dict(files=1000, reads=40, scans=5, fleet=50, workers=8,
-                       client_wait=0.25, diff_entries=10_000,
+                       diff_entries=10_000,
                        overhead_reads=10_000, delta_mutations=10,
                        delta_changed=3, strains=12, zc_files=1000,
                        ceiling_fleet=16, ceiling_files=200,
@@ -1835,16 +1849,6 @@ def main() -> int:
           f"{len(HIVE_FILES)} hives): "
           f"{timings['raw_asep_scan']['speedup']:.1f}x vs seed")
 
-    timings["ris_sweep"] = bench_ris_sweep(
-        profile["fleet"], profile["workers"], profile["client_wait"],
-        file_count=min(profile["files"], 120))
-    sweep = timings["ris_sweep"]
-    print(f"RIS sweep ({sweep['fleet_size']} machines): "
-          f"serial {sweep['serial_s']:.2f}s, "
-          f"{sweep['workers']} workers {sweep['parallel_s']:.2f}s "
-          f"({sweep['speedup']:.1f}x), findings identical: "
-          f"{sweep['findings_identical']}")
-
     timings["diff_10k_s"] = bench_diff_10k(profile["diff_entries"])
     print(f"cross-view diff + merge ({profile['diff_entries']} entries "
           f"x5): {timings['diff_10k_s'] * 1000:.1f} ms")
@@ -1868,7 +1872,7 @@ def main() -> int:
           f"{rescan['findings_identical']}")
 
     timings["delta_sweep"] = bench_delta_sweep(
-        profile["fleet"], profile["workers"], profile["client_wait"],
+        profile["fleet"], profile["workers"],
         file_count=min(profile["files"], 120),
         changed=profile["delta_changed"])
     dsweep = timings["delta_sweep"]
@@ -1876,6 +1880,7 @@ def main() -> int:
           f"{len(dsweep['changed_machines'])} changed): "
           f"full {dsweep['full_s']:.2f}s, delta {dsweep['delta_s']:.2f}s "
           f"({dsweep['speedup']:.1f}x), {dsweep['skipped']} skipped, "
+          f"{dsweep['records_patched']:.0f} MFT record(s) patched, "
           f"infected identical: {dsweep['infected_identical']}")
 
     timings["fleet_epoch"] = bench_fleet_epoch(
@@ -1997,14 +2002,12 @@ def main() -> int:
           f"{chaos['fault_rate']:.0%} faults): "
           f"{chaos['faults_fired']} faults fired, "
           f"recall unchanged: {chaos['recall_unchanged']}, "
-          f"errors: {len(chaos['errors'])}, "
-          f"quarantined: {len(chaos['quarantined'])}")
+          f"errors: {len(chaos['errors'])}")
 
     failures = []
     chaos_gates = (
         ("chaos sweep recall unchanged", chaos["recall_unchanged"]),
         ("chaos sweep zero errors", not chaos["errors"]),
-        ("chaos sweep zero quarantines", not chaos["quarantined"]),
         ("chaos sweep faults actually fired", chaos["faults_fired"] > 0),
         ("delta rescan findings identical", rescan["findings_identical"]),
         ("delta sweep infected identical", dsweep["infected_identical"]),
@@ -2064,8 +2067,6 @@ def main() -> int:
              timings["read_file_content"]["speedup"] >= 5),
             ("raw ASEP scan speedup >= 5x",
              timings["raw_asep_scan"]["speedup"] >= 5),
-            ("RIS sweep speedup >= 3x", sweep["speedup"] >= 3),
-            ("RIS sweep findings identical", sweep["findings_identical"]),
             ("delta rescan speedup >= 10x", rescan["speedup"] >= 10),
             ("delta sweep speedup >= 5x", dsweep["speedup"] >= 5),
             ("fleet steady epoch >= 5x naive serial",
@@ -2094,8 +2095,6 @@ def main() -> int:
             print(f"  [{'PASS' if passed else 'FAIL'}] {label}")
             if not passed:
                 failures.append(label)
-    elif not sweep["findings_identical"]:
-        failures.append("RIS sweep findings identical")
 
     if args.telemetry_out is not None:
         write_telemetry_artifacts(args.telemetry_out)

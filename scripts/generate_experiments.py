@@ -376,8 +376,10 @@ def e8_to_a3() -> None:
     emit("- union: full coverage of hiding and non-hiding malware\n")
 
     emit("## X1 — future work built: ADS, RIS, registry callbacks\n")
-    from repro.core import (RisServer, executable_streams,
-                            scan_alternate_streams)
+    import tempfile
+
+    from repro.core import executable_streams, scan_alternate_streams
+    from repro.fleet import EscalationPolicy, FleetCoordinator
     from repro.ghostware import AdsGhost, CmCallbackGhost
     machine = fresh("x1-ads")
     ghost = AdsGhost()
@@ -400,9 +402,11 @@ def e8_to_a3() -> None:
         client.boot()
         fleet.append(client)
     HackerDefender().install(fleet[1])
-    sweep = RisServer().sweep(fleet)
-    emit(f"- RIS sweep: {len(sweep.reports)} clients network-booted, "
-         f"infected = {sweep.infected_machines}\n")
+    with tempfile.TemporaryDirectory(prefix="x1-fleet-") as fleet_dir:
+        epoch = FleetCoordinator(fleet_dir, fleet,
+                                 policy=EscalationPolicy("ris")).run_epoch()
+    emit(f"- RIS sweep: {epoch.summary.escalated} clients "
+         f"network-booted, infected = {epoch.infected_machines()}\n")
 
 
 def main() -> None:

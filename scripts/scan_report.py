@@ -1,124 +1,37 @@
 #!/usr/bin/env python
-"""Render a fleet sweep's telemetry JSONL as an operator report.
+"""Render a fleet epochs journal as an operator report.
 
 Usage::
 
-    PYTHONPATH=src python scripts/scan_report.py SWEEP.jsonl
-    PYTHONPATH=src python scripts/scan_report.py --demo [--out SWEEP.jsonl]
+    PYTHONPATH=src python scripts/scan_report.py FLEET_DIR/epochs.jsonl
+    PYTHONPATH=src python scripts/scan_report.py --demo [--delta] [--out DIR]
 
-``--demo`` runs a small telemetry-collecting sweep (one infected client)
-to produce a JSONL file and then renders it — useful for seeing the
-format without a real fleet.
+The input is a ``repro.fleet`` epochs journal (``epochs.jsonl``:
+``epoch-start``, ``fleet-machine``, ``fleet-outbreak``,
+``fleet-campaign``, ``fleet-agent``, ``epoch-end`` records), rendered as
+an epoch-by-epoch report with escalation provenance, outbreak alerts,
+and the cross-epoch campaign timeline.  A ``BENCH_PR10.json`` (full
+bench or ``--stealth-campaign`` artifact) is also accepted and rendered
+as the per-stealth-level detection columns (docs/adversary.md).  Any
+other file is rejected with a non-zero exit.
 
-The JSONL format is written by
-:meth:`repro.telemetry.health.FleetHealth.write_jsonl`: one record per
-line, ``type`` in {``sweep``, ``machine``, ``span``, ``audit``,
-``delta``, ``metrics``}.  Delta sweeps add one ``delta`` record with
-the incremental provenance (baseline ids, skipped machines, repair
-counters); ``--demo --delta`` produces one.
-
-A ``repro.fleet`` epochs journal (``epochs.jsonl``: ``epoch-start``,
-``fleet-machine``, ``fleet-outbreak``, ``fleet-campaign``,
-``epoch-end`` records) is auto-detected and rendered as an
-epoch-by-epoch report with escalation provenance, outbreak alerts, and
-the cross-epoch campaign timeline.  A ``BENCH_PR10.json`` (full bench
-or ``--stealth-campaign`` artifact) is also accepted and rendered as
-the per-stealth-level detection columns (docs/adversary.md).
+``--demo`` runs one coordinator epoch over a small fleet (one infected
+client, confirmed by a RIS network boot) into ``--out`` (default: a new
+temp dir) and renders its journal; ``--delta`` adds a second epoch after
+one client changes on disk, which rescans that client and skips the rest.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.telemetry.health import load_jsonl   # noqa: E402
-
-
-def render(records: dict) -> str:
-    lines = []
-    sweeps = records.get("sweep", [])
-    if sweeps:
-        sweep = sweeps[0]
-        lines.append(f"sweep: {sweep['machines']} machines, "
-                     f"{sweep['workers']} worker(s), "
-                     f"{sweep['wall_s']:.2f}s wall")
-    machines = records.get("machine", [])
-    if machines:
-        header = (f"{'machine':<14} {'status':<9} {'wall(s)':>8} "
-                  f"{'sim(s)':>8} {'findings':>8} {'audit':>6}")
-        lines += [header, "-" * len(header)]
-        for machine in machines:
-            lines.append(
-                f"{machine['machine']:<14} {machine['status']:<9} "
-                f"{machine['wall_s']:>8.3f} {machine['sim_s']:>8.1f} "
-                f"{machine['findings']:>8d} "
-                f"{machine['audit_event_count']:>6d}")
-        errors = Counter(machine["error_kind"] for machine in machines
-                         if machine.get("error_kind"))
-        if errors:
-            lines.append("errors: " + ", ".join(
-                f"{kind} x{count}" for kind, count in sorted(
-                    errors.items())))
-        interposed = sorted({api for machine in machines
-                             for api in machine.get("interposed_apis", [])})
-        if interposed:
-            lines.append("interposed APIs observed fleet-wide:")
-            lines += [f"  {api}" for api in interposed]
-    spans = records.get("span", [])
-    if spans:
-        slowest = sorted((span for span in spans
-                          if span.get("parent_id") is not None),
-                         key=lambda span: -span.get("wall_s", 0.0))[:5]
-        lines.append("slowest spans:")
-        for span in slowest:
-            lines.append(f"  {span['machine']:<14} {span['name']:<28} "
-                         f"{span['wall_s'] * 1000:8.2f}ms")
-    audits = records.get("audit", [])
-    if audits:
-        counted = Counter((event["layer"], event["api"], event["owner"])
-                          for event in audits)
-        lines.append("interceptions:")
-        for (layer, api, owner), count in counted.most_common(10):
-            lines.append(f"  {layer:<14} {api:<34} by {owner} x{count}")
-    deltas = records.get("delta", [])
-    if deltas:
-        delta = deltas[0]
-        skipped = delta.get("skipped", [])
-        stats = delta.get("stats", {})
-        baseline_ids = delta.get("baseline_ids", {})
-        patched = int(stats.get("journal.records_patched", 0))
-        reparsed = int(stats.get("hive.delta.bins_reparsed", 0))
-        fallbacks = int(stats.get("journal.patch_fallback", 0)
-                        + stats.get("journal.overflow", 0)
-                        + stats.get("hive.delta.fallback", 0))
-        lines.append(f"delta sweep: {len(skipped)} machine(s) served "
-                     f"from baseline, {patched} MFT record(s) patched, "
-                     f"{reparsed} hive bin(s) reparsed, "
-                     f"{fallbacks} full-reparse fallback(s)")
-        if skipped:
-            lines.append("  skipped (verdict from baseline):")
-            for name in skipped:
-                lines.append(f"    {name:<14} "
-                             f"{baseline_ids.get(name, '?')}")
-        rescanned = sorted(set(baseline_ids) - set(skipped))
-        if rescanned:
-            lines.append("  re-scanned (baseline advanced):")
-            for name in rescanned:
-                lines.append(f"    {name:<14} "
-                             f"{baseline_ids.get(name, '?')}")
-    metrics = records.get("metrics", [])
-    if metrics:
-        counters = metrics[0].get("counters", {})
-        if counters:
-            lines.append("counters:")
-            for name in sorted(counters):
-                lines.append(f"  {name} = {counters[name]:g}")
-    return "\n".join(lines)
+from repro.telemetry.journal_io import read_grouped   # noqa: E402
 
 
 def render_fleet(records: dict) -> str:
@@ -258,52 +171,46 @@ def render_stealth_curve(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def run_demo(out_path: Path, delta: bool = False) -> Path:
-    import tempfile
-
-    from repro.core.baseline import BaselineStore
-    from repro.core.risboot import RisServer
+def run_demo(fleet_dir: Path, delta: bool = False) -> Path:
+    """One coordinator epoch (two with ``delta``) over a demo fleet."""
+    from repro.fleet import EscalationPolicy, FleetCoordinator
     from repro.ghostware import HackerDefender
     from repro.machine import Machine
-    from repro.telemetry.metrics import reset_global_metrics
 
-    reset_global_metrics()
     machines = []
     for index in range(3):
         machine = Machine(f"client-{index}", disk_mb=256, max_records=8192)
         machine.boot()
         machines.append(machine)
     HackerDefender().install(machines[1])
-    server = RisServer()
+    coordinator = FleetCoordinator(str(fleet_dir), machines,
+                                   policy=EscalationPolicy("ris"))
+    coordinator.run_epoch()
     if delta:
-        store = BaselineStore(tempfile.mkdtemp(prefix="gb-baselines-"))
-        server.sweep(machines, mode="full", baseline_store=store)
         machines[2].volume.create_file("\\Temp\\dropped.txt", b"payload")
-        result = server.sweep(machines, max_workers=3,
-                              collect_telemetry=True, mode="delta",
-                              baseline_store=store)
-    else:
-        result = server.sweep(machines, max_workers=3,
-                              collect_telemetry=True)
-    result.health.write_jsonl(out_path)
-    return out_path
+        coordinator.run_epoch()
+    return Path(coordinator.epochs_path)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Render fleet-sweep telemetry JSONL")
-    parser.add_argument("jsonl", nargs="?", help="telemetry JSONL file")
+        description="Render a fleet epochs journal")
+    parser.add_argument("jsonl", nargs="?",
+                        help="epochs.jsonl (or a bench JSON)")
     parser.add_argument("--demo", action="store_true",
-                        help="generate a demo sweep first")
+                        help="run a demo coordinator epoch first")
     parser.add_argument("--delta", action="store_true",
-                        help="make --demo run a baseline-seeded delta "
-                             "sweep (adds the delta provenance record)")
-    parser.add_argument("--out", default="SWEEP_DEMO.jsonl",
-                        help="where --demo writes its JSONL")
+                        help="make --demo change one client and run a "
+                             "second (delta) epoch")
+    parser.add_argument("--out", default=None,
+                        help="fleet directory --demo writes (default: a "
+                             "new temp dir)")
     options = parser.parse_args(argv)
 
     if options.demo:
-        path = run_demo(Path(options.out), delta=options.delta)
+        fleet_dir = Path(options.out or tempfile.mkdtemp(
+            prefix="gb-report-"))
+        path = run_demo(fleet_dir, delta=options.delta)
         print(f"wrote {path}\n")
     elif options.jsonl:
         path = Path(options.jsonl)
@@ -316,11 +223,17 @@ def main(argv=None) -> int:
         import json
         print(render_stealth_curve(json.loads(text)))
         return 0
-    records = load_jsonl(path)
-    if is_fleet_journal(records):
-        print(render_fleet(records))
-    else:
-        print(render(records))
+    def warn(line_no: int, reason: str) -> None:
+        # A torn line (a writer killed mid-record) costs only itself.
+        print(f"{path}:{line_no}: skipping torn line ({reason})",
+              file=sys.stderr)
+
+    records = read_grouped(path, on_torn=warn)
+    if not is_fleet_journal(records):
+        print(f"{path}: neither a fleet epochs journal nor a bench JSON",
+              file=sys.stderr)
+        return 1
+    print(render_fleet(records))
     return 0
 
 

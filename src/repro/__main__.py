@@ -4,7 +4,8 @@ Commands
 --------
 demo          infect a machine with Hacker Defender, detect, disinfect
 matrix        print the Figure-2/5 technique × detection matrix
-sweep         RIS network-boot sweep over a small fleet; with
+sweep         one fleet-coordinator epoch over a small demo fleet that
+              RIS network-boots every client; with
               ``--epochs``/``--continuous`` it becomes a checkpointed
               fleet-service run with optional ``--escalate`` confirmation
 unix          the Section-5 Unix rootkit experiments
@@ -144,23 +145,48 @@ def cmd_matrix(options) -> int:
     return 0
 
 
-def _fleet_sweep(options) -> int:
-    """The ``--epochs``/``--continuous`` path: a checkpointed fleet
-    service run instead of a one-shot RIS sweep."""
+def _log_epoch(log, summary) -> None:
+    log.info("epoch %d: %d machines (%d scanned, %d skipped) "
+             "infected=%d escalated=%d confirmed=%d outbreaks=%d",
+             summary.epoch, summary.machines, summary.scanned,
+             summary.skipped, summary.infected, summary.escalated,
+             summary.confirmed, summary.outbreaks)
+
+
+def cmd_sweep(options) -> int:
+    """Checkpointed fleet epochs over the demo fleet.
+
+    Without ``--epochs``/``--continuous``/``--fleet-dir`` this is the
+    one-shot sweep: one epoch (two with ``--delta``) in a temp dir that
+    network-boots every scanned client (``--escalate`` defaults to
+    ``ris``).
+    """
     from repro.fleet import EscalationPolicy, FleetCoordinator
     from repro.ghostware import Aphex, HackerDefender
+    from repro.telemetry import Telemetry
     from repro.workloads.scenarios import build_fleet, build_home_pc
 
     log = logging.getLogger(LOGGER_NAME)
+    one_shot = not (options.epochs or options.continuous
+                    or options.fleet_dir)
+    escalate = options.escalate or ("ris" if one_shot else None)
     fleet_dir = options.fleet_dir or tempfile.mkdtemp(prefix="gb-fleet-")
     size = max(2, options.fleet_size)
     agents = max(0, options.agents)
+    if options.delta and agents:
+        log.info("--delta changes a machine between epochs, which needs "
+                 "the single-process sweep (no --agents)")
+        return 2
     plan = _chaos_plan(options)
-    policy = EscalationPolicy(confirm_with=options.escalate or "winpe",
-                              escalate=options.escalate is not None,
+    policy = EscalationPolicy(confirm_with=escalate or "winpe",
+                              escalate=escalate is not None,
                               fault_plan=plan)
     epochs = max(1, options.epochs or (10 if options.continuous else 1))
+    if options.delta:
+        epochs = max(2, epochs)
     compromised = {1: HackerDefender, size - 1: Aphex}
+    telemetry = Telemetry.enabled() if options.trace \
+        else Telemetry.disabled()
     summaries = []
 
     if agents:
@@ -178,111 +204,51 @@ def _fleet_sweep(options) -> int:
         roster = [f"client-{index:02d}" for index in range(size)]
         coordinator = FleetCoordinator(fleet_dir, roster, workers=agents,
                                        policy=policy, compact_every=4)
-        aggregates = coordinator.run_distributed(
-            epochs, machine_factory, agents=agents,
-            fault_seed=options.chaos_seed,
-            fault_rate=options.chaos_rate)
+        with telemetry.activate():
+            aggregates = coordinator.run_distributed(
+                epochs, machine_factory, agents=agents,
+                fault_seed=options.chaos_seed,
+                fault_rate=options.chaos_rate)
         for aggregate in aggregates:
+            summaries.append(aggregate.summary.to_dict())
+            if not options.json:
+                _log_epoch(log, aggregate.summary)
+    else:
+        scenarios = build_fleet(size=size, compromised=compromised)
+        machines = [scenario.machine for scenario in scenarios]
+        coordinator = FleetCoordinator(fleet_dir, machines, workers=2,
+                                       policy=policy, fault_plan=plan,
+                                       compact_every=4)
+        for epoch in range(epochs):
+            if options.delta and epoch == 1:
+                # One client changes on disk; the delta epoch rescans it
+                # and rides the baselines for the rest.
+                machines[0].volume.create_file("\\Temp\\dropped.txt",
+                                               b"payload")
+            with telemetry.activate():
+                aggregate = coordinator.run_epoch()
             summary = aggregate.summary
             summaries.append(summary.to_dict())
             if not options.json:
-                log.info("epoch %d: %d machines (%d scanned, %d skipped)"
-                         " infected=%d escalated=%d confirmed=%d "
-                         "outbreaks=%d",
-                         summary.epoch, summary.machines, summary.scanned,
-                         summary.skipped, summary.infected,
-                         summary.escalated, summary.confirmed,
-                         summary.outbreaks)
-        if options.json:
-            _emit_json({"fleet_dir": fleet_dir, "agents": agents,
-                        "epochs": summaries})
-        else:
-            log.info("fleet state in %s (%d agent processes)",
-                     fleet_dir, agents)
-        return 0
-
-    scenarios = build_fleet(size=size, compromised=compromised)
-    coordinator = FleetCoordinator(fleet_dir,
-                                   [s.machine for s in scenarios],
-                                   workers=2, policy=policy,
-                                   fault_plan=plan, compact_every=4)
-    for __ in range(epochs):
-        aggregate = coordinator.run_epoch()
-        summary = aggregate.summary
-        summaries.append(summary.to_dict())
-        if not options.json:
-            log.info("epoch %d: %d machines (%d scanned, %d skipped) "
-                     "infected=%d escalated=%d confirmed=%d outbreaks=%d",
-                     summary.epoch, summary.machines, summary.scanned,
-                     summary.skipped, summary.infected, summary.escalated,
-                     summary.confirmed, summary.outbreaks)
-        if options.continuous and summary.scanned == 0:
-            # Steady state: the whole fleet rode its baselines.
-            break
+                _log_epoch(log, summary)
+            if options.continuous and summary.scanned == 0:
+                # Steady state: the whole fleet rode its baselines.
+                break
     if options.json:
-        _emit_json({"fleet_dir": fleet_dir, "epochs": summaries})
-    else:
-        log.info("fleet state in %s", fleet_dir)
-    return 0
-
-
-def cmd_sweep(options) -> int:
-    from repro.core import RisServer
-    from repro.ghostware import Aphex
-    from repro.machine import Machine
-
-    if options.epochs or options.continuous or options.fleet_dir:
-        return _fleet_sweep(options)
-
-    log = logging.getLogger(LOGGER_NAME)
-    machines = []
-    for index in range(4):
-        machine = Machine(f"client-{index}", disk_mb=256, max_records=8192)
-        machine.boot()
-        machines.append(machine)
-    Aphex().install(machines[2])
-    store = None
-    if options.baseline_dir or options.delta:
-        from repro.core.baseline import BaselineStore
-        directory = options.baseline_dir or tempfile.mkdtemp(
-            prefix="gb-baselines-")
-        store = BaselineStore(directory)
-    server = RisServer(fault_plan=_chaos_plan(options),
-                       max_retries=options.max_retries)
-    if options.delta:
-        # Two sweeps in one sitting: a full pass seeds the baselines,
-        # then one client changes, and the delta pass skips the rest.
-        server.sweep(machines, mode="full", baseline_store=store)
-        machines[1].volume.create_file("\\Temp\\dropped.txt", b"payload")
-        log.info("seeded baselines in %s; client-1 changed on disk\n",
-                 store.directory)
-    result = server.sweep(machines, collect_telemetry=options.trace,
-                          mode="delta" if options.delta else "full",
-                          baseline_store=store)
-    if options.json:
-        payload = {
-            "machines": {name: {"findings": len(report.findings),
-                                "clean": report.is_clean}
-                         for name, report in result.reports.items()},
-            "errors": result.errors,
-            "quarantined": result.quarantined,
-            "retries": result.retry_counts,
-            "infected": result.infected_machines,
-            "wall_seconds": result.wall_seconds,
-            "mode": result.mode,
-        }
-        if result.mode == "delta":
-            payload["delta"] = {"skipped": result.delta_skipped,
-                                "baseline_ids": result.baseline_ids,
-                                "stats": result.delta_stats}
-        if result.health is not None:
-            payload["health"] = [health.to_dict()
-                                 for health in result.health.machines]
+        payload = {"fleet_dir": fleet_dir, "epochs": summaries}
+        if agents:
+            payload["agents"] = agents
+        if telemetry.is_enabled:
+            payload["spans"] = [span.to_dict()
+                                for span in telemetry.tracer.spans()]
+            payload["audit"] = telemetry.audit.to_dicts()
         _emit_json(payload)
         return 0
-    log.info(result.summary())
-    if result.health is not None:
-        log.info(result.health.summary())
+    if telemetry.is_enabled:
+        log.info("span tree:\n%s", telemetry.tracer.render())
+        log.info("audit log:\n%s", telemetry.audit.summary())
+    log.info("fleet state in %s%s", fleet_dir,
+             f" ({agents} agent processes)" if agents else "")
     return 0
 
 
@@ -416,19 +382,16 @@ def main(argv=None) -> int:
                              "(default 0.05)")
     parser.add_argument("--max-retries", type=int, default=2,
                         metavar="N",
-                        help="per-layer / per-client retry budget "
+                        help="per-layer retry budget for demo "
                              "(default 2)")
     parser.add_argument("--stabilize-rounds", type=int, default=1,
                         metavar="N",
                         help="scan-until-stable rounds for demo "
                              "(default 1 = single scan)")
-    parser.add_argument("--baseline-dir", default=None, metavar="DIR",
-                        help="persist per-machine scan baselines in DIR "
-                             "(sweep; seeds later --delta sweeps)")
     parser.add_argument("--delta", action="store_true",
-                        help="demo a delta sweep: seed baselines with a "
-                             "full pass, change one client, then re-sweep "
-                             "skipping the unchanged ones")
+                        help="demo a delta epoch: after the first epoch "
+                             "one client changes on disk, and the next "
+                             "epoch rescans it and skips the rest (sweep)")
     parser.add_argument("--epochs", type=int, default=0, metavar="N",
                         help="run N checkpointed fleet epochs instead of "
                              "a one-shot sweep (sweep)")
@@ -436,11 +399,12 @@ def main(argv=None) -> int:
                         help="keep running epochs (resuming any "
                              "interrupted one) until the fleet reaches "
                              "steady state or --epochs is exhausted")
-    parser.add_argument("--escalate", choices=("winpe", "vmscan"),
+    parser.add_argument("--escalate", choices=("winpe", "vmscan", "ris"),
                         default=None,
                         help="confirm inside findings with an "
-                             "outside-the-box pass of this kind (sweep "
-                             "--epochs)")
+                             "outside-the-box pass of this kind; ris "
+                             "network-boots every scanned machine (sweep; "
+                             "the one-shot sweep defaults to ris)")
     parser.add_argument("--fleet-dir", default=None, metavar="DIR",
                         help="durable fleet state directory (queue WAL, "
                              "epochs journal, baselines); also the "
@@ -452,7 +416,7 @@ def main(argv=None) -> int:
                              "--epochs/--continuous)")
     parser.add_argument("--fleet-size", type=int, default=6, metavar="N",
                         help="machines in the demo fleet for sweep "
-                             "--epochs (default 6)")
+                             "(default 6)")
     parser.add_argument("--host", default="127.0.0.1", metavar="ADDR",
                         help="console bind address for serve "
                              "(default 127.0.0.1)")

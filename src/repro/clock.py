@@ -19,8 +19,8 @@ import threading
 class SimClock:
     """A monotonically advancing simulated clock.
 
-    Thread-safe: parallel RIS sweeps may scan several machines that share
-    one clock, and ``advance`` is a read-modify-write that would lose
+    Thread-safe: machines scanned on different threads may share one
+    clock, and ``advance`` is a read-modify-write that would lose
     charges if two scan threads raced it.
 
     >>> clock = SimClock()

@@ -59,7 +59,7 @@ import tempfile
 from typing import Dict, Iterable, List, Optional
 
 from repro.telemetry.journal_io import (head_digest, iter_journal,
-                                        read_record_at)
+                                        read_record_at, replace_journal)
 from repro.telemetry.metrics import global_metrics
 
 logger = logging.getLogger(__name__)
@@ -765,7 +765,7 @@ class JournalIndex:
         """Retention: drop journal epochs older than the newest N.
 
         The only path by which the console writes a journal.  Rewrites
-        ``epochs.jsonl`` crash-safely (temp + fsync + ``os.replace``)
+        ``epochs.jsonl`` crash-safely (:func:`replace_journal`),
         keeping every record belonging to the newest ``retain_epochs``
         epochs (records carrying no epoch are kept), then rebuilds the
         index against the rewritten journal.  Queries over the retained
@@ -784,26 +784,18 @@ class JournalIndex:
             return {"records_before": 0, "records_after": 0,
                     "cutoff_epoch": None}
         cutoff = max(known) - retain + 1
-        before = after = 0
-        fd, tmp_path = tempfile.mkstemp(dir=self.fleet_dir,
-                                        prefix="epochs.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for line in iter_journal(self.source_epochs,
-                                         on_torn=self._torn):
-                    before += 1
-                    epoch = line.record.get("epoch")
-                    if epoch is not None and int(epoch) < cutoff:
-                        continue
-                    handle.write(json.dumps(line.record, sort_keys=True)
-                                 + "\n")
-                    after += 1
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.source_epochs)
-        finally:
-            if os.path.exists(tmp_path):
-                os.remove(tmp_path)
+        before = 0
+
+        def retained():
+            nonlocal before
+            for line in iter_journal(self.source_epochs,
+                                     on_torn=self._torn):
+                before += 1
+                epoch = line.record.get("epoch")
+                if epoch is None or int(epoch) >= cutoff:
+                    yield json.dumps(line.record, sort_keys=True)
+
+        after = replace_journal(self.source_epochs, retained())
         self.rebuild()
         metrics = global_metrics()
         metrics.incr("console.index.compactions")

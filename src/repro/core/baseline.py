@@ -4,7 +4,8 @@ The paper's deployment story is *periodic* scanning: the same fleet,
 swept again and again, with almost every machine unchanged between
 sweeps.  A :class:`BaselineStore` keeps, per machine, the last verdict
 and the disk generation it was computed at, persisted as JSONL on the
-operator's side (never on the suspect machines).  The delta sweep then:
+operator's side (never on the suspect machines).  Each fleet epoch
+(:class:`~repro.fleet.FleetCoordinator`) then:
 
 * skips machines whose disk generation still matches the stored
   baseline, rehydrating the stored report instead of re-scanning;
@@ -12,19 +13,19 @@ operator's side (never on the suspect machines).  The delta sweep then:
   repair) and advances their baselines;
 * uses the stored per-machine scan timings to dispatch the historically
   slowest machines first (longest-processing-time-first keeps the
-  parallel sweep's makespan near optimal).
+  epoch's makespan near optimal).
 
 Storage is append-only JSONL — one record per baseline update, latest
 record per machine wins — so a torn write can lose at most the final
 line, and that loss degrades to one extra full scan, never to a wrong
 verdict.
 
-Under the continuous fleet service (:mod:`repro.fleet`) the file gains
-one line per machine per epoch forever; :meth:`BaselineStore.compact`
-rewrites it down to the newest record per machine.  Compaction is
-crash-safe: the survivors are written to a temp file, fsynced, and
-atomically renamed over the original, so a kill at any instant leaves
-either the old file or the new one, never a half of each.
+The file gains one line per machine per epoch forever;
+:meth:`BaselineStore.compact` rewrites it down to the newest record per
+machine.  Compaction is crash-safe: the survivors are written to a temp
+file, fsynced, atomically renamed over the original, and the directory
+is fsynced, so a kill or power cut at any instant leaves either the old
+file or the new one, never a half of each.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from typing import Dict, List, Optional
 
 from repro.core.diff import DetectionReport
 from repro.core.reporting import report_from_dict, report_to_dict
-from repro.telemetry.journal_io import append_journal, iter_journal
+from repro.telemetry.journal_io import (append_journal, iter_journal,
+                                       replace_journal)
 from repro.telemetry.metrics import global_metrics
 
 logger = logging.getLogger(__name__)
@@ -152,9 +154,7 @@ class BaselineStore:
     def compact(self) -> Dict[str, int]:
         """Rewrite the JSONL down to the newest record per machine.
 
-        Crash-safe: survivors go to ``<path>.tmp`` (fsynced), which is
-        then atomically renamed over the live file — a kill at any point
-        leaves either the complete old file or the complete new one.
+        Crash-safe via :func:`~repro.telemetry.journal_io.replace_journal`.
         Returns ``{"records_before": N, "records_after": M}``.
         """
         with self._lock:
@@ -162,16 +162,10 @@ class BaselineStore:
                 return {"records_before": 0, "records_after": 0}
             with open(self.path, "r", encoding="utf-8") as handle:
                 before = sum(1 for line in handle if line.strip())
-            tmp_path = self.path + ".tmp"
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                for machine in sorted(self._baselines):
-                    handle.write(json.dumps(
-                        self._record(self._baselines[machine]),
-                        sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
-            after = len(self._baselines)
+            after = replace_journal(self.path, (
+                json.dumps(self._record(self._baselines[machine]),
+                           sort_keys=True)
+                for machine in sorted(self._baselines)))
         global_metrics().incr("fleet.baseline.compactions")
         global_metrics().incr("fleet.baseline.compacted_records",
                               max(0, before - after))

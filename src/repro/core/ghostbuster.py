@@ -72,7 +72,10 @@ class GhostBuster:
         self.advanced = advanced
         self.noise_filter = noise_filter or NoiseFilter()
         self._scanner_process = scanner_process
-        self.telemetry = telemetry or Telemetry.disabled()
+        # A tool built inside a traced scope (a traced fleet epoch)
+        # records into that scope's bundle.
+        self.telemetry = (telemetry or telemetry_context.current()
+                          or Telemetry.disabled())
         # Section 2: "files may be created in the very small time window
         # between when the high- and low-level scans are taken" — this
         # widens that window (with background services running) so the
@@ -377,8 +380,6 @@ class GhostBuster:
         4. shut down, boot WinPE, scan the truth from outside;
         5. diff, classify noise, and optionally reboot back.
         """
-        from repro.core.winpe import WinPEEnvironment
-
         wanted = set(resources)
         report = DetectionReport(self.machine.name, mode="outside")
 
@@ -394,22 +395,14 @@ class GhostBuster:
 
     def _capture_lie(self, report: DetectionReport, lies: Dict,
                      layer: str, fn: Callable[[], ScanSnapshot]) -> None:
-        """Take one inside (lie) snapshot; a failure fails just its layer."""
-        try:
+        """Take one inside (lie) snapshot with the layer's retries; a
+        failure fails just its layer."""
+        def capture(__: DetectionReport) -> None:
             lies[layer] = fn()
-        except (MachineStateError, MachineUnavailable):
-            raise
-        except ReproError as exc:
-            report.confidence[layer] = ScanConfidence.FAILED
-            report.layer_errors[layer] = f"{type(exc).__name__}: {exc}"
-            metrics = global_metrics()
-            metrics.incr("scan.layer.failed")
-            metrics.incr(f"scan.layer.failed.{layer}")
+        self._run_layer(report, layer, capture)
 
     def _outside_scan_body(self, wanted, report, background_gap,
                            win32_naming, reboot_after) -> None:
-        from repro.core.winpe import WinPEEnvironment
-
         lies: Dict[str, ScanSnapshot] = {}
         if "files" in wanted:
             self._capture_lie(report, lies, "files",
@@ -440,8 +433,7 @@ class GhostBuster:
             self.machine.run_background(background_gap)
 
         self.machine.shutdown()
-        winpe = WinPEEnvironment(self.machine)
-        winpe.boot()
+        winpe = self._clean_boot(report)
 
         if "files" in lies:
             self._run_layer(report, "files", lambda rep: self._diff_into(
@@ -461,10 +453,22 @@ class GhostBuster:
                     self._diff_into(rep, "processes", lies["processes"],
                                     winpe.process_scan(advanced=True))
             self._run_layer(report, "processes", diff_processes)
-        report.durations["winpe-boot"] = winpe.boot_seconds
 
         if reboot_after:
             self.machine.boot()
+
+    def _clean_boot(self, report: DetectionReport):
+        """Boot the powered-down box into the clean scan environment.
+
+        The CD boot; the RIS network boot (:mod:`repro.core.risboot`)
+        overrides this and nothing else of the outside-the-box scan.
+        """
+        from repro.core.winpe import WinPEEnvironment
+
+        winpe = WinPEEnvironment(self.machine)
+        winpe.boot()
+        report.durations["winpe-boot"] = winpe.boot_seconds
+        return winpe
 
     # -- convenience ---------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Report serialization: JSON and plain-text renderings.
 
-Enterprise deployments (the RIS sweep, scheduled daily scans) need
+Enterprise deployments (fleet epochs, scheduled daily scans) need
 reports that survive the scanning session — this module renders a
 :class:`~repro.core.diff.DetectionReport` to a stable JSON document and
 back-of-the-envelope text, and can write either onto a machine's own

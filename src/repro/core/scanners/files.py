@@ -158,7 +158,7 @@ def _snapshot_entries(disk, parsed: List[ParsedFile], win32_naming: bool,
                       parse_generation):
     """Entries + identity index, shared per (disk, generation, flavor).
 
-    A RIS sweep re-scans unchanged (often cloned) disks constantly; the
+    A fleet sweep re-scans unchanged (often cloned) disks constantly; the
     FileEntry list and its identity index derive purely from the parsed
     namespace, so they are cached beside it in ``disk.raw_cache``.
     ``disk`` is None when the read path is filtered or unbacked — then

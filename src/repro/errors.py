@@ -145,8 +145,9 @@ class CircuitOpen(ReproError):
 class MachineUnavailable(ReproError):
     """The target machine died or dropped off the network mid-scan.
 
-    Retryable at the sweep level: the scheduler may power the machine
-    back on and re-dispatch, subject to the circuit breaker.
+    Retryable at the fleet level: the coordinator records an error
+    verdict and the next epoch boots the machine and scans it again,
+    subject to the circuit breaker.
     """
 
 

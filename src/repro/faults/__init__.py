@@ -10,11 +10,13 @@ correct under that pressure:
   the hive reader, the WinAPI enumeration walks, the RIS transport, and
   the parser entry points) draw from it and fail in controlled,
   *reproducible* ways.  Per-``(site, scope)`` RNG streams make the fault
-  sequence independent of thread scheduling, so a parallel RIS sweep
-  injects byte-identical faults run after run.
+  sequence independent of scheduling, so a fleet epoch injects
+  byte-identical faults run after run, whether one process or forked
+  scan agents draw them.
 * **Recovery** — :class:`RetryPolicy` (capped exponential backoff with
   deterministic jitter, charged to the :class:`~repro.clock.SimClock`),
-  :class:`CircuitBreaker` (per-machine quarantine), scan-until-stable
+  :class:`CircuitBreaker` (the fleet coordinator's per-machine
+  quarantine), scan-until-stable
   rounds in :class:`~repro.core.ghostbuster.GhostBuster`, and per-layer
   graceful degradation (:class:`~repro.core.diff.ScanConfidence`).
 

@@ -8,8 +8,8 @@ machine name as the draw scope and the machine's clock for delay
 charging — and the sites look it up here via :func:`maybe_inject`.
 
 Two activation levels exist: a per-thread scope (set by
-:func:`scoped`, used by ``GhostBuster``/``RisServer`` so parallel sweep
-workers draw from independent per-machine streams) and a process-wide
+:func:`scoped`, used by ``GhostBuster`` so every scan draws from its
+machine's own streams) and a process-wide
 plan (set by :func:`install_global_plan`, used by the CI chaos job via
 ``REPRO_CHAOS_SEED``).  The thread scope wins.  With neither active the
 fast path is one ``getattr`` plus one global check.
@@ -87,8 +87,8 @@ def maybe_inject(site: str, clock=None, scope: Optional[str] = None):
       (timeout additionally charges its delay to the clock first);
     * ``status_failure`` → :class:`ApiError` (a spurious ``STATUS_*``);
     * ``drop`` / ``machine_death`` → :class:`MachineUnavailable`, with
-      the fired fault attached as ``exc.fault`` so the RIS layer can
-      model the machine actually dying;
+      the fired fault attached as ``exc.fault`` (the RIS transport
+      powers the client off on it);
     * ``slow_read`` / ``hang`` → the delay is charged to the clock and
       the fault is returned (the operation proceeds, late).
 

@@ -8,7 +8,7 @@ tests and benchmarks:
 * **Determinism under parallelism.**  Draws come from a per-``(site,
   scope)`` stream — ``random.Random(f"{seed}:{site}:{scope}")`` — so a
   machine's fault sequence depends only on the seed and on *its own*
-  draw order, never on how the thread pool interleaved other machines.
+  draw order, never on how workers or agents interleaved other machines.
   :meth:`FaultPlan.sequence_digest` canonicalizes the fired-fault log
   (sorted by stream, not by wall-clock arrival) so two runs of the same
   workload compare byte-identical.
@@ -284,7 +284,7 @@ class FaultPlan:
         """A scheduling-independent digest of every fault that fired.
 
         Entries are sorted by their per-stream identity before hashing,
-        so parallel sweeps whose workers interleave differently still
+        so parallel runs whose workers interleave differently still
         produce the same digest when the same faults fired.
         """
         with self._lock:

@@ -11,6 +11,14 @@ virtual-disk scan (``confirmed_by="vmscan"``).  A clean machine never
 reboots, which is exactly the paper's "run the inside scan frequently,
 the outside scan on demand" deployment shape.
 
+The RIS network boot that replaces the CD in an enterprise
+(``confirmed_by="ris"``) needs nobody at the console, so with it every
+machine the epoch scans is booted from outside — a fleet-wide
+outside-the-box sweep.  That is the only tier that sees ghostware which
+blinds the inside scan itself (ablation A3): a clean inside report
+whose network boot finds hidden resources becomes the machine's
+verdict-bearing report.
+
 The confirmation verdict carries provenance: the escalated report is
 stamped with ``confirmed_by`` so a fleet operator can distinguish
 "the inside scan said so" from "a clean boot agreed".  An escalation
@@ -28,6 +36,7 @@ from typing import List, Optional, Sequence
 from repro.core.diff import DetectionReport
 from repro.core.ghostbuster import GhostBuster
 from repro.core.noise import NoiseFilter
+from repro.core.risboot import RisServer
 from repro.core.vmscan import vm_outside_scan
 from repro.errors import FleetError
 from repro.faults.plan import FaultPlan
@@ -37,7 +46,8 @@ from repro.telemetry.metrics import global_metrics
 
 CONFIRM_WINPE = "winpe"
 CONFIRM_VMSCAN = "vmscan"
-CONFIRM_METHODS = (CONFIRM_WINPE, CONFIRM_VMSCAN)
+CONFIRM_RIS = "ris"
+CONFIRM_METHODS = (CONFIRM_WINPE, CONFIRM_VMSCAN, CONFIRM_RIS)
 
 
 @dataclass
@@ -124,8 +134,10 @@ class EscalationPolicy:
         self.fault_plan = fault_plan
 
     def should_escalate(self, report: DetectionReport) -> bool:
-        """Any non-noise inside finding buys a confirmation boot."""
-        return self.escalate and not report.is_clean
+        """Any non-noise inside finding buys a confirmation boot; with
+        ``ris`` every scanned machine is network-booted."""
+        return self.escalate and (self.confirm_with == CONFIRM_RIS
+                                  or not report.is_clean)
 
     def confirm(self, machine: Machine,
                 inside_report: DetectionReport) -> EscalationOutcome:
@@ -146,6 +158,10 @@ class EscalationPolicy:
                     noise_filter=self.noise_filter,
                     fault_plan=self.fault_plan).outside_scan(
                         resources=self.resources)
+            elif self.confirm_with == CONFIRM_RIS:
+                outside = RisServer(
+                    self.noise_filter, self.fault_plan).network_boot_scan(
+                        machine, resources=self.resources)
             else:
                 outside = vm_outside_scan(machine,
                                           resources=self.resources)

@@ -43,7 +43,8 @@ from repro.clock import SimClock
 from repro.errors import FleetError, StaleLease
 from repro.faults import context as faults_context
 from repro.faults.plan import SITE_FLEET_LEASE
-from repro.telemetry.journal_io import append_journal, iter_journal
+from repro.telemetry.journal_io import (append_journal, iter_journal,
+                                       replace_journal)
 from repro.telemetry.metrics import global_metrics
 
 logger = logging.getLogger(__name__)
@@ -430,7 +431,7 @@ class WorkQueue:
         finished epochs); mid-epoch the roster and acks survive and any
         outstanding leases are conservatively requeued — the same
         treatment a crash restart gives them.  Crash-safe via
-        write-temp-then-rename, like :meth:`BaselineStore.compact`.
+        :func:`~repro.telemetry.journal_io.replace_journal`.
         """
         with self._lock:
             before = 0
@@ -452,13 +453,6 @@ class WorkQueue:
                     lines.append(json.dumps(
                         {"op": "ack", "machine": machine, **payload},
                         sort_keys=True))
-            os.makedirs(self.directory, exist_ok=True)
-            tmp_path = self.path + ".tmp"
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                for line in lines:
-                    handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
+            replace_journal(self.path, lines)
         global_metrics().incr("fleet.queue.compactions")
         return {"records_before": before, "records_after": len(lines)}

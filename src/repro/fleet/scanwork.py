@@ -2,11 +2,12 @@
 
 One epoch's unit of work is the same whether it runs on a thread inside
 the coordinator process or inside a remote scan agent: boot if needed,
-run the cross-view inside scan, escalate finding-bearing machines
-through the :class:`~repro.fleet.policy.EscalationPolicy`, and capture
-the disk generation *after* the scans (escalation reboots the box, so a
-confirmed machine never matches its stored generation and is re-swept
-eagerly next epoch).
+run the cross-view inside scan, escalate the machines the
+:class:`~repro.fleet.policy.EscalationPolicy` picks, and capture
+the disk generation *after* the scans: the escalation's reboot writes
+the disk, so a generation captured before the scans would never match
+the disk again and a confirmed machine would be rescanned every epoch
+instead of skipping on its stored verdict.
 
 Extracting the body here is what makes the distributed mode's
 element-identical-verdicts guarantee checkable: the agent executes
@@ -120,8 +121,6 @@ def perform_machine_scan(machine: Machine, epoch: int,
                              flag_unstable=flag_unstable,
                              scan_order_jitter=scan_order_jitter
                              ).inside_scan(resources=tuple(resources))
-    inside_ids = finding_ids(report)
-    alert = check_mass_hiding(report)
     escalated = confirmed = False
     confirmed_by = None
     if policy.should_escalate(report):
@@ -129,14 +128,18 @@ def perform_machine_scan(machine: Machine, epoch: int,
         escalated = True
         confirmed = outcome.confirmed
         confirmed_by = outcome.confirmed_by
+        if confirmed and report.is_clean:
+            # Only the RIS sweep boots a clean machine: the inside view
+            # was blinded, so the outside report carries the verdict.
+            report = outcome.outside_report
     # Generation is captured *after* the scans; see module docstring.
     scan_seconds = stopwatch.elapsed()
     return ScanOutcome(report=report, scan_seconds=scan_seconds,
                        disk_generation=machine.disk.generation,
                        escalated=escalated, confirmed=confirmed,
                        confirmed_by=confirmed_by,
-                       finding_ids=inside_ids,
-                       mass_hiding=alert is not None,
+                       finding_ids=finding_ids(report),
+                       mass_hiding=check_mass_hiding(report) is not None,
                        campaign_fingerprints=campaign_fingerprints(report))
 
 

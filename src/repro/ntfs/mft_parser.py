@@ -20,7 +20,7 @@ of a full re-parse per call.  When the ``read_bytes`` callable is bound
 to a :class:`~repro.disk.Disk` (or to an unfiltered kernel disk port),
 the parsed namespace is additionally cached *on the disk* keyed by its
 write-generation counter, so repeated scans of an unchanged disk — e.g.
-one raw ASEP scan per hive file, or a whole RIS sweep over cloned fleet
+one raw ASEP scan per hive file, or a whole fleet epoch over cloned
 images — skip the parse entirely.  Any disk write bumps the generation
 and forces a fresh raw parse.
 

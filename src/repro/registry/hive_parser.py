@@ -41,7 +41,7 @@ _VK_FIXED = 2 + _VK.size
 # re-parsed constantly (once per scan per hive, across every machine of a
 # fleet), and identical bytes parse to an identical tree, so a small
 # content-addressed LRU removes the dominant cost.  Guarded by a lock:
-# parallel RIS sweep workers share this table.  Consumers treat the
+# scans on different threads share this table.  Consumers treat the
 # parsed tree as read-only.
 _HIVE_CACHE_MAX = 64
 _hive_cache: "OrderedDict[bytes, ParsedHive]" = OrderedDict()

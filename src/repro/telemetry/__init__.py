@@ -12,15 +12,15 @@ Zero-dependency observability for the whole scan stack:
 * :class:`AuditLog` — every SSDT hook, filter driver, CM callback, IAT
   redirection, inline patch, and raw-port filter observed *firing*
   during a scan, attributable to findings via
-  :func:`attribute_findings`;
-* :class:`FleetHealth` — per-machine sweep health for the RIS server.
+  :func:`attribute_findings`.
 
 Everything defaults off: the no-op tracer, a ``None`` audit log, and
 plain counter increments cost almost nothing on uninstrumented paths
 (``scripts/bench.py`` gates the overhead at <= 5 %).  A scan opts in by
 constructing ``Telemetry.enabled()`` and handing it to
-:class:`~repro.core.ghostbuster.GhostBuster` or
-``RisServer.sweep(..., collect_telemetry=True)``.
+:class:`~repro.core.ghostbuster.GhostBuster`; a whole fleet epoch opts
+in by running :meth:`~repro.fleet.FleetCoordinator.run_epoch` under
+``telemetry.activate()``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.telemetry import context
 from repro.telemetry.audit import (AuditLog, FindingAttribution,
                                    InterpositionEvent, NO_INTERPOSITION,
                                    attribute_findings, resource_of)
-from repro.telemetry.health import FleetHealth, MachineHealth, load_jsonl
 from repro.telemetry.metrics import (MetricsRegistry, NullMetrics,
                                      global_metrics, reset_global_metrics,
                                      set_global_metrics)
@@ -77,6 +76,5 @@ __all__ = [
     "set_global_metrics", "reset_global_metrics",
     "AuditLog", "InterpositionEvent", "FindingAttribution",
     "attribute_findings", "resource_of", "NO_INTERPOSITION",
-    "FleetHealth", "MachineHealth", "load_jsonl",
     "context",
 ]

@@ -9,9 +9,11 @@ current thread; instrumented call sites look it up here.
 The lookup is deliberately the cheapest thing Python can do — one
 ``getattr`` on a ``threading.local`` — and every accessor degrades to a
 no-op object (or ``None``) when nothing is active, so the default,
-untraced configuration pays ~nothing.  Thread-locality is also what
-makes parallel RIS sweeps sound: each worker activates its own machine's
-bundle, and spans/audit events never bleed across machines.
+untraced configuration pays ~nothing.  Activation nests: a tool built
+inside a traced scope (``GhostBuster`` and ``RisServer`` default to
+:func:`current`) records into the enclosing bundle, which is how one
+traced fleet epoch collects every machine's scan spans under its
+``fleet.scan`` / ``fleet.escalate`` spans.
 """
 
 from __future__ import annotations

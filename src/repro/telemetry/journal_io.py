@@ -5,9 +5,10 @@ WAL, the baseline store, the telemetry exports — shares the same
 append-only JSONL discipline: one JSON object per line, appended whole,
 where a writer killed mid-write loses at most the final line.  Before
 this module each reader re-implemented the same defensive loop
-(:func:`~repro.telemetry.health.load_jsonl`,
-``BaselineStore._load``, ``WorkQueue._replay``, ``load_history``, …);
-now they all call :func:`iter_journal`.
+(``BaselineStore._load``, ``WorkQueue._replay``, ``load_history``, …);
+now they all call :func:`iter_journal`.  Writers
+share :func:`append_journal` for appends and :func:`replace_journal`
+for compaction rewrites.
 
 Two properties matter beyond "skip bad lines":
 
@@ -33,7 +34,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 logger = logging.getLogger(__name__)
 
@@ -175,6 +176,40 @@ def append_journal(path, record: dict, fsync: bool = False) -> tuple:
     finally:
         os.close(fd)
     return start, start + len(payload)
+
+
+def replace_journal(path, lines: Iterable[str]) -> int:
+    """Atomically rewrite ``path`` to hold ``lines``; returns their count.
+
+    The one rewrite path every compaction uses (baseline store, work
+    queue WAL, epochs journal): each line (a JSON document without its
+    newline) goes to a temp file in the same directory, which is
+    fsynced and then renamed over the journal; a kill at any point
+    leaves either the complete old file or the complete new one.  The
+    parent directory is fsynced after the rename, so the rename itself
+    survives a power cut too.
+    """
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    tmp_path = path + ".tmp"
+    count = 0
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            for line in lines:
+                handle.write(line + "\n")
+                count += 1
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+    return count
 
 
 def head_digest(path, length: int = 4096) -> str:

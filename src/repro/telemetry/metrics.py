@@ -3,8 +3,9 @@
 One process-wide :func:`global_metrics` registry serves the substrate
 layers (MFT parser, hive parser, scanners) that have no scan context to
 hang per-run metrics on; scan-scoped code may also carry its own
-:class:`MetricsRegistry`.  All operations are lock-guarded — parallel
-RIS sweep workers hammer the same counters.
+:class:`MetricsRegistry`.  All operations are lock-guarded — the
+distributed controller's per-agent session threads hammer the same
+counters.
 
 Well-known names (see docs/observability.md for the full list):
 
@@ -15,7 +16,6 @@ Well-known names (see docs/observability.md for the full list):
 * ``scan.files.enumerated`` / ``scan.asep.enumerated`` /
   ``scan.processes.enumerated`` / ``scan.modules.enumerated``;
 * ``diff.hidden.found`` / ``diff.noise.filtered``;
-* ``ris.sweep.machine_seconds`` — histogram of per-client wall time;
 * ``audit.interpositions`` — events the audit log recorded.
 
 Benchmarks that need a true uninstrumented baseline swap in a

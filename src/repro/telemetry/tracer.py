@@ -9,9 +9,9 @@ one raw parse, one diff).  Every span carries *two* time axes:
 * **simulated clock** (:class:`~repro.clock.SimClock`) — what the scan
   charged to the machine's cost model, the number the paper reports.
 
-Spans nest per *thread*: each worker of a parallel RIS sweep builds its
-own stack, so concurrent machines never interleave into one another's
-trees.  Finished root spans are collected under a lock.
+Spans nest per *thread*: each scanning thread builds its own stack,
+so concurrent machines never interleave into one another's trees.
+Finished root spans are collected under a lock.
 
 The default tracer everywhere is :data:`NULL_TRACER`, whose ``span()``
 returns a shared no-op handle — uninstrumented hot paths pay one method

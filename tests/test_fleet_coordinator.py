@@ -23,7 +23,7 @@ from repro.core.baseline import BaselineStore
 from repro.errors import CoordinatorKilled, StaleLease
 from repro.fleet import (EscalationPolicy, FleetCoordinator, WorkQueue,
                          fleet_status, load_history)
-from repro.ghostware import Aphex, HackerDefender
+from repro.ghostware import Aphex, HackerDefender, LowLevelInterferenceGhost
 from repro.machine import Machine
 from repro.telemetry.journal_io import read_journal
 from repro.telemetry.metrics import global_metrics
@@ -79,28 +79,73 @@ class TestEpochLifecycle:
         assert second.summary.skipped == 3
         assert second.summary.scanned == 0
         assert verdict_key(first) == verdict_key(second)
-        # The rehydrated infected verdict keeps its provenance.
+        # The rehydrated infected verdict keeps its provenance, and it
+        # names the baseline it was served from.
         skipped = next(v for v in second.verdicts if v.machine == "m01")
         assert skipped.skipped and skipped.confirmed_by == "winpe"
+        for verdict in second.verdicts:
+            assert verdict.baseline_id == \
+                coordinator.store.get(verdict.machine).baseline_id
 
     def test_changed_machine_is_rescanned(self, tmp_path):
-        machines = build_fleet(size=3, infected=())
+        machines = build_fleet(size=3, infected=(1,))
         coordinator = FleetCoordinator(str(tmp_path), machines)
         coordinator.run_epoch()
         machines[2].volume.create_file("\\Temp\\new.txt", b"payload")
+        patched = global_metrics().counter("journal.records_patched")
         second = coordinator.run_epoch()
         rescanned = {v.machine for v in second.verdicts if v.scanned}
         assert rescanned == {"m02"}
         assert second.summary.skipped == 2
+        # The rescan repaired its caches through the change journal...
+        assert global_metrics().counter("journal.records_patched") > patched
+        # ...and advanced its baseline: the next epoch skips every
+        # machine.
+        assert coordinator.run_epoch().summary.skipped == len(machines)
+        # The delta verdicts equal a fresh coordinator's cold epoch.
+        cold = FleetCoordinator(str(tmp_path / "cold"),
+                                machines).run_epoch()
+        assert verdict_key(second) == verdict_key(cold)
+        assert ({v.machine: v.finding_ids for v in second.verdicts}
+                == {v.machine: v.finding_ids for v in cold.verdicts})
 
-    def test_vmscan_policy_provenance(self, tmp_path):
+    @pytest.mark.parametrize("method", ["vmscan", "ris"])
+    def test_vmscan_policy_provenance(self, tmp_path, method):
         machines = build_fleet(size=2, infected=(0,), ghost_cls=Aphex)
         coordinator = FleetCoordinator(
             str(tmp_path), machines,
-            policy=EscalationPolicy(confirm_with="vmscan"))
+            policy=EscalationPolicy(confirm_with=method))
         aggregate = coordinator.run_epoch()
         infected = next(v for v in aggregate.verdicts if v.confirmed)
-        assert infected.confirmed_by == "vmscan"
+        assert infected.confirmed_by == method
+
+    def test_ris_sweep_catches_ghost_blinding_the_inside_scan(
+            self, tmp_path):
+        # DeepGhost scrubs the raw disk reads the inside scan relies on
+        # (ablation A3), so its inside report is clean.  WinPE confirms
+        # on demand and never boots it; RIS network-boots every scanned
+        # machine and convicts it from outside.
+        machines = build_fleet(size=3, infected=(1,),
+                               ghost_cls=LowLevelInterferenceGhost)
+        on_demand = FleetCoordinator(str(tmp_path / "winpe"),
+                                     machines).run_epoch()
+        assert on_demand.infected_machines() == []
+        assert on_demand.summary.escalated == 0
+
+        coordinator = FleetCoordinator(
+            str(tmp_path / "ris"), machines,
+            policy=EscalationPolicy(confirm_with="ris"))
+        first = coordinator.run_epoch()
+        assert first.summary.escalated == len(machines)
+        assert first.infected_machines() == ["m01"]
+        deep = next(v for v in first.verdicts if v.machine == "m01")
+        assert deep.confirmed_by == "ris"
+        assert "file:\\windows\\deepghost.exe" in deep.finding_ids
+        # The outside verdict is the stored one: the steady epoch skips
+        # m01 and keeps it infected.
+        second = coordinator.run_epoch()
+        assert second.summary.skipped == len(machines)
+        assert second.infected_machines() == ["m01"]
 
     def test_no_escalation_when_policy_disabled(self, tmp_path):
         machines = build_fleet(size=2, infected=(0,))
@@ -689,6 +734,41 @@ class TestCliAndReport:
         assert status["epochs_completed"] == 2
         assert status["open_epoch"] is None
 
+    def test_one_shot_sweep_confirms_with_ris(self, tmp_path, capsys,
+                                              monkeypatch):
+        import tempfile
+
+        from repro.__main__ import main
+
+        # The one-shot sweep's temp fleet dirs land under tmp_path.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+        assert main(["sweep", "--fleet-size", "3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # Every client is network-booted, the clean one included.
+        assert payload["epochs"][0]["escalated"] == 3
+        confirmed = [record for record in machine_records(
+            payload["fleet_dir"], epoch=1) if record["confirmed"]]
+        assert sorted(r["machine"] for r in confirmed) == [
+            "client-01", "client-02"]
+        assert all(r["confirmed_by"] == "ris" for r in confirmed)
+
+        assert main(["sweep", "--fleet-size", "3", "--delta",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [e["scanned"] for e in payload["epochs"]] == [3, 1]
+        rescanned = [r["machine"] for r in machine_records(
+            payload["fleet_dir"], epoch=2) if r["scanned"]]
+        assert rescanned == ["client-00"]
+
+        assert main(["sweep", "--fleet-size", "3", "--trace"]) == 0
+        output = capsys.readouterr().out
+        scans = [line.split("machine=")[1] for line in output.splitlines()
+                 if line.strip().startswith("fleet.scan ")]
+        assert sorted(scans) == ["client-00", "client-01", "client-02"]
+        assert "ris.netboot_scan" in output
+        assert "audit: " in output and "Aphex" in output
+
     def test_scan_report_renders_fleet_journal(self, tmp_path, capsys):
         import importlib.util
         from pathlib import Path
@@ -706,3 +786,16 @@ class TestCliAndReport:
         assert "confirmed by winpe" in output
         assert "epoch 1:" in output
         assert "m01" in output
+        # A torn line is reported on stderr and skipped.
+        journal = tmp_path / "epochs.jsonl"
+        with open(journal, "ab") as handle:
+            handle.write(b'{"type": "fleet-machine", "trunc\n')
+        assert scan_report.main([str(journal)]) == 0
+        captured = capsys.readouterr()
+        assert "epoch 1:" in captured.out
+        assert "skipping torn line" in captured.err
+        # Anything else (a retired sweep-telemetry export) is refused.
+        other = tmp_path / "sweep.jsonl"
+        other.write_text('{"type": "sweep"}\n{"type": "machine"}\n')
+        assert scan_report.main([str(other)]) == 1
+        assert "neither a fleet epochs journal" in capsys.readouterr().err

@@ -20,7 +20,8 @@ import repro.fleet.agent as agent_mod
 import repro.fleet.coordinator as coordinator_mod
 from repro.__main__ import main
 from repro.errors import TransientIoError
-from repro.fleet import FleetCoordinator, fleet_status, load_history
+from repro.fleet import (EscalationPolicy, FleetCoordinator, fleet_status,
+                         load_history)
 from repro.fleet.controller import AGENT_DEAD
 from repro.ghostware import Aphex, HackerDefender
 from repro.machine import Machine
@@ -52,18 +53,28 @@ def verdict_key(aggregate):
             for v in aggregate.verdicts}
 
 
-@pytest.fixture(scope="module")
-def reference_key(tmp_path_factory):
+def single_process_key(fleet_dir, confirm_with="winpe"):
     """The single-process ground truth for this module's fleet."""
-    fleet_dir = tmp_path_factory.mktemp("reference")
     machines = [fleet_factory(name) for name in roster()]
-    coordinator = FleetCoordinator(str(fleet_dir), machines, workers=2)
+    coordinator = FleetCoordinator(str(fleet_dir), machines, workers=2,
+                                   policy=EscalationPolicy(confirm_with))
     return verdict_key(coordinator.run_epoch())
 
 
+@pytest.fixture(scope="module")
+def reference_key(tmp_path_factory):
+    return single_process_key(tmp_path_factory.mktemp("reference"))
+
+
 class TestDistributedSweep:
-    def test_matches_single_process(self, tmp_path, reference_key):
-        coordinator = FleetCoordinator(str(tmp_path), roster(), workers=2)
+    @pytest.mark.parametrize("confirm_with", ["winpe", "ris"])
+    def test_matches_single_process(self, tmp_path, reference_key,
+                                    confirm_with):
+        expected = reference_key if confirm_with == "winpe" else \
+            single_process_key(tmp_path / "reference", confirm_with)
+        coordinator = FleetCoordinator(
+            str(tmp_path / "fleet"), roster(), workers=2,
+            policy=EscalationPolicy(confirm_with))
         # The scheduler history is folded by the controller's
         # checkpoints: after every epoch it must equal a journal replay.
         history_current = []
@@ -79,18 +90,18 @@ class TestDistributedSweep:
             2, fleet_factory, agents=2)
         assert history_current == [True, True]
         assert coordinator.history == load_history(coordinator.epochs_path)
-        assert verdict_key(aggregates[0]) == reference_key
+        assert verdict_key(aggregates[0]) == expected
         # Epoch 2: agents still hold their epoch-1 clones, so machines
         # re-leased to the same agent ride their baselines.  A machine
         # stolen by the *other* agent is rebuilt fresh (generation
         # mismatch) and deterministically rescanned — identical verdict
         # either way, so only the verdicts are exact.
-        assert verdict_key(aggregates[1]) == reference_key
+        assert verdict_key(aggregates[1]) == expected
         assert aggregates[0].summary.scanned == SIZE
         assert aggregates[1].summary.skipped >= 1
         assert (aggregates[1].summary.skipped
                 + aggregates[1].summary.scanned) == SIZE
-        status = fleet_status(str(tmp_path))
+        status = fleet_status(str(tmp_path / "fleet"))
         assert status["open_epoch"] is None
         assert set(status["agents"]) == {"agent-0", "agent-1"}
         assert all(agent["reconnects"] == 0

@@ -10,7 +10,7 @@ import pytest
 from repro.clock import SimClock
 from repro.errors import FleetError, StaleLease
 from repro.fleet.aggregator import FleetAggregator, MachineVerdict
-from repro.fleet.policy import EscalationPolicy
+from repro.fleet.policy import CONFIRM_METHODS, EscalationPolicy
 from repro.fleet.queue import WorkQueue
 from repro.fleet.scheduler import (FleetHistory, FleetScheduler,
                                    load_history, stable_shard)
@@ -241,7 +241,7 @@ class TestEscalationPolicy:
         assert not policy.should_escalate(clean)
         assert not EscalationPolicy(escalate=False).should_escalate(clean)
 
-    @pytest.mark.parametrize("method", ["winpe", "vmscan"])
+    @pytest.mark.parametrize("method", CONFIRM_METHODS)
     def test_confirm_stamps_provenance(self, method, booted):
         from repro.core.ghostbuster import GhostBuster
         from repro.ghostware import HackerDefender

@@ -400,120 +400,28 @@ def _fleet(count=5, infected=(2,)):
 
 
 class TestDeltaSweep:
-    def test_unchanged_fleet_fully_skipped(self, tmp_path):
-        machines = _fleet()
-        server = RisServer()
-        store = BaselineStore(str(tmp_path))
-        full = server.sweep(machines, mode="full", baseline_store=store)
-        delta = server.sweep(machines, mode="delta", baseline_store=store)
-        assert delta.mode == "delta"
-        assert sorted(delta.delta_skipped) == sorted(
-            machine.name for machine in machines)
-        assert delta.infected_machines == full.infected_machines
-        for name in delta.delta_skipped:
-            assert delta.reports[name].mode == "ris-delta-skip"
-            assert delta.baseline_ids[name] == \
-                store.get(name).baseline_id
-
-    def test_changed_machines_rescanned_incrementally(self, tmp_path):
-        machines = _fleet()
-        server = RisServer()
-        store = BaselineStore(str(tmp_path))
-        full = server.sweep(machines, mode="full", baseline_store=store)
-        machines[1].volume.create_file("\\Temp\\drop.txt", b"x")
-        machines[4].volume.create_file("\\Temp\\drop.txt", b"x")
-        delta = server.sweep(machines, mode="delta", baseline_store=store)
-        assert sorted(delta.delta_skipped) == \
-            ["client-0", "client-2", "client-3"]
-        assert delta.infected_machines == full.infected_machines
-        assert delta.delta_stats["journal.records_patched"] > 0
-        # The rescans advanced their baselines: a third sweep skips all.
-        third = server.sweep(machines, mode="delta", baseline_store=store)
-        assert len(third.delta_skipped) == len(machines)
-
-    def test_findings_identical_to_full_resweep(self, tmp_path):
-        machines = _fleet(count=4, infected=(1,))
-        server = RisServer()
-        store = BaselineStore(str(tmp_path))
-        server.sweep(machines, mode="full", baseline_store=store)
-        machines[3].volume.create_file("\\Temp\\evil.bin", b"z")
-        delta = server.sweep(machines, mode="delta", baseline_store=store)
-        full = server.sweep(machines, mode="full")
-        assert delta.infected_machines == full.infected_machines
-        for name, report in full.reports.items():
-            delta_ids = sorted(str(f.entry.identity)
-                               for f in delta.reports[name].findings)
-            full_ids = sorted(str(f.entry.identity)
-                              for f in report.findings)
-            assert delta_ids == full_ids
-
-    def test_dispatch_orders_longest_scan_first(self, tmp_path,
-                                                monkeypatch):
-        machines = _fleet(count=4, infected=())
-        store = BaselineStore(str(tmp_path))
-        server = RisServer()
-        server.sweep(machines, mode="full", baseline_store=store)
-        # Rewrite timings (at a stale generation, so everyone rescans)
-        # making client-2 historically slowest; client-0 loses its
-        # baseline entirely → unknown cost → dispatched first of all.
-        for name, seconds in (("client-1", 1.0), ("client-2", 9.0),
-                              ("client-3", 3.0)):
-            baseline = store.get(name)
-            store.put(name, baseline.rehydrate(), 0, scan_seconds=seconds)
-        store._baselines.pop("client-0")
-        order = []
-        original = RisServer.network_boot_scan
-
-        def recording(self, machine, **kwargs):
-            order.append(machine.name)
-            return original(self, machine, **kwargs)
-
-        monkeypatch.setattr(RisServer, "network_boot_scan", recording)
-        server.sweep(machines, mode="delta", baseline_store=store)
-        assert order == ["client-0", "client-2", "client-3", "client-1"]
-
-    def test_results_keep_input_order(self, tmp_path):
-        machines = _fleet(count=4, infected=())
-        store = BaselineStore(str(tmp_path))
-        server = RisServer()
-        result = server.sweep(machines, mode="delta", baseline_store=store)
-        assert list(result.reports) == [m.name for m in machines]
-
     def test_error_machine_keeps_old_baseline(self, tmp_path):
         from repro.faults.plan import (FaultPlan, FaultSpec,
                                        SITE_RIS_TRANSPORT)
-        machines = _fleet(count=3, infected=())
-        store = BaselineStore(str(tmp_path))
-        RisServer().sweep(machines, mode="full", baseline_store=store)
-        old = store.get("client-1").baseline_id
+        from repro.fleet import EscalationPolicy, FleetCoordinator
+
+        machines = _fleet(count=3, infected=(1,))
+        seeded = FleetCoordinator(str(tmp_path), machines,
+                                  policy=EscalationPolicy("ris"))
+        assert seeded.run_epoch().infected_machines() == ["client-1"]
+        old = seeded.store.get("client-1").baseline_id
         machines[1].volume.create_file("\\Temp\\touch.txt", b"x")
+        # The same fleet dir again, now with every network boot dying.
         plan = FaultPlan(seed=7, specs=(
             FaultSpec(SITE_RIS_TRANSPORT, mode="always",
                       kinds=("machine_death",), mean_delay_s=0.0,
                       scopes=("client-1",)),))
-        result = RisServer(fault_plan=plan, max_retries=1).sweep(
-            machines, mode="delta", baseline_store=store)
-        assert "client-1" in result.quarantined
+        coordinator = FleetCoordinator(
+            str(tmp_path), machines,
+            policy=EscalationPolicy("ris", fault_plan=plan))
+        delta = coordinator.run_epoch()
+        failed = next(v for v in delta.verdicts if v.machine == "client-1")
+        assert failed.verdict == "error"
+        assert failed.error.startswith("MachineUnavailable")
         # The failed rescan must not overwrite the last good baseline.
-        assert store.get("client-1").baseline_id == old
-
-    def test_mode_validation(self, tmp_path):
-        machines = _fleet(count=1, infected=())
-        server = RisServer()
-        with pytest.raises(ValueError):
-            server.sweep(machines, mode="delta")
-        with pytest.raises(ValueError):
-            server.sweep(machines, mode="weekly")
-
-    def test_health_jsonl_carries_delta_provenance(self, tmp_path):
-        machines = _fleet(count=3, infected=(0,))
-        store = BaselineStore(str(tmp_path))
-        server = RisServer()
-        server.sweep(machines, mode="full", baseline_store=store)
-        machines[2].volume.create_file("\\Temp\\x.txt", b"x")
-        delta = server.sweep(machines, mode="delta", baseline_store=store,
-                             collect_telemetry=True)
-        jsonl = delta.health.to_jsonl()
-        assert '"type": "delta"' in jsonl
-        assert delta.health.delta["skipped"] == ["client-0", "client-1"]
-        assert "client-2" not in delta.health.delta["skipped"]
+        assert coordinator.store.get("client-1").baseline_id == old

@@ -16,7 +16,7 @@ import pytest
 from repro.telemetry.journal_io import (JournalLine, append_journal,
                                         head_digest, iter_journal,
                                         read_grouped, read_journal,
-                                        read_record_at)
+                                        read_record_at, replace_journal)
 
 
 def write_lines(path, lines):
@@ -153,6 +153,82 @@ class TestGrouped:
         assert [r["n"] for r in grouped["unknown"]] == [2]
 
 
+class TestReplaceJournal:
+    """Every compaction rewrites through one path that makes the rename
+    itself durable: the directory is fsynced after ``os.replace``."""
+
+    @staticmethod
+    def compact_baselines(directory):
+        from repro.core.baseline import BaselineStore
+        from repro.core.diff import DetectionReport
+
+        store = BaselineStore(directory)
+        for generation in (1, 2):
+            store.put("m0", DetectionReport("m0", mode="inside"), generation)
+        store.compact()
+        return store.path
+
+    @staticmethod
+    def compact_queue(directory):
+        from repro.fleet import WorkQueue
+
+        queue = WorkQueue(directory)
+        queue.open_epoch(1, {"m0": 0})
+        queue.ack(queue.lease(0), verdict="clean")
+        queue.close_epoch()
+        queue.compact()
+        return queue.path
+
+    @staticmethod
+    def compact_index(directory):
+        from repro.console.index import JournalIndex
+
+        path = os.path.join(directory, "epochs.jsonl")
+        for epoch in (1, 2, 3):
+            append_journal(path, {"type": "epoch-start", "epoch": epoch,
+                                  "machines": 1})
+            append_journal(path, {"type": "fleet-machine", "epoch": epoch,
+                                  "machine": "m0", "verdict": "clean"})
+        index = JournalIndex(directory)
+        index.compact(retain_epochs=1)
+        index.close()
+        return path
+
+    @pytest.mark.parametrize("compact", ["compact_baselines",
+                                         "compact_queue", "compact_index"])
+    def test_compaction_fsyncs_directory_after_replace(
+            self, tmp_path, monkeypatch, compact):
+        import stat
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.basename(dst)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        journal = getattr(self, compact)(str(tmp_path))
+
+        renamed = events.index(("replace", os.path.basename(journal)))
+        assert ("fsync", True) in events[renamed + 1:]
+        assert not [name for name in os.listdir(tmp_path)
+                    if name.endswith(".tmp")]
+
+    def test_rewrite_bytes_and_count(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        append_journal(path, {"n": 0})
+        assert replace_journal(path, (json.dumps({"n": n})
+                                      for n in (1, 2))) == 2
+        with open(path, "rb") as handle:
+            assert handle.read() == b'{"n": 1}\n{"n": 2}\n'
+
+
 class TestConsumersShareTornTailBehavior:
     """One torn tail, three consumers, identical shrug."""
 
@@ -189,15 +265,18 @@ class TestConsumersShareTornTailBehavior:
             lease.machine}
 
     def test_telemetry_load_jsonl_survives_torn_tail(self, tmp_path):
-        from repro.telemetry.health import load_jsonl
-
+        # Telemetry exports (span JSONL) load grouped by type; a torn
+        # line is reported to the caller and costs only itself.
         path = str(tmp_path / "t.jsonl")
         append_journal(path, {"type": "span", "name": "scan"})
         with open(path, "ab") as handle:
-            handle.write(b'{"type": "span", "trunc')
-        with pytest.warns(UserWarning, match="skipping malformed"):
-            grouped = load_jsonl(path)
-        assert [r["name"] for r in grouped["span"]] == ["scan"]
+            handle.write(b'{"type": "span", "trunc\n')
+        append_journal(path, {"type": "span", "name": "diff"})
+        torn = []
+        grouped = read_grouped(path, on_torn=lambda line_no, reason:
+                               torn.append(line_no))
+        assert [r["name"] for r in grouped["span"]] == ["scan", "diff"]
+        assert torn == [2]
 
     def test_scheduler_history_survives_torn_tail(self, tmp_path):
         from repro.fleet.scheduler import load_history

@@ -1,4 +1,4 @@
-"""Telemetry through the scan stack: spans, audit attribution, health.
+"""Telemetry through the scan stack: spans, audit attribution, epochs.
 
 The acceptance scenario from the issue: a Hacker Defender detection run
 with tracing enabled must produce a span tree and an audit log that
@@ -7,19 +7,15 @@ key, and process — and the metrics snapshot must show nonzero cache hit
 counters after a warm scan.
 """
 
-import json
-
 import pytest
 
 from repro.core.ghostbuster import GhostBuster
-from repro.core.risboot import RisServer
 from repro.machine import Machine
 from repro.ghostware import (FuRootkit, HackerDefender, HideFoldersXP,
                              Vanquish)
 from repro.registry.hive_parser import clear_hive_cache
 from repro.telemetry import Telemetry
 from repro.telemetry.audit import NO_INTERPOSITION
-from repro.telemetry.health import load_jsonl
 from repro.telemetry.metrics import global_metrics, reset_global_metrics
 
 
@@ -192,129 +188,64 @@ class TestAuditCompleteness:
             ["IRP:enumerate_directory"]
 
 
-# -- fleet health over the parallel sweep -------------------------------------
+# -- a traced fleet epoch ------------------------------------------------------
 
 
-class TestFleetHealth:
+class TestTracedFleetEpoch:
+    """One coordinator epoch under ``Telemetry.enabled``: every scan and
+    network boot joins the epoch's bundle (RIS boots every machine)."""
 
-    def make_fleet(self, size=4, infected=(1,)):
+    def traced_epoch(self, tmp_path, size=4, infected=(1,)):
+        from repro.fleet import EscalationPolicy, FleetCoordinator
+
         fleet = []
         for index in range(size):
             machine = booted_machine(f"client-{index}")
             if index in infected:
                 HackerDefender().install(machine)
             fleet.append(machine)
-        return fleet
+        telemetry = Telemetry.enabled()
+        coordinator = FleetCoordinator(str(tmp_path), fleet,
+                                       policy=EscalationPolicy("ris"))
+        with telemetry.activate():
+            epoch = coordinator.run_epoch()
+        return telemetry, epoch
 
-    def test_parallel_sweep_confines_spans_per_machine(self):
-        fleet = self.make_fleet(size=4)
-        result = RisServer().sweep(fleet, max_workers=4,
-                                   collect_telemetry=True)
-        health = result.health
-        assert health is not None
-        assert len(health.machines) == 4
-        for machine_health in health.machines:
-            spans = machine_health.spans
-            assert spans, machine_health.machine
-            roots = [span for span in spans
-                     if span["parent_id"] is None]
-            assert len(roots) == 1
-            assert roots[0]["name"] == "ris.netboot_scan"
-            # every span in this machine's tree names this machine or
-            # is a child of its root — no cross-thread contamination
-            assert roots[0]["attrs"]["machine"] == machine_health.machine
-            ids = {span["span_id"] for span in spans}
-            for span in spans:
-                if span["parent_id"] is not None:
-                    assert span["parent_id"] in ids
+    def test_epoch_confines_spans_per_machine(self, tmp_path):
+        telemetry, __ = self.traced_epoch(tmp_path)
+        spans = [span.to_dict() for span in telemetry.tracer.spans()]
+        by_id = {span["span_id"]: span for span in spans}
 
-    def test_findings_match_serial_and_health_flags_infected(self):
-        serial_fleet = self.make_fleet(size=4)
-        parallel_fleet = self.make_fleet(size=4)
-        server = RisServer()
-        serial = server.sweep(serial_fleet, max_workers=1)
-        parallel = server.sweep(parallel_fleet, max_workers=4,
-                                collect_telemetry=True)
-        assert serial.infected_machines == parallel.infected_machines
-        assert parallel.health.infected() == parallel.infected_machines
-        infected = parallel.health.machine("client-1")
-        assert infected.status == "INFECTED"
-        assert infected.interposed_apis
-        clean = parallel.health.machine("client-0")
-        assert clean.status == "clean"
-        assert clean.audit_events == []
+        def owner(span):
+            """The machine of the nearest fleet.scan/escalate ancestor."""
+            while span is not None:
+                if span["name"] in ("fleet.scan", "fleet.escalate"):
+                    return span["attrs"]["machine"]
+                span = by_id.get(span["parent_id"])
+            return None
 
-    def test_error_taxonomy_and_slowest(self):
-        fleet = self.make_fleet(size=3, infected=())
+        scans = [span for span in spans if span["name"] == "fleet.scan"]
+        assert sorted(span["attrs"]["machine"] for span in scans) == [
+            f"client-{index}" for index in range(4)]
+        escalations = [span for span in spans
+                       if span["name"] == "fleet.escalate"]
+        assert sorted(span["attrs"]["machine"] for span in escalations) \
+            == [f"client-{index}" for index in range(4)]
+        # Every span that names a machine sits in that machine's
+        # subtree — no scan leaks into another machine's tree.
+        for span in spans:
+            machine = span["attrs"].get("machine")
+            if machine is not None and owner(span) is not None:
+                assert owner(span) == machine, span["name"]
+        names = {span["name"] for span in spans}
+        assert {"ghostbuster.inside_scan", "ris.netboot_scan",
+                "ghostbuster.outside_scan"} <= names
 
-        class Exploding:
-            name = "boom-client"
-            clock = fleet[0].clock
-
-        server = RisServer()
-
-        original = server.network_boot_scan
-
-        def failing(machine, **kwargs):
-            if machine.name == "client-2":
-                raise RuntimeError("PXE timeout")
-            return original(machine, **kwargs)
-
-        server.network_boot_scan = failing
-        result = server.sweep(fleet, max_workers=2,
-                              collect_telemetry=True)
-        assert result.errors == {"client-2": "RuntimeError: PXE timeout"}
-        taxonomy = result.health.error_taxonomy()
-        assert taxonomy == {"RuntimeError": 1}
-        assert result.health.machine("client-2").status == "ERROR"
-        slowest = result.health.slowest(count=2)
-        assert len(slowest) == 2
-        assert slowest[0][1] >= slowest[1][1]
-
-    def test_machine_seconds_histogram_observed(self):
-        fleet = self.make_fleet(size=2, infected=())
-        RisServer().sweep(fleet, max_workers=2, collect_telemetry=True)
-        histograms = global_metrics().snapshot()["histograms"]
-        assert histograms["ris.sweep.machine_seconds"]["count"] == 2
-
-    def test_jsonl_roundtrip(self, tmp_path):
-        fleet = self.make_fleet(size=2)
-        result = RisServer().sweep(fleet, max_workers=2,
-                                   collect_telemetry=True)
-        path = tmp_path / "sweep.jsonl"
-        result.health.write_jsonl(path)
-        records = load_jsonl(path)
-        assert len(records["machine"]) == 2
-        assert records["sweep"][0]["machines"] == 2
-        assert records["span"]
-        assert records["audit"]   # client-1 is infected
-        assert "counters" in records["metrics"][0]
-        for line in path.read_text().splitlines():
-            json.loads(line)   # every line is standalone JSON
-
-    def test_truncated_jsonl_line_skipped_with_warning(self, tmp_path):
-        # A writer that died mid-record leaves a torn final line; the
-        # loader must keep every intact record and warn, not crash.
-        fleet = self.make_fleet(size=2)
-        result = RisServer().sweep(fleet, max_workers=1,
-                                   collect_telemetry=True)
-        path = tmp_path / "sweep.jsonl"
-        result.health.write_jsonl(path)
-        intact = load_jsonl(path)
-
-        lines = path.read_text().splitlines()
-        lines.insert(1, '{"type": "machine", "mach')   # torn record
-        path.write_text("\n".join(lines) + "\n")
-
-        with pytest.warns(UserWarning, match="malformed telemetry"):
-            torn = load_jsonl(path)
-        assert len(torn["machine"]) == len(intact["machine"])
-        assert torn["sweep"] == intact["sweep"]
-
-    def test_sweep_without_telemetry_has_no_health(self):
-        fleet = self.make_fleet(size=2, infected=())
-        result = RisServer().sweep(fleet, max_workers=2)
-        assert result.health is None
+    def test_epoch_audit_names_the_installed_ghost(self, tmp_path):
+        telemetry, epoch = self.traced_epoch(tmp_path)
+        assert epoch.infected_machines() == ["client-1"]
+        assert len(telemetry.audit) > 0
+        assert telemetry.audit.owners() == ["Hacker Defender 1.0"]
 
 
 # -- scan-level counters ------------------------------------------------------
