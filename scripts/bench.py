@@ -1,149 +1,73 @@
 #!/usr/bin/env python3
-"""Substrate hot-path benchmark: the trajectory future PRs must beat.
+"""The research-claim bench: one table of experiments over one harness.
 
-Measures the hot paths and writes the timings to ``BENCH_PR10.json``:
+``fleetbench/`` times the production fleet paths end to end.  This
+bench gates the paper's claims fleetbench does not cover: cross-view
+detection survives injected faults, the outside-the-box confirmation
+never boots a clean machine, delta rescans convict on the same evidence
+as full ones, and sampling keeps recall because persistent ghostware
+must hook an ASEP and ASEPs are never sampled.
 
-1. **raw MFT parse (cold)** — one full namespace parse of a 1000-file
-   disk with every cache cleared;
-2. **repeated ``read_file_content``** — N content reads through one
-   parser, against a faithful emulation of the pre-caching code (a full
-   MFT re-parse per lookup);
-3. **raw ASEP scan (multi-hive)** — repeated low-level registry scans,
-   against the pre-caching behaviour (full MFT re-parse per hive file
-   plus an unmemoized hive parse per scan);
-4. **10k-entry cross-view diff** — the detection engine's inner loop;
-5. **telemetry overhead** — the repeated-read loop with the default
-   no-op telemetry vs a fully nulled-out registry, gating the cost of
-   the (inactive) instrumentation at <= 5%;
-6. **chaos sweep** — one RIS coordinator epoch (every machine
-   network-booted) over a cloned fleet fault-free and one over an
-   identical clone under a 5% deterministic fault plan, gating that
-   recall is unchanged (same verdicts, confirmations, inside and
-   outside finding identities, no outside layer lost), no machine gets
-   an error verdict (a quarantine is one), and the plan actually fired;
-7. **delta rescan** — the low-level truth re-derivation (full MFT
-   namespace plus every raw hive parse) on a 1000-file machine, cold vs
-   warm after K small mutations, where the warm arm repairs its caches
-   through the change journal instead of re-walking the volume — gated
-   at >= 10x with byte-identical findings;
-8. **delta fleet sweep** — a coordinator's delta epoch over the
-   50-machine fleet with 3 machines changed since its seed epoch, vs a
-   full rescan by a fresh coordinator — gated at >= 5x with identical
-   verdicts, and every unchanged machine skipped;
-9. **fleet epoch** — a checkpointed :mod:`repro.fleet` coordinator
-    epoch over the 50-machine fleet: the seed epoch scans everything,
-    the steady-state epoch rides the baselines — gated at >= 5x over a
-    naive serial full sweep;
-10. **fleet escalation** — a twelve-strain fleet (one corpus member per
-    machine plus clean controls) run through the inside→outside
-    escalation policy — gated at precision 1.0 (no clean machine ever
-    pays for a confirmation boot) with ``confirmed_by`` provenance on
-    every confirmed detection;
-11. **cold zero-copy parse** — one cold MFT+hive truth derivation at
-    Machine-default scale (65536 MFT slots) through the flat backend's
-    batched ``memoryview`` walk, against the seed's per-record read
-    loop — gated at >= 5x with an identical parsed namespace and
-    byte-identical detection reports;
-12. **memory ceiling** — machines-per-GB of a copy-on-write fleet
-    (every clone sharing one sealed golden extent) vs deep-copied
-    clones — gated at >= 4x density with element-identical coordinator
-    epoch verdicts after clone-divergence writes;
-13. **console query** — per-machine point lookups against a
-    50-machine x 20-epoch journal, answered through the console's
-    sidecar :class:`~repro.console.index.JournalIndex` (p50/p95) vs a
-    full journal replay per lookup — gated at >= 10x on the median
-    with record-identical answers and an index ``fleet_status`` that
-    matches the replayed one;
-14. **index overhead** — the steady-state fleet epoch re-run with the
-    coordinator's write-time index hooks enabled vs disabled — gated
-    at <= 5% added wall clock (the console must be free to leave on);
-15. **distributed sweep** — the parse-heavy corpus swept by
-    ``run_distributed`` (a controller plus forked scan-agent
-    processes) vs the single-process coordinator at equal worker
-    count: the GIL serializes in-process parse workers, the agent
-    processes do not — gated at >= 2x on hosts with >= 4 cores (a
-    single-core host can only time-slice the agents, so there the gate
-    is bounded overhead instead), always with element-identical
-    verdicts and finding identities, plus a partition-chaos arm (5% of
-    wire frames dropped/delayed/duplicated/torn) that must lose zero
-    machines and change zero verdicts.
-
-16. **sampled sweep** — a 200-machine profiled fleet under a seeded
-    HackerDefender infection wave, swept in full and then with the
-    stratified :class:`~repro.workloads.sampling.SamplingPolicy` at
-    three file-sampling rates; steady-state (post-cold-start)
-    simulated scan-seconds and measured recall against the planted
-    ground truth form the recall-vs-cost curve — gated at an
-    operating point with >= 5x reduction at recall >= 0.95 (the ASEP
-    stratum is never sampled, which is the paper's persistence
-    argument doing the recall work);
-17. **trace replay** — a recorded 20-machine sweep trace replayed on
-    both disk backends — gated on element-identical verdicts and
-    byte-identical ``epochs.jsonl`` journals across the backends.
-
-``--fleet-soak`` ignores the benchmarks and instead runs the CI soak:
-N epochs over a fleet under a deterministic fault plan, gating that no
-machine is ever lost (every epoch yields a verdict for every machine).
-
-``--distributed-soak`` is the distributed-mode counterpart: N epochs
-over the fleet with forked agents, one of which ``kill -9``s itself
-mid-lease in the first epoch — gated on element-identical verdicts vs
-an uninterrupted single-process reference and zero lost machines.
-
-Every cached benchmark also reports the cache hit/miss counters the
-telemetry registry recorded while it ran, so the JSON shows *why* the
-cached numbers are fast, not just that they are.
+Each :class:`Experiment` row in :data:`EXPERIMENTS` is one claim; its
+run function's docstring says why the experiment exists.
 
 Run:  PYTHONPATH=src python scripts/bench.py [--smoke] [--out FILE]
                                              [--telemetry-out DIR]
 
-``--telemetry-out DIR`` additionally runs a traced 3-machine
-coordinator epoch and writes its ``epochs.jsonl``, ``spans.jsonl`` and
-``metrics_snapshot.json`` there (CI uploads them as artifacts).
-
-``--workload-replay`` runs only the CI workload-replay smoke: record a
-2-epoch x 20-machine trace, replay it twice, and gate element-identical
-verdicts plus identical trace and journal digests.  ``--trace FILE``
-records that reference workload's trace to FILE and exits;
-``--replay FILE`` replays an existing trace and prints its digests and
-verdict summary.
-
-``--smoke`` shrinks every profile for CI (no speedup gates, no default
-output file); the full run enforces the PR-1 acceptance floors and
-fails loudly if a regression drops below them.
+Without a mode flag every row with smoke sizes runs; a mode flag
+(``--fleet-soak``, ``--distributed-soak``, ``--workload-replay``,
+``--stealth-campaign``) runs its one row at full size.  JSON is written
+only with ``--out``: one key per row, the mode and the failed gates.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
+import os
+import shutil
 import statistics
 import sys
 import tempfile
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Optional, Tuple, Union
+from unittest import mock
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
 from repro.core import GhostBuster                          # noqa: E402
-from repro.core.diff import DetectionReport, cross_view_diff  # noqa: E402
-from repro.core.scanners.registry import low_level_asep_scan  # noqa: E402
-from repro.core.snapshot import (FileEntry, ResourceType,     # noqa: E402
-                                 ScanSnapshot)
+from repro.core.baseline import BaselineStore               # noqa: E402
 from repro.disk import Disk, DiskGeometry                   # noqa: E402
-from repro.fleet import clone_fleet, fleet_storage_stats    # noqa: E402
-from repro.ghostware import HackerDefender                  # noqa: E402
+from repro.faults import context as faults_context          # noqa: E402
+from repro.faults.plan import FaultPlan                     # noqa: E402
+from repro.fleet import (AGENT_DEAD, EscalationPolicy,      # noqa: E402
+                         FleetCoordinator, fleet_status,
+                         fleet_storage_stats, load_history)
+from repro.fleet.scheduler import recent_write_probe        # noqa: E402
+from repro.ghostware import (AdsGhost, FuRootkit,           # noqa: E402
+                             HackerDefender)
 from repro.machine import HIVE_FILES, Machine               # noqa: E402
 from repro.ntfs import MftParser, NtfsVolume                # noqa: E402
 from repro.registry import hive_parser                      # noqa: E402
+from repro.telemetry import Telemetry                       # noqa: E402
 from repro.telemetry.metrics import (NullMetrics,           # noqa: E402
                                      global_metrics,
                                      reset_global_metrics,
                                      set_global_metrics)
-from repro.workloads import populate_machine                # noqa: E402
+from repro.workloads import (STRAINS, FleetProfile,         # noqa: E402
+                             FleetWorkload, InfectionWave, SamplingPolicy,
+                             populate_machine, record_sweep, replay_sweep,
+                             verdict_key)
+from scan_report import render_stealth_curve                # noqa: E402
 
-OUT_DEFAULT = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
+# Seed and rate of every injected-fault plan: disk, parser and wire.
+FAULT_SEED = 2026
+FAULT_RATE = 0.05
 
 
 def clear_caches(*disks) -> None:
@@ -152,28 +76,43 @@ def clear_caches(*disks) -> None:
         disk.raw_cache.clear()
 
 
+def clocked(action):
+    """``action()``'s result and its wall-clock seconds."""
+    started = time.perf_counter()
+    return action(), time.perf_counter() - started
+
+
 def timed(action, repeat: int = 3) -> float:
     """Best-of-N wall-clock seconds for ``action()``."""
-    samples = []
-    for __ in range(repeat):
-        start = time.perf_counter()
-        action()
-        samples.append(time.perf_counter() - start)
-    return min(samples)
+    return min(clocked(action)[1] for __ in range(repeat))
 
 
-def cache_counters() -> dict:
-    """The registry's cache hit/miss counters, for bench attribution."""
-    counters = global_metrics().snapshot()["counters"]
-    return {name: counters[name] for name in sorted(counters)
-            if "cache" in name or "memo" in name}
+def paired_ratio(first, second, pairs: int, settle=None):
+    """Median over adjacent pairs of ``first() / second()`` timings, and
+    each arm's fastest sample.
+
+    Adjacent samples see the same machine-wide drift (page cache, CPU
+    frequency, growing journals), so their ratio cancels it; the lead
+    alternates, so each pair's leftovers penalize both arms alike; the
+    median drops spike-corrupted pairs that a min-of-N cannot.
+    ``settle`` runs after every pair.
+    """
+    samples = ([], [])
+    for pair in range(pairs):
+        arms = [(samples[0], first), (samples[1], second)]
+        for bucket, measure in (arms[::-1] if pair % 2 else arms):
+            bucket.append(measure())
+        if settle is not None:
+            settle()
+    ratio = statistics.median(a / b for a, b in zip(*samples))
+    return ratio, min(samples[0]), min(samples[1])
 
 
-def delta_counters() -> dict:
-    """The journal / bin-delta repair counters, for bench attribution."""
-    counters = global_metrics().snapshot()["counters"]
-    return {name: counters[name] for name in sorted(counters)
-            if name.startswith(("journal.", "hive.delta."))}
+@contextlib.contextmanager
+def temp_coordinator(machines, **kwargs):
+    """A :class:`FleetCoordinator` over a throwaway fleet directory."""
+    with tempfile.TemporaryDirectory(prefix="gb-bench-") as tmp:
+        yield FleetCoordinator(tmp, machines, **kwargs)
 
 
 def finding_identities(report) -> str:
@@ -183,18 +122,6 @@ def finding_identities(report) -> str:
         for f in report.findings if not f.is_noise))
 
 
-# -- profiles -----------------------------------------------------------------
-
-
-def populated_disk(file_count: int) -> Disk:
-    disk = Disk(DiskGeometry.from_megabytes(256))
-    volume = NtfsVolume.format(disk, max_records=file_count * 2 + 64)
-    volume.create_directories("\\data")
-    for index in range(file_count):
-        volume.create_file(f"\\data\\file{index:05d}.bin", b"x" * 100)
-    return disk
-
-
 def golden_machine(file_count: int) -> Machine:
     machine = Machine("golden", disk_mb=512, max_records=8192)
     populate_machine(machine, file_count=file_count, registry_scale=200,
@@ -202,171 +129,111 @@ def golden_machine(file_count: int) -> Machine:
     return machine
 
 
-def cloned_fleet(golden: Machine, count: int, infected=()):
-    return clone_fleet(golden, count, infected=infected,
-                       infect=lambda machine:
-                       HackerDefender().install(machine),
-                       max_records=8192)
+def clone_factory(golden: Machine, count: int, infected=None):
+    """A by-name factory of booted ``golden`` clones, and its roster.
+
+    ``fleet-NN`` is clone NN, with HackerDefender if NN is ``infected``
+    (default: three, spread out).  The distributed arms ship names and
+    each forked agent rebuilds the clone the single-process arm holds
+    (``fork`` shares the golden image copy-on-write, so clones are cheap).
+    """
+    if infected is None:
+        infected = range(0, count, max(1, count // 3))[:3]
+    infected = frozenset(infected)
+
+    def factory(name):
+        machine = Machine(name, disk=golden.disk.clone(), max_records=8192)
+        machine.boot()
+        if int(name.rsplit("-", 1)[1]) in infected:
+            HackerDefender().install(machine)
+        return machine
+
+    return factory, [f"fleet-{index:02d}" for index in range(count)]
 
 
-def ris_policy(fault_plan=None):
+def cloned_fleet(golden: Machine, count: int, infected=None) -> list:
+    factory, roster = clone_factory(golden, count, infected)
+    return [factory(name) for name in roster]
+
+
+class OutsideRecorder(EscalationPolicy):
     """A RIS policy that keeps each machine's latest network-boot
-    outcome in ``policy.outside``, for the identity gates."""
-    from repro.fleet import EscalationPolicy
+    outcome, for the identity gates."""
 
-    class OutsideRecorder(EscalationPolicy):
-        def __init__(self):
-            super().__init__("ris", fault_plan=fault_plan)
-            self.outside = {}
+    def __init__(self, fault_plan=None):
+        super().__init__("ris", fault_plan=fault_plan)
+        self.outside = {}
 
-        def confirm(self, machine, inside_report):
-            outcome = super().confirm(machine, inside_report)
-            self.outside[machine.name] = outcome
-            return outcome
+    def confirm(self, machine, inside_report):
+        outcome = super().confirm(machine, inside_report)
+        self.outside[machine.name] = outcome
+        return outcome
 
-    return OutsideRecorder()
+    def identities(self, aggregate) -> list:
+        """Per machine: verdict, confirmation, inside finding ids, and
+        the network boot's outside finding ids and completeness."""
+        def outside(name):
+            outcome = self.outside.get(name)
+            return (None if outcome is None else
+                    (outcome.finding_ids, outcome.outside_report.is_complete))
+
+        return sorted((v.machine, v.verdict, v.confirmed_by, v.finding_ids,
+                       outside(v.machine)) for v in aggregate.verdicts)
 
 
 def ris_epoch(fleet, workers: int, fault_plan=None):
-    """One RIS coordinator epoch in a throwaway fleet dir.
+    """One RIS coordinator epoch in a throwaway fleet dir: its aggregate,
+    its wall-clock seconds and the :class:`OutsideRecorder` that ran it."""
+    policy = OutsideRecorder(fault_plan)
+    with temp_coordinator(fleet, workers=workers, fault_plan=fault_plan,
+                          policy=policy) as coordinator:
+        return (*clocked(coordinator.run_epoch), policy)
 
-    Returns the epoch's aggregate, its wall-clock seconds and the
-    :func:`ris_policy` that ran it.
+
+def fleet_verdict_key(aggregate) -> dict:
+    """Element identity for a fleet epoch, finding identities included."""
+    return {v.machine: (v.verdict, v.findings, v.confirmed,
+                        v.confirmed_by, tuple(sorted(v.finding_ids)))
+            for v in aggregate.verdicts}
+
+
+def checkpoint_on_disk(coordinator, aggregate) -> list:
+    """Failures of the checkpoint read back from the fleet directory.
+
+    Every non-error verdict of ``aggregate`` must name the baseline the
+    reopened store holds for its machine, and a replay of the epochs
+    journal must plan from the live coordinator's history.
     """
-    from repro.fleet import FleetCoordinator
-
-    policy = ris_policy(fault_plan)
-    with tempfile.TemporaryDirectory(prefix="gb-bench-epoch-") as tmp:
-        coordinator = FleetCoordinator(tmp, fleet, workers=workers,
-                                       fault_plan=fault_plan, policy=policy)
-        started = time.perf_counter()
-        aggregate = coordinator.run_epoch()
-        return aggregate, time.perf_counter() - started, policy
-
-
-def verdict_identities(aggregate, policy) -> list:
-    """Per machine: verdict, confirmation, inside finding identities,
-    and the network boot's outside finding identities and completeness."""
-    def outside(name):
-        outcome = policy.outside.get(name)
-        return (None if outcome is None else
-                (outcome.finding_ids, outcome.outside_report.is_complete))
-
-    return sorted((v.machine, v.verdict, v.confirmed_by, v.finding_ids,
-                   outside(v.machine))
-                  for v in aggregate.verdicts)
-
-
-# -- hot paths ----------------------------------------------------------------
-
-
-def bench_raw_mft_parse(file_count: int) -> float:
-    disk = populated_disk(file_count)
-
-    def cold_parse():
-        clear_caches(disk)
-        entries = MftParser(disk.read_bytes).parse()
-        assert len(entries) == file_count + 1
-
-    return timed(cold_parse)
-
-
-def bench_read_file_content(file_count: int, reads: int) -> dict:
-    disk = populated_disk(file_count)
-    paths = [f"\\data\\file{i:05d}.bin" for i in range(reads)]
-
-    def legacy():
-        # Pre-caching behaviour: find_by_path fully re-parsed the MFT on
-        # every call; emulated with a cache-cleared fresh parser per read.
-        for path in paths:
-            clear_caches(disk)
-            assert MftParser(disk.read_bytes).read_file_content(path)
-
-    def cached():
-        clear_caches(disk)
-        parser = MftParser(disk.read_bytes)
-        for path in paths:
-            assert parser.read_file_content(path)
-
-    legacy_s = timed(legacy, repeat=1)
-    reset_global_metrics()
-    cached_s = timed(cached)
-    return {"legacy_s": legacy_s, "cached_s": cached_s,
-            "speedup": legacy_s / cached_s,
-            "cache_counters": cache_counters()}
-
-
-def bench_raw_asep_scan(file_count: int, scans: int) -> dict:
-    machine = golden_machine(file_count)
-    machine.boot()
-    port = machine.kernel.disk_port
-
-    def legacy_once():
-        # Pre-caching RawHiveReader: one full MFT parse per hive file
-        # (find_by_path scanned the whole namespace) and an unmemoized
-        # hive parse per scan.
-        for hive_file in HIVE_FILES.values():
-            clear_caches(machine.disk)
-            blob = MftParser(port.read_bytes).read_file_content(hive_file)
-            hive_parser.HiveParser(blob).parse()
-
-    def legacy():
-        for __ in range(scans):
-            legacy_once()
-
-    def cached():
-        clear_caches(machine.disk)
-        for __ in range(scans):
-            low_level_asep_scan(machine)
-
-    legacy_s = timed(legacy, repeat=1)
-    reset_global_metrics()
-    cached_s = timed(cached)
-    return {"legacy_s": legacy_s, "cached_s": cached_s,
-            "speedup": legacy_s / cached_s,
-            "cache_counters": cache_counters()}
-
-
-def bench_diff_10k(entry_count: int) -> float:
-    def snapshot(view, count, offset=0):
-        entries = [FileEntry(f"\\f{i + offset}", f"f{i + offset}", False, 0)
-                   for i in range(count)]
-        return ScanSnapshot(ResourceType.FILE, view=view, entries=entries)
-
-    lie = snapshot("lie", entry_count)
-    truth = snapshot("truth", entry_count, offset=5)
-
-    def diff_and_merge():
-        report = DetectionReport("bench", mode="inside")
-        for __ in range(5):
-            report.add_findings(cross_view_diff(lie, truth))
-        assert len(report.findings) == 5
-
-    return timed(diff_and_merge)
+    store = BaselineStore(coordinator.fleet_dir)
+    failures = []
+    for verdict in aggregate.verdicts:
+        if verdict.verdict == "error":
+            continue
+        stored_id = getattr(store.get(verdict.machine), "baseline_id", None)
+        if stored_id != verdict.baseline_id:
+            failures.append(f"{verdict.machine}: verdict names baseline "
+                            f"{verdict.baseline_id}, store holds "
+                            f"{stored_id}")
+    if load_history(coordinator.epochs_path) != coordinator.history:
+        failures.append("epochs.jsonl replays to a different scheduler "
+                        "history than the live coordinator's")
+    return failures
 
 
 def bench_telemetry_overhead(file_count: int, reads: int) -> dict:
-    """Cost of inactive instrumentation on the repeated-reads benchmark.
+    """Cost of inactive instrumentation on a repeated-reads loop.
 
-    ``default``: the shipped configuration — no-op tracer (no telemetry
-    context activated) and the real global :class:`MetricsRegistry`
-    taking counter increments.  ``nulled``: every telemetry call swapped
-    for a pure no-op via :class:`NullMetrics`.  The measured loop is the
-    same shape as the ``read_file_content`` benchmark's cached arm: one
-    cold namespace parse, then N reads through the same parser.
-
-    ``warm_read_overhead_ns`` additionally reports the absolute per-read
-    cost on an already-warm parser (a counter increment plus a memo
-    lookup; sub-microsecond).  That synthetic worst case is
-    informational — the gate applies to the benchmark loop, where a
-    single scan's real work amortizes it.
-
-    Samples for the two arms are interleaved (default, nulled, default,
-    ...) so that slow drift on a shared CI runner biases both arms
-    equally instead of landing wholly on whichever ran second; each
-    arm's figure is the min of its samples.
+    The default arm is the shipped configuration: no telemetry context
+    active, the real global metrics registry taking counter increments.
+    The nulled arm swaps in :class:`NullMetrics`.  The loop (one cold
+    namespace parse, then N reads) is a scan's real work, which must
+    amortize the counters to <= 5%.
     """
-    disk = populated_disk(file_count)
+    disk = Disk(DiskGeometry.from_megabytes(256))
+    volume = NtfsVolume.format(disk, max_records=file_count * 2 + 64)
+    volume.create_directories("\\data")
+    for index in range(file_count):
+        volume.create_file(f"\\data\\file{index:05d}.bin", b"x" * 100)
     paths = [f"\\data\\file{i % file_count:05d}.bin" for i in range(reads)]
 
     def loop():
@@ -375,99 +242,49 @@ def bench_telemetry_overhead(file_count: int, reads: int) -> dict:
         for path in paths:
             assert parser.read_file_content(path)
 
-    def warm_loop(parser):
-        for path in paths:
-            assert parser.read_file_content(path)
-
-    def nulled(action):
+    def nulled_loop_s():
         previous = set_global_metrics(NullMetrics())
         try:
-            return action()
+            return timed(loop, repeat=1)
         finally:
             set_global_metrics(previous)
 
     loop()   # first call primes interpreter-level state for both arms
-    # The warm parsers resolve their counter handles at construction, so
-    # each arm needs one built under its own registry.
-    default_warm = MftParser(disk.read_bytes)
-    default_warm.read_file_content(paths[0])
-    nulled_warm = nulled(lambda: MftParser(disk.read_bytes))
-    nulled_warm.read_file_content(paths[0])
-    default_samples, nulled_samples = [], []
-    default_warm_samples, nulled_warm_samples = [], []
     gc_was_enabled = gc.isenabled()
     gc.disable()   # collector pauses dwarf the per-read delta under test
     try:
-        for round_no in range(10):
-            arms = [
-                (default_samples, lambda: timed(loop, repeat=1)),
-                (nulled_samples, lambda: nulled(
-                    lambda: timed(loop, repeat=1))),
-                (default_warm_samples,
-                 lambda: timed(lambda: warm_loop(default_warm), repeat=1)),
-                (nulled_warm_samples, lambda: nulled(
-                    lambda: timed(lambda: warm_loop(nulled_warm),
-                                  repeat=1))),
-            ]
-            # Alternate which arm leads so any state left by the
-            # preceding collect() penalizes both arms equally.
-            if round_no % 2:
-                arms.reverse()
-            for samples, measure in arms:
-                samples.append(measure())
-            gc.collect()
+        ratio, default_s, nulled_s = paired_ratio(
+            lambda: timed(loop, repeat=1), nulled_loop_s, pairs=10,
+            settle=gc.collect)
     finally:
         if gc_was_enabled:
             gc.enable()
-    default_s = min(default_samples)
-    nulled_s = min(nulled_samples)
-    # Each round's two arm samples are adjacent in time, so their ratio
-    # cancels drift; the median across rounds discards spike-corrupted
-    # pairs that a min-of-N over independent arms cannot.
-    overhead = statistics.median(
-        d / n - 1.0 for d, n in zip(default_samples, nulled_samples))
-    warm_delta_ns = statistics.median(
-        d - n for d, n in zip(default_warm_samples,
-                              nulled_warm_samples)) / len(paths) * 1e9
     return {"default_s": default_s, "nulled_s": nulled_s,
-            "overhead_pct": round(overhead * 100.0, 3),
-            "warm_read_overhead_ns": round(warm_delta_ns, 1)}
+            "overhead_pct": round((ratio - 1.0) * 100.0, 3)}
 
 
-def bench_chaos_sweep(fleet_size: int, workers: int, file_count: int,
-                      rate: float = 0.05, seed: int = 2026) -> dict:
-    """Recall under chaos: the PR-3 acceptance sweep.
-
-    Two identically cloned fleets each run one RIS coordinator epoch,
-    network-booting every machine — fault-free, then with a
-    deterministic :class:`FaultPlan` firing at ``rate`` across every
-    instrumented site — and the two epochs must convict exactly the
-    same machines on exactly the same inside and outside evidence, with
-    zero error verdicts (a quarantine is one).
+def bench_chaos_sweep(fleet_size: int, workers: int,
+                      file_count: int) -> dict:
+    """Recall under chaos: two identically cloned fleets each run one RIS
+    coordinator epoch, network-booting every machine, fault-free and
+    then under a deterministic 5% :class:`FaultPlan` at every
+    instrumented site.  Both must convict the same machines on the same
+    inside and outside evidence, with zero error verdicts (a quarantine
+    is one).
     """
-    from repro.faults.plan import FaultPlan
-
     golden = golden_machine(file_count)
-    infected = tuple(range(0, fleet_size, max(1, fleet_size // 3)))[:3]
-
     baseline, baseline_s, baseline_policy = ris_epoch(
-        cloned_fleet(golden, fleet_size, infected), workers)
-    plan = FaultPlan.default(seed=seed, rate=rate)
+        cloned_fleet(golden, fleet_size), workers)
+    plan = FaultPlan.default(seed=FAULT_SEED, rate=FAULT_RATE)
     chaotic, chaos_s, chaos_policy = ris_epoch(
-        cloned_fleet(golden, fleet_size, infected), workers,
-        fault_plan=plan)
-
+        cloned_fleet(golden, fleet_size), workers, fault_plan=plan)
     return {
-        "fleet_size": fleet_size,
-        "fault_rate": rate,
-        "seed": seed,
         "faults_fired": plan.fired_count(),
         "fault_sites": sorted({f.site for f in plan.fired()}),
         "sequence_digest": plan.sequence_digest(),
-        "baseline_infected": baseline.infected_machines(),
-        "chaos_infected": chaotic.infected_machines(),
-        "recall_unchanged": (verdict_identities(baseline, baseline_policy)
-                             == verdict_identities(chaotic, chaos_policy)),
+        "infected": chaotic.infected_machines(),
+        "recall_unchanged": (baseline_policy.identities(baseline)
+                             == chaos_policy.identities(chaotic)),
         "errors": {v.machine: v.error for v in chaotic.verdicts
                    if v.verdict == "error"},
         "baseline_wall_s": baseline_s,
@@ -480,27 +297,24 @@ def bench_delta_rescan(file_count: int, mutations: int) -> dict:
 
     The cold arm is what every rescan paid before the change journal: a
     full MFT namespace parse plus a cold parse of every registry hive.
-    The warm arm applies ``mutations`` small changes per round (file
-    create, content rewrite, ADS add, one registry value edit, filler
-    creates) and re-derives the same truth through the journal-patch /
-    bin-delta path.  Both arms then run a full inside detection at the
-    same disk state and their findings must serialize identically.
+    The warm arm applies ``mutations`` small changes per round and
+    re-derives the same truth through the journal-patch / bin-delta
+    path.  Both arms then run a full inside detection at the same disk
+    state and their findings must serialize identically.
     """
     machine = golden_machine(file_count)
     machine.boot()
     HackerDefender().install(machine)
     machine.registry.create_key("HKLM\\SOFTWARE\\BenchDelta")
-    disk = machine.disk
     port = machine.kernel.disk_port
 
     def derive_truth():
         # The low-level truth re-derivation a scan's cache miss pays:
         # the full MFT namespace plus every raw hive parse off it.
         parser = MftParser(port.read_bytes)
-        entries = parser.parse()
+        parser.parse()
         for hive_file in HIVE_FILES.values():
             hive_parser.parse_hive(parser.read_file_content(hive_file))
-        return entries
 
     def mutate(round_no: int) -> None:
         volume = machine.volume
@@ -513,12 +327,7 @@ def bench_delta_rescan(file_count: int, mutations: int) -> dict:
         for extra in range(max(0, mutations - 4)):
             volume.create_file(f"{base}-extra{extra}.bin", b"x")
 
-    def cold():
-        clear_caches(disk)
-        derive_truth()
-
-    cold_s = timed(cold)
-
+    cold_s = timed(lambda: (clear_caches(machine.disk), derive_truth()))
     reset_global_metrics()
     derive_truth()              # warm the caches at the current generation
     warm_samples = []
@@ -526,20 +335,19 @@ def bench_delta_rescan(file_count: int, mutations: int) -> dict:
         mutate(round_no)
         warm_samples.append(timed(derive_truth, repeat=1))
     warm_s = min(warm_samples)
-
     warm_report = GhostBuster(machine).detect()
-    clear_caches(disk)
+    clear_caches(machine.disk)
     cold_report = GhostBuster(machine).detect()
-    identical = (finding_identities(warm_report)
-                 == finding_identities(cold_report))
+    counters = global_metrics().snapshot()["counters"]
     return {
-        "file_count": file_count,
-        "mutations_per_round": mutations,
         "cold_s": cold_s,
         "warm_delta_s": warm_s,
         "speedup": cold_s / warm_s,
-        "findings_identical": identical,
-        "delta_counters": delta_counters(),
+        "findings_identical": (finding_identities(warm_report)
+                               == finding_identities(cold_report)),
+        # The journal / bin-delta repair counters: why warm is fast.
+        "delta_counters": {name: counters[name] for name in sorted(counters)
+                           if name.startswith(("journal.", "hive.delta."))},
     }
 
 
@@ -551,21 +359,15 @@ def bench_delta_sweep(fleet_size: int, workers: int, file_count: int,
     ``changed`` machines then receive one small write each, and the
     next epoch — which must skip every unchanged machine — is timed
     against a full rescan of the same fleet by a fresh coordinator with
-    no baselines.  Both network-boot every machine they scan (RIS).
+    no baselines.  Both network-boot every machine they scan (RIS), so
+    at smoke size (3 of 6 machines changed) the ratio is only ~2.6x;
+    the >= 5x floor is for the 50-machine fleet.
     """
-    from repro.fleet import FleetCoordinator
-
-    golden = golden_machine(file_count)
-    infected = tuple(range(0, fleet_size, max(1, fleet_size // 3)))[:3]
-    fleet = cloned_fleet(golden, fleet_size, infected)
-
-    policy = ris_policy()
-    with tempfile.TemporaryDirectory(prefix="gb-bench-delta-") as tmp:
-        coordinator = FleetCoordinator(tmp, fleet, workers=workers,
-                                       policy=policy)
-        started = time.perf_counter()
-        coordinator.run_epoch()
-        seed_s = time.perf_counter() - started
+    fleet = cloned_fleet(golden_machine(file_count), fleet_size)
+    policy = OutsideRecorder()
+    with temp_coordinator(fleet, workers=workers,
+                          policy=policy) as coordinator:
+        __, seed_s = clocked(coordinator.run_epoch)
         step = max(1, fleet_size // max(1, changed))
         changed_names = []
         for index in range(changed):
@@ -574,109 +376,37 @@ def bench_delta_sweep(fleet_size: int, workers: int, file_count: int,
                 f"\\Temp\\delta-{machine.name}.bin", b"delta payload")
             changed_names.append(machine.name)
         patched_before = global_metrics().counter("journal.records_patched")
-        started = time.perf_counter()
-        delta = coordinator.run_epoch()
-        delta_s = time.perf_counter() - started
+        delta, delta_s = clocked(coordinator.run_epoch)
         patched = (global_metrics().counter("journal.records_patched")
                    - patched_before)
     full, full_s, full_policy = ris_epoch(fleet, workers)
-
     return {
-        "fleet_size": fleet_size,
-        "workers": workers,
         "changed_machines": changed_names,
         "seed_epoch_s": seed_s,
         "delta_s": delta_s,
         "full_s": full_s,
         "speedup": full_s / delta_s,
         "skipped": delta.summary.skipped,
-        "rescanned": delta.summary.scanned,
-        "infected_identical":
-            delta.infected_machines() == full.infected_machines(),
-        "findings_identical":
-            (verdict_identities(delta, policy)
-             == verdict_identities(full, full_policy)),
-        "infected_machines": delta.infected_machines(),
+        "findings_identical": (policy.identities(delta)
+                               == full_policy.identities(full)),
+        "infected": delta.infected_machines(),
         "records_patched": patched,
     }
 
 
-def bench_fleet_epoch(fleet_size: int, file_count: int,
-                      workers: int) -> dict:
-    """Checkpointed fleet epochs vs a naive serial full sweep.
-
-    The naive arm scans every machine with a fresh
-    :class:`GhostBuster`, serially, every time — the cost an epoch
-    would pay with no baselines, no delta skips, no queue.  The
-    coordinator arm seeds its baselines in epoch 1 and then runs a
-    steady-state epoch 2 in which every unchanged machine rides its
-    stored verdict.  The steady-state epoch is the service's recurring
-    cost and must be >= 5x cheaper than the naive sweep.
-    """
-    from repro.fleet import FleetCoordinator
-
-    golden = golden_machine(file_count)
-    infected = tuple(range(0, fleet_size, max(1, fleet_size // 3)))[:3]
-
-    naive_fleet = cloned_fleet(golden, fleet_size, infected)
-
-    def naive_sweep():
-        for machine in naive_fleet:
-            GhostBuster(machine, advanced=True).inside_scan(
-                resources=("files", "registry"))
-
-    naive_s = timed(naive_sweep, repeat=1)
-
-    fleet = cloned_fleet(golden, fleet_size, infected)
-    with tempfile.TemporaryDirectory(prefix="gb-bench-fleet-") as tmp:
-        coordinator = FleetCoordinator(tmp, fleet, workers=workers,
-                                       compact_every=2)
-        started = time.perf_counter()
-        seeded = coordinator.run_epoch()
-        seed_s = time.perf_counter() - started
-        started = time.perf_counter()
-        steady = coordinator.run_epoch()
-        steady_s = time.perf_counter() - started
-
-    return {
-        "fleet_size": fleet_size,
-        "workers": workers,
-        "naive_serial_s": naive_s,
-        "seed_epoch_s": seed_s,
-        "steady_epoch_s": steady_s,
-        "speedup": naive_s / steady_s,
-        "seed_summary": seeded.summary.to_dict(),
-        "steady_summary": steady.summary.to_dict(),
-        "steady_all_skipped":
-            steady.summary.skipped == steady.summary.machines,
-        "verdicts_stable": ({v.machine: v.verdict for v in seeded.verdicts}
-                            == {v.machine: v.verdict
-                                for v in steady.verdicts}),
-    }
-
-
-def bench_fleet_escalation(file_count: int, clean_controls: int = 4,
-                           strains: int = 12) -> dict:
+def bench_fleet_escalation(file_count: int, strains: int) -> dict:
     """Escalation precision over the twelve-strain corpus.
 
-    One corpus member per machine, plus ``clean_controls`` uninfected
-    machines.  Every machine whose inside scan finds something pays for
-    an outside-the-box confirmation; precision 1.0 means no clean
-    machine ever escalated (the paper's cost model only works if the
-    expensive tier is reserved for real suspects).
+    One corpus member per machine, plus four uninfected machines.
+    Every machine whose inside scan finds something pays for an
+    outside-the-box confirmation; precision 1.0 means no clean machine
+    ever escalated (the paper's cost model only works if the expensive
+    tier is reserved for real suspects).
     """
-    from repro.fleet import EscalationPolicy, FleetCoordinator
-    from repro.ghostware import (AdsGhost, Aphex, Berbew, CmCallbackGhost,
-                                 FuRootkit, Mersting, NamingExploitGhost,
-                                 ProBotSE, RegistryNamingGhost, Urbin,
-                                 Vanquish)
-
-    corpus = (HackerDefender, Urbin, Mersting, Vanquish, Aphex, ProBotSE,
-              Berbew, NamingExploitGhost, RegistryNamingGhost,
-              CmCallbackGhost, AdsGhost, FuRootkit)[:max(1, strains)]
-    golden = golden_machine(file_count)
-    fleet = cloned_fleet(golden, len(corpus) + clean_controls)
-    infected_names = []
+    corpus = (*STRAINS.values(), AdsGhost, FuRootkit)[:max(1, strains)]
+    fleet = cloned_fleet(golden_machine(file_count), len(corpus) + 4,
+                         infected=())
+    infected = []
     for machine, ghost_cls in zip(fleet, corpus):
         ghost = ghost_cls()
         ghost.install(machine)
@@ -684,106 +414,87 @@ def bench_fleet_escalation(file_count: int, clean_controls: int = 4,
             victim = machine.start_process("\\Windows\\explorer.exe",
                                            name="dkom_victim.exe")
             ghost.hide_process(machine, victim.pid)
-        infected_names.append(machine.name)
+        infected.append(machine.name)
 
-    with tempfile.TemporaryDirectory(prefix="gb-bench-escal-") as tmp:
-        coordinator = FleetCoordinator(
-            tmp, fleet, workers=2,
+    with temp_coordinator(
+            fleet, workers=2,
             policy=EscalationPolicy(confirm_with="winpe"),
-            resources=("files", "registry", "processes"))
+            resources=("files", "registry", "processes")) as coordinator:
         aggregate = coordinator.run_epoch()
-
     escalated = sorted(v.machine for v in aggregate.verdicts
                        if v.escalated)
-    confirmed = sorted(v.machine for v in aggregate.verdicts
-                       if v.confirmed)
-    true_escalations = [name for name in escalated
-                        if name in infected_names]
-    precision = (len(true_escalations) / len(escalated)
-                 if escalated else 0.0)
-    provenance_ok = all(v.confirmed_by == "winpe"
-                        for v in aggregate.verdicts if v.confirmed)
+    true_escalations = [name for name in escalated if name in infected]
     return {
-        "strains": len(corpus),
-        "clean_controls": clean_controls,
-        "infected": infected_names,
+        "infected": infected,
         "escalated": escalated,
-        "confirmed": confirmed,
-        "precision": precision,
-        "recall": len(true_escalations) / len(infected_names),
-        "confirmed_by_provenance_ok": provenance_ok,
+        "confirmed": sorted(v.machine for v in aggregate.verdicts
+                            if v.confirmed),
+        "precision": (len(true_escalations) / len(escalated)
+                      if escalated else 0.0),
+        "recall": len(true_escalations) / len(infected),
+        "confirmed_by_provenance_ok": all(
+            v.confirmed_by == "winpe"
+            for v in aggregate.verdicts if v.confirmed),
         "summary": aggregate.summary.to_dict(),
     }
 
 
 def bench_cold_parse_zero_copy(file_count: int) -> dict:
-    """Batched zero-copy cold parse vs the seed's per-record read loop.
+    """Batched zero-copy cold parse vs the per-record read loop.
 
-    Two machines are built identically at Machine defaults — a 512 MB
-    disk whose MFT zone holds 65536 record slots — one on each backend.
-    The legacy arm parses through a bare read callable, which the parser
-    cannot resolve to a disk, so it issues one ``read_bytes`` round-trip
-    per record slot (the seed behaviour on the seed backend).  The
-    zero-copy arm parses the flat-backed twin through the disk itself:
-    one batched region view, ``struct.unpack_from`` all the way down.
-    Both arms finish with cold parses of every registry hive, so the
-    figure is the full truth re-derivation a cache miss pays.
+    Two machines are built identically at Machine defaults (65536 MFT
+    record slots), one on each backend.  The legacy arm parses the
+    sparse twin through a bare read callable, which the parser cannot
+    resolve to a disk, so it issues one ``read_bytes`` round-trip per
+    record slot.  That loop is still production: the parser falls back
+    to it whenever a read filter or fault injector is attached, so the
+    "namespace identical" gate is the only check that the batched
+    region walk equals it.  The zero-copy arm parses the flat twin
+    through the disk itself: one batched region view,
+    ``struct.unpack_from`` all the way down.  Both arms finish with cold
+    parses of every registry hive, so the figure is the full truth
+    re-derivation a cache miss pays.
     """
-    def build(backend: str) -> Machine:
-        machine = Machine("zc-" + backend,
-                          disk=Disk(DiskGeometry.from_megabytes(512),
-                                    backend=backend))
-        populate_machine(machine, file_count=file_count,
+    machines = {}
+    for backend in ("sparse", "flat"):
+        machines[backend] = Machine(
+            "zc-" + backend,
+            disk=Disk(DiskGeometry.from_megabytes(512), backend=backend))
+        populate_machine(machines[backend], file_count=file_count,
                          registry_scale=200, seed=7)
-        return machine
+    legacy_disk, zero_disk = machines["sparse"].disk, machines["flat"].disk
 
-    legacy_machine = build("sparse")
-    zero_machine = build("flat")
-    legacy_disk = legacy_machine.disk
-    zero_disk = zero_machine.disk
+    def parser(legacy: bool) -> MftParser:
+        return (MftParser(lambda offset, length:
+                          legacy_disk.read_bytes(offset, length))
+                if legacy else MftParser(zero_disk.read_bytes))
 
-    def cold_derivation(parser) -> None:
-        parser.parse()
+    def cold_derivation(legacy: bool) -> None:
+        clear_caches(legacy_disk if legacy else zero_disk)
+        cold = parser(legacy)
+        cold.parse()
         for hive_file in HIVE_FILES.values():
-            hive_parser.parse_hive(parser.read_file_content(hive_file))
-
-    def legacy_cold():
-        clear_caches(legacy_disk)
-        cold_derivation(MftParser(
-            lambda offset, length: legacy_disk.read_bytes(offset, length)))
-
-    def zero_copy_cold():
-        clear_caches(zero_disk)
-        cold_derivation(MftParser(zero_disk.read_bytes))
+            hive_parser.parse_hive(cold.read_file_content(hive_file))
 
     # Best-of-7: the zero-copy arm is tens of milliseconds, so scheduler
     # jitter dominates best-of-3 on a busy runner.
-    legacy_s = timed(legacy_cold, repeat=7)
-    zero_s = timed(zero_copy_cold, repeat=7)
-
-    by_record = (lambda item: item.record_no)
-    legacy_parsed = sorted(MftParser(
-        lambda offset, length: legacy_disk.read_bytes(offset, length)
-    ).parse(), key=by_record)
-    zero_parsed = sorted(MftParser(zero_disk.read_bytes).parse(),
-                         key=by_record)
-    namespace_identical = legacy_parsed == zero_parsed
-
-    for machine in (legacy_machine, zero_machine):
+    legacy_s = timed(lambda: cold_derivation(True), repeat=7)
+    zero_s = timed(lambda: cold_derivation(False), repeat=7)
+    namespace_identical = (
+        sorted(parser(True).parse(), key=lambda item: item.record_no)
+        == sorted(parser(False).parse(), key=lambda item: item.record_no))
+    for machine in machines.values():
         machine.boot()
         HackerDefender().install(machine)
-    reports_identical = (
-        finding_identities(GhostBuster(legacy_machine).detect())
-        == finding_identities(GhostBuster(zero_machine).detect()))
-
     return {
-        "file_count": file_count,
-        "mft_slots": zero_machine.volume.max_records,
+        "mft_slots": machines["flat"].volume.max_records,
         "legacy_cold_s": legacy_s,
         "zero_copy_cold_s": zero_s,
         "speedup": legacy_s / zero_s,
         "namespace_identical": namespace_identical,
-        "reports_identical": reports_identical,
+        "reports_identical": (
+            finding_identities(GhostBuster(machines["sparse"]).detect())
+            == finding_identities(GhostBuster(machines["flat"]).detect())),
     }
 
 
@@ -791,172 +502,49 @@ def bench_memory_ceiling(fleet_size: int, file_count: int) -> dict:
     """Machines-per-GB: COW fleet vs deep-copied clones, same verdicts.
 
     Both fleets are imaged from identically built goldens (one per
-    backend), infect the same indices, and diverge the same two clean
-    clones with private writes.  Physical cost is
-    :func:`fleet_storage_stats` — on the flat backend every clone
-    shares one sealed golden extent and pays only its divergence, on
-    the sparse backend every clone deep-copies the sector dict.  One
-    coordinator epoch over each fleet must convict the same machines on
-    the same evidence.
+    backend) and diverge the same two clean clones with private writes.
+    On the flat backend every clone shares one sealed golden extent and
+    pays only its divergence; on the sparse backend every clone
+    deep-copies the sector dict.  One coordinator epoch over each fleet
+    must convict the same machines on the same evidence.
     """
-    def build(backend: str) -> Machine:
-        machine = Machine("ceil-" + backend,
-                          disk=Disk(DiskGeometry.from_megabytes(512),
-                                    backend=backend),
-                          max_records=8192)
+    def provision(backend: str):
+        golden = Machine("ceil-" + backend,
+                         disk=Disk(DiskGeometry.from_megabytes(512),
+                                   backend=backend),
+                         max_records=8192)
         # A content-heavy golden image and modest hives: every clone's
         # unavoidable divergence is its registry remount, so the density
         # a COW fleet can reach is golden footprint over hive churn.
-        populate_machine(machine, file_count=file_count,
+        populate_machine(golden, file_count=file_count,
                          registry_scale=20, seed=7)
         for index in range(file_count):
-            machine.volume.create_file(
+            golden.volume.create_file(
                 f"\\Program Files\\image{index:04d}.bin",
                 bytes([index % 251]) * 4096)
-        return machine
-
-    infected = tuple(range(0, fleet_size, max(1, fleet_size // 3)))[:3]
-
-    def provision(golden: Machine):
-        fleet = clone_fleet(golden, fleet_size, infected=infected,
-                            infect=lambda machine:
-                            HackerDefender().install(machine))
+        fleet = cloned_fleet(golden, fleet_size)
         for machine in fleet[1:3]:
             machine.volume.create_file(
                 f"\\Temp\\diverge-{machine.name}.bin", b"D" * 4096)
         return fleet
 
-    cow_fleet = provision(build("flat"))
+    cow_fleet = provision("flat")
     cow = fleet_storage_stats(cow_fleet)
-    deep_fleet = provision(build("sparse"))
+    deep_fleet = provision("sparse")
     deep = fleet_storage_stats(deep_fleet)
-
-    gb = float(1 << 30)
-    cow_per_gb = fleet_size / (cow["total_bytes"] / gb)
-    deep_per_gb = fleet_size / (deep["total_bytes"] / gb)
-
+    cow_per_gb = fleet_size / (cow["total_bytes"] / float(1 << 30))
+    deep_per_gb = fleet_size / (deep["total_bytes"] / float(1 << 30))
     cow_epoch, __, cow_policy = ris_epoch(cow_fleet, workers=4)
     deep_epoch, __, deep_policy = ris_epoch(deep_fleet, workers=4)
-
     return {
-        "fleet_size": fleet_size,
-        "file_count": file_count,
         "cow_stats": cow,
         "deep_copy_stats": deep,
         "cow_machines_per_gb": cow_per_gb,
         "deep_copy_machines_per_gb": deep_per_gb,
         "density_ratio": cow_per_gb / deep_per_gb,
-        "infected_machines": cow_epoch.infected_machines(),
-        "verdicts_identical": verdict_identities(cow_epoch, cow_policy)
-        == verdict_identities(deep_epoch, deep_policy),
-    }
-
-
-def bench_console_query(fleet_size: int, epochs: int,
-                        lookups: int) -> dict:
-    """Console point lookups: sidecar index vs full journal replay.
-
-    A synthetic coordinator-shaped journal (``fleet_size`` machines x
-    ``epochs`` epochs of verdicts, summaries, and a few outbreaks) is
-    queried for "machine X's latest full verdict record".  The indexed
-    arm pays one no-op :meth:`JournalIndex.update` (the O(changes)
-    staleness check a live console pays per request) plus an in-memory
-    map hit plus one ``seek`` for the record bytes; the replay arm
-    re-reads the whole journal per lookup, which is what
-    ``fleet_status`` and every pre-console reader did.  Both arms must
-    return byte-identical records, and the indexed ``fleet_status``
-    document must equal the replayed one.
-    """
-    from repro.console import JournalIndex, fleet_status_from_index
-    from repro.fleet import fleet_status
-    from repro.telemetry.journal_io import append_journal, iter_journal
-
-    def percentile(samples, fraction):
-        ranked = sorted(samples)
-        return ranked[min(len(ranked) - 1,
-                          int(fraction * (len(ranked) - 1)))]
-
-    machines = [f"cq-{index:03d}" for index in range(fleet_size)]
-    with tempfile.TemporaryDirectory(prefix="gb-bench-console-") as tmp:
-        epochs_path = str(Path(tmp) / "epochs.jsonl")
-        clock = 0.0
-        for epoch in range(1, epochs + 1):
-            clock += 1.0
-            append_journal(epochs_path, {
-                "type": "epoch-start", "epoch": epoch, "at": clock,
-                "machines": machines})
-            for number, name in enumerate(machines):
-                clock += 0.01
-                infected = (number + epoch) % 7 == 0
-                append_journal(epochs_path, {
-                    "type": "fleet-machine", "epoch": epoch,
-                    "machine": name,
-                    "verdict": "infected" if infected else "clean",
-                    "findings": 2 if infected else 0,
-                    "scanned": True, "skipped": False,
-                    "escalated": infected,
-                    "finding_ids": (["file:hxdef100.exe"]
-                                    if infected else []),
-                    "scan_seconds": 0.25, "at": clock})
-            if epoch % 5 == 0:
-                append_journal(epochs_path, {
-                    "type": "fleet-outbreak", "epoch": epoch,
-                    "identity": "file:hxdef100.exe",
-                    "machines": machines[:3], "threshold": 3,
-                    "at": clock})
-            append_journal(epochs_path, {
-                "type": "epoch-end", "epoch": epoch, "at": clock,
-                "machines": fleet_size, "infected": fleet_size // 7})
-
-        journal_bytes = Path(epochs_path).stat().st_size
-        index = JournalIndex(tmp)
-        started = time.perf_counter()
-        index.update()
-        build_s = time.perf_counter() - started
-
-        def indexed_lookup(name):
-            index.update()   # the per-request staleness check, no-op
-            history = index.machine_history(name)
-            return index.machine_record(history[-1])
-
-        def replay_lookup(name):
-            latest = None
-            for line in iter_journal(epochs_path):
-                if (line.record.get("type") == "fleet-machine"
-                        and line.record.get("machine") == name):
-                    latest = line.record
-            return latest
-
-        targets = [machines[i % fleet_size] for i in range(lookups)]
-        identical = True
-        indexed_samples, replay_samples = [], []
-        for name in targets:
-            started = time.perf_counter()
-            indexed = indexed_lookup(name)
-            indexed_samples.append(time.perf_counter() - started)
-            started = time.perf_counter()
-            replayed = replay_lookup(name)
-            replay_samples.append(time.perf_counter() - started)
-            identical = identical and indexed == replayed
-
-        status_identical = (fleet_status_from_index(tmp, index=index)
-                            == fleet_status(tmp))
-
-    indexed_p50 = percentile(indexed_samples, 0.50)
-    replay_p50 = percentile(replay_samples, 0.50)
-    return {
-        "fleet_size": fleet_size,
-        "epochs": epochs,
-        "lookups": lookups,
-        "journal_bytes": journal_bytes,
-        "index_build_s": build_s,
-        "indexed_p50_us": indexed_p50 * 1e6,
-        "indexed_p95_us": percentile(indexed_samples, 0.95) * 1e6,
-        "replay_p50_us": replay_p50 * 1e6,
-        "replay_p95_us": percentile(replay_samples, 0.95) * 1e6,
-        "speedup": replay_p50 / indexed_p50,
-        "answers_identical": identical,
-        "status_identical": status_identical,
+        "infected": cow_epoch.infected_machines(),
+        "verdicts_identical": (cow_policy.identities(cow_epoch)
+                               == deep_policy.identities(deep_epoch)),
     }
 
 
@@ -964,83 +552,27 @@ def bench_index_overhead(fleet_size: int, file_count: int,
                          workers: int) -> dict:
     """Write-time index maintenance cost on the steady fleet epoch.
 
-    Two identical fleets run a seed epoch each (hooks on / hooks off),
-    then their steady-state epochs — the service's recurring cost — are
-    sampled in *paired interleaved rounds* (off then on, repeatedly)
-    and the overhead is the **median of the per-round ratios**: pairing
-    cancels machine-wide drift (page cache, CPU frequency, growing
-    journals slow both arms alike), and the median resists the rare
-    epochs where the index flushes its batched sidecar lines.  The
-    hooks fold one in-memory entry per journal record, which must stay
-    within 5% of the epoch's wall clock or the console stops being
-    free to leave enabled.
+    Two identical fleets (hooks on / hooks off) run a seed and a warm-up
+    epoch; then their steady epochs, the service's recurring cost, are
+    timed in :func:`paired_ratio` pairs, whose median also resists the
+    rare epochs where the index flushes its batched sidecar lines.  The
+    hooks fold one in-memory entry per journal record and must stay
+    within 5%, or the console stops being free to leave enabled.
     """
-    from repro.fleet import FleetCoordinator
-
     golden = golden_machine(file_count)
-    infected = tuple(range(0, fleet_size, max(1, fleet_size // 3)))[:3]
-
-    def steady_epoch_s(coordinator) -> float:
-        started = time.perf_counter()
-        coordinator.run_epoch()
-        return time.perf_counter() - started
-
-    with tempfile.TemporaryDirectory(prefix="gb-bench-idx-off-") as off_dir, \
-            tempfile.TemporaryDirectory(prefix="gb-bench-idx-on-") as on_dir:
-        off = FleetCoordinator(off_dir,
-                               cloned_fleet(golden, fleet_size, infected),
-                               workers=workers, console_index=False)
-        on = FleetCoordinator(on_dir,
-                              cloned_fleet(golden, fleet_size, infected),
-                              workers=workers, console_index=True)
+    with temp_coordinator(cloned_fleet(golden, fleet_size),
+                          workers=workers, console_index=False) as off, \
+            temp_coordinator(cloned_fleet(golden, fleet_size),
+                             workers=workers, console_index=True) as on:
         for __ in range(2):       # seed epoch, then one warm-up each
             off.run_epoch()
             on.run_epoch()
-        without_samples, with_samples, ratios = [], [], []
-        for __ in range(11):
-            without_s = steady_epoch_s(off)
-            with_s = steady_epoch_s(on)
-            without_samples.append(without_s)
-            with_samples.append(with_s)
-            ratios.append(with_s / without_s)
-
-    median_ratio = sorted(ratios)[len(ratios) // 2]
-    return {
-        "fleet_size": fleet_size,
-        "rounds": len(ratios),
-        "steady_without_index_s": min(without_samples),
-        "steady_with_index_s": min(with_samples),
-        "overhead_pct": round((median_ratio - 1.0) * 100.0, 2),
-    }
-
-
-def _fleet_clone_factory(golden, infected, max_records=8192):
-    """A by-name machine factory matching :func:`cloned_fleet`'s output.
-
-    Used by the distributed arms: the roster travels as ``fleet-NN``
-    names and each forked agent rebuilds exactly the clone the
-    single-process arm holds (``fork`` shares the golden image
-    copy-on-write, so per-agent clones stay cheap).
-    """
-    infected = frozenset(infected)
-
-    def factory(name):
-        index = int(name.rsplit("-", 1)[1])
-        machine = Machine(name, disk=golden.disk.clone(),
-                          max_records=max_records)
-        machine.boot()
-        if index in infected:
-            HackerDefender().install(machine)
-        return machine
-
-    return factory
-
-
-def _fleet_verdict_key(aggregate) -> dict:
-    """Element identity for a fleet epoch, finding identities included."""
-    return {v.machine: (v.verdict, v.findings, v.confirmed,
-                        v.confirmed_by, tuple(sorted(v.finding_ids)))
-            for v in aggregate.verdicts}
+        ratio, with_s, without_s = paired_ratio(
+            lambda: clocked(on.run_epoch)[1],
+            lambda: clocked(off.run_epoch)[1], pairs=11)
+    return {"steady_without_index_s": without_s,
+            "steady_with_index_s": with_s,
+            "overhead_pct": round((ratio - 1.0) * 100.0, 2)}
 
 
 def bench_distributed_sweep(fleet_size: int, file_count: int,
@@ -1053,219 +585,117 @@ def bench_distributed_sweep(fleet_size: int, file_count: int,
     serializes on the parse-heavy corpus; the distributed arm runs
     ``agents`` forked processes against the wire controller.  A third
     arm repeats the distributed run under 5% transport chaos and must
-    change nothing.
-
-    The >= 2x speedup gate only makes sense with cores to parallelize
-    onto: on a single-core host (CI containers, typically) forked
-    agents time-slice one CPU and the wire is pure overhead, so the
-    gate degrades to a bounded-overhead check.  ``cpu_count`` rides in
-    the result so the report stays honest about which was applied.
+    change nothing.  ``cpu_count`` rides in the result, because the
+    >= 2x floor needs cores to parallelize onto.
     """
-    import os as _os
-
-    from repro.fleet import FleetCoordinator
-
     golden = golden_machine(file_count)
-    infected = tuple(range(0, fleet_size, max(1, fleet_size // 3)))[:3]
-    factory = _fleet_clone_factory(golden, infected)
-    roster = [f"fleet-{index:02d}" for index in range(fleet_size)]
-
-    with tempfile.TemporaryDirectory(prefix="gb-bench-dist-sp-") as tmp:
-        started = time.perf_counter()
-        single = FleetCoordinator(
-            tmp, cloned_fleet(golden, fleet_size, infected),
-            workers=agents).run_epoch()
+    factory, roster = clone_factory(golden, fleet_size)
+    started = time.perf_counter()
+    with temp_coordinator(cloned_fleet(golden, fleet_size),
+                          workers=agents) as coordinator:
+        single = coordinator.run_epoch()
         single_s = time.perf_counter() - started
-
-    with tempfile.TemporaryDirectory(prefix="gb-bench-dist-mp-") as tmp:
-        started = time.perf_counter()
-        distributed = FleetCoordinator(
-            tmp, roster, workers=agents).run_distributed(
-                1, factory, agents=agents)[0]
+    started = time.perf_counter()
+    with temp_coordinator(roster, workers=agents) as coordinator:
+        distributed = coordinator.run_distributed(
+            1, factory, agents=agents)[0]
         distributed_s = time.perf_counter() - started
-
-    with tempfile.TemporaryDirectory(prefix="gb-bench-dist-ch-") as tmp:
-        chaotic = FleetCoordinator(
-            tmp, roster, workers=agents).run_distributed(
-                1, factory, agents=agents, agent_timeout_seconds=10.0,
-                transport_seed=2026, transport_rate=0.05)[0]
-
-    single_key = _fleet_verdict_key(single)
-    distributed_key = _fleet_verdict_key(distributed)
-    chaos_key = _fleet_verdict_key(chaotic)
+    with temp_coordinator(roster, workers=agents) as coordinator:
+        chaotic = coordinator.run_distributed(
+            1, factory, agents=agents, agent_timeout_seconds=10.0,
+            transport_seed=FAULT_SEED, transport_rate=FAULT_RATE)[0]
+    distributed_key = fleet_verdict_key(distributed)
+    chaos_key = fleet_verdict_key(chaotic)
     return {
-        "fleet_size": fleet_size,
-        "file_count": file_count,
-        "agents": agents,
-        "cpu_count": _os.cpu_count() or 1,
+        "cpu_count": os.cpu_count() or 1,
         "single_process_s": single_s,
         "distributed_s": distributed_s,
         "speedup": single_s / distributed_s,
-        "verdicts_identical": distributed_key == single_key,
-        "chaos_fault_rate": 0.05,
+        "verdicts_identical": distributed_key == fleet_verdict_key(single),
         "chaos_zero_lost": set(chaos_key) == set(roster),
         "chaos_verdicts_identical": chaos_key == distributed_key,
     }
 
 
-def checkpoint_on_disk(fleet_dir: str, coordinator, aggregate) -> list:
-    """Failures of the checkpoint read back from the fleet directory.
-
-    Every non-error verdict of ``aggregate`` must name the baseline the
-    reopened store holds for its machine, and a replay of the epochs
-    journal must plan from the live coordinator's history.
-    """
-    from repro.core.baseline import BaselineStore
-    from repro.fleet import load_history
-
-    store = BaselineStore(fleet_dir)
-    failures = []
-    for verdict in aggregate.verdicts:
-        if verdict.verdict == "error":
-            continue
-        stored = store.get(verdict.machine)
-        stored_id = stored.baseline_id if stored is not None else None
-        if stored_id != verdict.baseline_id:
-            failures.append(f"{verdict.machine}: verdict names baseline "
-                            f"{verdict.baseline_id}, store holds "
-                            f"{stored_id}")
-    if load_history(coordinator.epochs_path) != coordinator.history:
-        failures.append("epochs.jsonl replays to a different scheduler "
-                        "history than the live coordinator's")
-    return failures
-
-
-def run_distributed_soak(epochs: int, fleet_size: int, agents: int,
-                         file_count: int = 120,
-                         kill_after_leases: int = 3) -> int:
-    """The distributed CI soak: kill -9 an agent mid-lease, lose nothing.
-
-    Epoch 1 murders agent 0 right after it takes its
-    ``kill_after_leases``-th lease (the in-process analogue of yanking
-    a worker's power cord); the controller's liveness reaper reclaims
-    the orphaned lease and the surviving agents finish the fleet.
-    Every epoch is gated element-identical against an uninterrupted
-    single-process reference over the same golden image, and the last
-    epoch's checkpoint is read back from disk.
-    """
-    from repro.fleet import FleetCoordinator, fleet_status
-    from repro.fleet.controller import AGENT_DEAD
-
-    golden = golden_machine(file_count)
-    infected = tuple(range(0, fleet_size, max(1, fleet_size // 3)))[:3]
-    factory = _fleet_clone_factory(golden, infected)
-    roster = [f"fleet-{index:02d}" for index in range(fleet_size)]
-
-    with tempfile.TemporaryDirectory(prefix="gb-dist-soak-ref-") as tmp:
-        reference = FleetCoordinator(
-            tmp, cloned_fleet(golden, fleet_size, infected),
-            workers=4).run(epochs)
-    reference_keys = [_fleet_verdict_key(agg) for agg in reference]
-
-    failures = []
-    with tempfile.TemporaryDirectory(prefix="gb-dist-soak-") as tmp:
-        coordinator = FleetCoordinator(tmp, roster, workers=agents,
-                                       compact_every=0)
-        aggregates = coordinator.run_distributed(
-            epochs, factory, agents=agents, agent_timeout_seconds=2.0,
-            kill_after_leases={0: kill_after_leases})
-        for aggregate, reference_key in zip(aggregates, reference_keys):
-            summary = aggregate.summary
-            key = _fleet_verdict_key(aggregate)
-            print(f"soak epoch {summary.epoch}: "
-                  f"{summary.machines}/{fleet_size} machines "
-                  f"({summary.scanned} scanned, {summary.skipped} "
-                  f"skipped), {summary.infected} infected, "
-                  f"{summary.errors} error(s), "
-                  f"{summary.late_acks} late ack(s)")
-            if set(key) != set(roster):
-                failures.append(f"epoch {summary.epoch} lost machines: "
-                                f"{sorted(set(roster) - set(key))}")
-            if key != reference_key:
-                differing = sorted(machine for machine in key
-                                   if key.get(machine)
-                                   != reference_key.get(machine))
-                failures.append(f"epoch {summary.epoch} verdicts differ "
-                                f"from reference on {differing}")
-        agents_status = fleet_status(tmp)["agents"]
-        dead = sorted(agent for agent, info in agents_status.items()
-                      if info["state"] == AGENT_DEAD)
-        print(f"soak agents: " + ", ".join(
-            f"{agent}={info['state']}(acks={info['acks']})"
-            for agent, info in sorted(agents_status.items())))
-        if "agent-0" not in dead:
-            failures.append("murdered agent-0 was never declared dead")
-        failures.extend(checkpoint_on_disk(tmp, coordinator, aggregates[-1]))
-    for failure in failures:
-        print(f"  [FAIL] {failure}", file=sys.stderr)
-    if not failures:
-        print(f"  [PASS] {epochs} epochs x {fleet_size} machines "
-              f"element-identical to the single-process reference "
-              f"with agent-0 killed mid-lease")
-    return 1 if failures else 0
-
-
-def run_fleet_soak(epochs: int, fleet_size: int, rate: float,
-                   seed: int, file_count: int = 120) -> int:
-    """The CI soak: epochs under chaos, gated on zero lost machines
-    and on the last epoch's checkpoint read back from disk."""
-    from repro.faults import context as faults_context
-    from repro.faults.plan import FaultPlan
-    from repro.fleet import FleetCoordinator
-
-    golden = golden_machine(file_count)
-    infected = tuple(range(0, fleet_size, max(1, fleet_size // 3)))[:3]
-    fleet = cloned_fleet(golden, fleet_size, infected)
-    plan = FaultPlan.default(seed=seed, rate=rate)
-    failures = []
-    with tempfile.TemporaryDirectory(prefix="gb-fleet-soak-") as tmp:
-        coordinator = FleetCoordinator(tmp, fleet, workers=4,
-                                       fault_plan=plan, compact_every=2)
+def bench_fleet_soak(epochs: int, fleet_size: int) -> dict:
+    """The CI soak: epochs under a 5% fault plan lose no machine, and
+    the last epoch's checkpoint reads back from disk."""
+    fleet = cloned_fleet(golden_machine(120), fleet_size)
+    plan = FaultPlan.default(seed=FAULT_SEED, rate=FAULT_RATE)
+    summaries = []
+    with temp_coordinator(fleet, workers=4, fault_plan=plan,
+                          compact_every=2) as coordinator:
         previous = faults_context.install_global_plan(plan)
         try:
             for __ in range(epochs):
                 aggregate = coordinator.run_epoch()
-                summary = aggregate.summary
-                print(f"soak epoch {summary.epoch}: "
-                      f"{summary.machines}/{fleet_size} machines "
-                      f"({summary.scanned} scanned, "
-                      f"{summary.skipped} skipped), "
-                      f"{summary.infected} infected, "
-                      f"{summary.errors} error(s)")
-                if summary.machines != fleet_size:
-                    failures.append(
-                        f"epoch {summary.epoch} lost machines: "
-                        f"{summary.machines}/{fleet_size}")
+                summaries.append(aggregate.summary.to_dict())
         finally:
             faults_context.install_global_plan(previous)
-        failures.extend(checkpoint_on_disk(tmp, coordinator, aggregate))
-    fired = plan.fired_count()
-    print(f"soak: {fired} fault(s) fired across "
-          f"{len({f.site for f in plan.fired()})} site(s)")
-    if fired == 0 and rate > 0:
-        failures.append("soak fired no faults (plan not wired?)")
-    for failure in failures:
-        print(f"  [FAIL] {failure}", file=sys.stderr)
-    if not failures:
-        print(f"  [PASS] zero lost machines across {epochs} epochs "
-              f"@ {rate:.0%} faults")
-    return 1 if failures else 0
+        checkpoint = checkpoint_on_disk(coordinator, aggregate)
+    return {"summaries": summaries,
+            "faults_fired": plan.fired_count(),
+            "fault_sites": len({f.site for f in plan.fired()}),
+            "checkpoint_failures": checkpoint}
 
 
-def _sweep_profile(fleet_size: int, epochs: int):
-    """The recall-vs-cost fleet: file-heavy machines, ASEP-hooking wave.
+def bench_distributed_soak(epochs: int, fleet_size: int, agents: int) -> dict:
+    """The distributed CI soak: kill -9 an agent mid-lease, lose nothing.
 
-    File costs dominate registry costs here (small hives, many virtual
-    files), so the sampled pass's floor — the always-full registry
-    stratum — stays cheap relative to the full file scan it avoids.
-    The wave is HackerDefender: a persistent ghost that must hook ASEPs
-    to survive reboot, which is exactly the stratum sampling never
-    skips — the paper's persistence argument is what holds recall up
-    while the file-sampling rate drops.
+    Agent 0 kills itself after its third lease in epoch 1 (a yanked
+    power cord); the liveness reaper reclaims the lease and the other
+    agents finish.  Every epoch must equal an uninterrupted
+    single-process reference over the same golden image, and the last
+    checkpoint must read back from disk.
     """
-    from repro.workloads import FleetProfile, InfectionWave
+    golden = golden_machine(120)
+    factory, roster = clone_factory(golden, fleet_size)
+    with temp_coordinator(cloned_fleet(golden, fleet_size),
+                          workers=4) as reference:
+        reference_keys = [fleet_verdict_key(aggregate)
+                          for aggregate in reference.run(epochs)]
+    lost, differing = {}, {}
+    with temp_coordinator(roster, workers=agents,
+                          compact_every=0) as coordinator:
+        aggregates = coordinator.run_distributed(
+            epochs, factory, agents=agents, agent_timeout_seconds=2.0,
+            kill_after_leases={0: 3})
+        for aggregate, reference_key in zip(aggregates, reference_keys):
+            epoch = aggregate.summary.epoch
+            key = fleet_verdict_key(aggregate)
+            if set(key) != set(roster):
+                lost[epoch] = sorted(set(roster) - set(key))
+            if key != reference_key:
+                differing[epoch] = sorted(
+                    machine for machine in key
+                    if key.get(machine) != reference_key.get(machine))
+        agents_status = fleet_status(coordinator.fleet_dir)["agents"]
+        checkpoint = checkpoint_on_disk(coordinator, aggregates[-1])
+    return {
+        "summaries": [aggregate.summary.to_dict()
+                      for aggregate in aggregates],
+        "lost": lost,
+        "differing": differing,
+        "agents": {agent: {"state": info["state"], "acks": info["acks"]}
+                   for agent, info in sorted(agents_status.items())},
+        "checkpoint_failures": checkpoint,
+    }
 
-    return FleetProfile(
+
+def bench_sampled_sweep(fleet_size: int, epochs: int, rates,
+                        workers: int) -> dict:
+    """The recall-vs-cost curve: full sweep vs sampled at several rates.
+
+    The fleet is file-heavy (small hives, many virtual files), so the
+    sampled pass's floor — the always-full registry stratum — stays
+    cheap relative to the full file scan it avoids.  The wave is
+    HackerDefender: a persistent ghost that must hook ASEPs to survive
+    reboot, which is exactly the stratum sampling never skips — the
+    paper's persistence argument is what holds recall up while the
+    file-sampling rate drops.  The operating point is the largest
+    steady-state reduction at recall >= 0.95.
+    """
+    profile = FleetProfile(
         name="swp", size=fleet_size, seed=97,
         file_count=(240, 340), virtual_files=(80_000, 200_000),
         registry_kb=(6, 12), churn_files=(2, 5), churn_registry=(0, 1),
@@ -1273,154 +703,124 @@ def _sweep_profile(fleet_size: int, epochs: int):
         waves=(InfectionWave("hackerdefender", onset_epoch=2,
                              initial=2, spread=0.4),))
 
+    def sweep(sampling) -> dict:
+        workload = FleetWorkload(profile)
+        summaries, reported = [], set()
+        with temp_coordinator(workload.machines.values(),
+                              workers=workers, sampling=sampling,
+                              console_index=False,
+                              lease_seconds=1e6) as coordinator:
+            for epoch in range(1, epochs + 1):
+                workload.apply_epoch(epoch)
+                aggregate = coordinator.run_epoch()
+                summaries.append(aggregate.summary)
+                reported.update(v.machine for v in aggregate.verdicts
+                                if v.verdict == "infected")
+        truth = workload.infected_machines(epochs)
+        return {
+            "per_epoch_scan_s": [round(s.scan_seconds, 3)
+                                 for s in summaries],
+            # Epoch 1 is the cold start: never-scanned staleness forces
+            # a full scan in BOTH arms, so the comparison is steady state.
+            "steady_scan_s": round(sum(s.scan_seconds
+                                       for s in summaries[1:]), 3),
+            "recall": (len(reported & truth) / len(truth)) if truth else 1.0,
+            "false_positives": sorted(reported - truth),
+            "sampled_scans": sum(s.sampled for s in summaries),
+            "sampling_escalations": sum(s.sampling_escalations
+                                        for s in summaries),
+            "estimated_recall_last": summaries[-1].estimated_recall,
+        }
 
-def _sweep_run(profile, epochs: int, sampling, workers: int = 4) -> dict:
-    """Run one sweep arm (full or sampled) and account it honestly."""
-    from repro.fleet import FleetCoordinator
-    from repro.workloads import FleetWorkload
-
-    workload = FleetWorkload(profile)
-    summaries = []
-    reported = set()
-    with tempfile.TemporaryDirectory(prefix="gb-bench-sweep-") as tmp:
-        coordinator = FleetCoordinator(tmp, workload.machines.values(),
-                                       workers=workers, sampling=sampling,
-                                       console_index=False,
-                                       lease_seconds=1e6)
-        for epoch in range(1, epochs + 1):
-            workload.apply_epoch(epoch)
-            aggregate = coordinator.run_epoch()
-            summaries.append(aggregate.summary)
-            reported.update(v.machine for v in aggregate.verdicts
-                            if v.verdict == "infected")
-    truth = workload.infected_machines(epochs)
-    recall = (len(reported & truth) / len(truth)) if truth else 1.0
-    return {
-        "per_epoch_scan_s": [round(s.scan_seconds, 3) for s in summaries],
-        # Epoch 1 is the cold start: never-scanned staleness forces a
-        # full scan in BOTH arms, so the comparison is steady state.
-        "steady_scan_s": round(sum(s.scan_seconds
-                                   for s in summaries[1:]), 3),
-        "recall": recall,
-        "truth": sorted(truth),
-        "false_positives": sorted(reported - truth),
-        "sampled_scans": sum(s.sampled for s in summaries),
-        "sampling_escalations": sum(s.sampling_escalations
-                                    for s in summaries),
-        "estimated_recall_last": summaries[-1].estimated_recall,
-    }
-
-
-def bench_sampled_sweep(fleet_size: int, epochs: int,
-                        rates=(0.05, 0.15, 0.35),
-                        workers: int = 4) -> dict:
-    """The recall-vs-cost curve: full sweep vs sampled at several rates."""
-    from repro.workloads import SamplingPolicy
-
-    profile = _sweep_profile(fleet_size, epochs)
-    full = _sweep_run(profile, epochs, None, workers=workers)
+    full = sweep(None)
     curve = []
     for rate in rates:
-        sampling = SamplingPolicy(seed=5, file_rate=rate, full_every=64)
-        point = _sweep_run(profile, epochs, sampling, workers=workers)
+        point = sweep(SamplingPolicy(seed=5, file_rate=rate, full_every=64))
         point["file_rate"] = rate
         point["reduction"] = (full["steady_scan_s"]
                               / max(point["steady_scan_s"], 1e-9))
         curve.append(point)
     eligible = [point for point in curve if point["recall"] >= 0.95]
-    operating = (max(eligible, key=lambda point: point["reduction"])
-                 if eligible else None)
+    operating = max(eligible, key=lambda point: point["reduction"],
+                    default={"file_rate": None, "reduction": 0.0,
+                             "recall": 0.0})
     return {
-        "fleet_size": fleet_size, "epochs": epochs,
         "full": full, "curve": curve,
         "full_recall": full["recall"],
-        "operating_rate": operating["file_rate"] if operating else None,
-        "operating_reduction": (operating["reduction"]
-                                if operating else 0.0),
-        "operating_recall": operating["recall"] if operating else 0.0,
+        "operating_rate": operating["file_rate"],
+        "operating_reduction": operating["reduction"],
+        "operating_recall": operating["recall"],
         "false_positive_free": not any(point["false_positives"]
                                        for point in curve),
     }
 
 
-def _trace_profile(fleet_size: int):
-    from repro.workloads import FleetProfile, InfectionWave
-
-    return FleetProfile(
+def record_trace(trace_path: Path, fleet_size: int, epochs: int):
+    """Record the reference workload's sweep trace to ``trace_path``."""
+    profile = FleetProfile(
         name="trb", size=fleet_size, seed=53,
         file_count=(40, 80), virtual_files=(5_000, 20_000),
         registry_kb=(20, 40), churn_files=(1, 4), churn_registry=(0, 2),
         disk_mb=64, max_records=2048,
         waves=(InfectionWave("hackerdefender", onset_epoch=2,
                              initial=1, spread=0.0),))
+    sampling = SamplingPolicy(seed=3, file_rate=0.25, full_every=4)
+    with tempfile.TemporaryDirectory(prefix="gb-bench-") as tmp:
+        return record_sweep(str(trace_path), profile, tmp, epochs,
+                            sampling=sampling, workers=2)
 
 
-def _traced_sweep(action) -> object:
-    """Run a record/replay under a scratch fleet dir."""
-    with tempfile.TemporaryDirectory(prefix="gb-bench-trace-") as tmp:
-        return action(tmp)
+def replay_trace(trace_path: Path):
+    """Replay a recorded sweep trace against a fresh fleet."""
+    with tempfile.TemporaryDirectory(prefix="gb-bench-") as tmp:
+        return replay_sweep(str(trace_path), tmp)
 
 
 def bench_trace_replay(fleet_size: int, epochs: int) -> dict:
-    """Record a sweep trace, replay it on both disk backends, compare."""
-    import os
+    """Record a sweep trace once and replay it on both disk backends.
 
-    from repro.workloads import (SamplingPolicy, record_sweep,
-                                 replay_sweep)
-
-    profile = _trace_profile(fleet_size)
-    sampling = SamplingPolicy(seed=3, file_rate=0.25, full_every=4)
-    with tempfile.TemporaryDirectory(prefix="gb-bench-tracedir-") as tdir:
-        trace_path = str(Path(tdir) / "sweep.trace.jsonl")
-        recorded = _traced_sweep(
-            lambda tmp: record_sweep(trace_path, profile, tmp, epochs,
-                                     sampling=sampling, workers=2))
-        replays = {}
-        saved = os.environ.get("REPRO_DISK_BACKEND")
-        try:
-            for backend in ("flat", "sparse"):
-                os.environ["REPRO_DISK_BACKEND"] = backend
-                replays[backend] = _traced_sweep(
-                    lambda tmp: replay_sweep(trace_path, tmp))
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_DISK_BACKEND", None)
-            else:
-                os.environ["REPRO_DISK_BACKEND"] = saved
-    flat, sparse = replays["flat"], replays["sparse"]
+    A trace is the operator's one-command reproduction of a sweep, so a
+    replay must convict the same machines and write a byte-identical
+    epochs journal whichever backend it runs on.
+    """
+    with tempfile.TemporaryDirectory(prefix="gb-bench-") as tdir:
+        trace_path = Path(tdir) / "sweep.trace.jsonl"
+        recorded = record_trace(trace_path, fleet_size, epochs)
+        runs = [recorded]
+        for backend in ("flat", "sparse"):
+            with mock.patch.dict(os.environ, REPRO_DISK_BACKEND=backend):
+                runs.append(replay_trace(trace_path))
     return {
-        "fleet_size": fleet_size, "epochs": epochs,
         "trace_digest": recorded.trace_digest,
-        "trace_digests_identical": (
-            recorded.trace_digest == flat.trace_digest
-            == sparse.trace_digest),
-        "verdicts_identical": (
-            recorded.verdicts == flat.verdicts == sparse.verdicts),
-        "journal_digests_identical": (
-            recorded.journal_digest == flat.journal_digest
-            == sparse.journal_digest),
+        "trace_digests_identical":
+            len({run.trace_digest for run in runs}) == 1,
+        "verdicts_identical":
+            all(run.verdicts == recorded.verdicts for run in runs),
+        "journal_digests_identical":
+            len({run.journal_digest for run in runs}) == 1,
         "infected": recorded.infected,
-        "infected_identical": (
-            recorded.infected == flat.infected == sparse.infected),
+        "infected_identical":
+            all(run.infected == recorded.infected for run in runs),
+        "detected": any(
+            epoch_verdicts.get(machine, ("",))[0] == "infected"
+            for machine in recorded.infected
+            for epoch_verdicts in recorded.verdicts),
     }
 
 
-# -- adversary engine: leveled stealth campaigns ------------------------------
+def _campaign_run(fleet_size: int, level: str, epochs: int,
+                  defended: bool, workers: int) -> dict:
+    """One campaign arm: naive single-pass or the defended configuration.
 
-
-STEALTH_LEVELS = ("off", "low", "medium", "high", "maximum")
-
-
-def _stealth_profile(fleet_size: int, level: str):
-    """The campaign fleet: two fully-capable strains at one stealth level.
-
-    Urbin (AppInit IAT hooks) spreads from epoch 1, HackerDefender
-    (NtDll detours) joins at epoch 2 — both declare the full capability
-    set, so every level of the ladder actually changes behavior.
+    Two fully-capable strains run at one stealth level, so every level
+    of the ladder changes behavior: Urbin (AppInit IAT hooks) from epoch
+    1, HackerDefender (NtDll detours) from epoch 2.  The defended arm is
+    scan-until-stable + flag-unstable + scan-order jitter with the
+    default inside→outside escalation; the naive arm is one inside pass
+    without escalation, the seed-era scanner the adversary engine
+    exists to defeat.
     """
-    from repro.workloads import FleetProfile, InfectionWave
-
-    return FleetProfile(
+    workload = FleetWorkload(FleetProfile(
         name="adv", size=fleet_size, seed=31,
         file_count=(24, 48), virtual_files=(4_000, 12_000),
         registry_kb=(20, 40), churn_files=(1, 3), churn_registry=(0, 1),
@@ -1430,39 +830,16 @@ def _stealth_profile(fleet_size: int, level: str):
                              spread=0.5, level=level),
                InfectionWave("hackerdefender", onset_epoch=2,
                              initial=max(1, fleet_size // 25),
-                             spread=0.4, level=level, conceal_budget=2)))
-
-
-def _campaign_run(profile, epochs: int, defended: bool,
-                  workers: int = 4) -> dict:
-    """One campaign arm: naive single-pass or the defended configuration.
-
-    The defended arm is scan-until-stable + flag-unstable + scan-order
-    jitter with the default inside→outside escalation; the naive arm is
-    a single inside pass with escalation disabled — the seed-era
-    scanner the adversary engine exists to defeat.
-    """
-    from repro.fleet import FleetCoordinator
-    from repro.fleet.coordinator import fleet_status
-    from repro.fleet.policy import EscalationPolicy
-    from repro.fleet.scheduler import recent_write_probe
-    from repro.workloads import FleetWorkload, verdict_key
-
-    workload = FleetWorkload(profile)
+                             spread=0.4, level=level, conceal_budget=2))))
     kwargs = (dict(stabilize_rounds=2, flag_unstable=True,
                    scan_order_jitter=11) if defended
               else dict(policy=EscalationPolicy(escalate=False)))
     probe_hits = probe_total = 0
-    reported = set()
-    verdict_maps = []
-    with tempfile.TemporaryDirectory(prefix="gb-bench-adv-") as tmp:
-        coordinator = FleetCoordinator(tmp, workload.machines.values(),
-                                       workers=workers,
-                                       outbreak_threshold=3,
-                                       console_index=False,
-                                       lease_seconds=1e6, **kwargs)
-        horizon = 60.0
-        previous = set()
+    reported, previous, verdict_maps = set(), set(), []
+    horizon = 60.0
+    with temp_coordinator(workload.machines.values(), workers=workers,
+                          outbreak_threshold=3, console_index=False,
+                          lease_seconds=1e6, **kwargs) as coordinator:
         for epoch in range(1, epochs + 1):
             workload.apply_epoch(epoch)
             truth_now = workload.infected_machines(epoch)
@@ -1482,17 +859,15 @@ def _campaign_run(profile, epochs: int, defended: bool,
                                  for v in aggregate.verdicts})
             reported.update(v.machine for v in aggregate.verdicts
                             if v.verdict == "infected")
-        status = fleet_status(tmp)
+        status = fleet_status(coordinator.fleet_dir)
     truth = workload.infected_machines(epochs)
-    recall = (len(reported & truth) / len(truth)) if truth else 1.0
-    precision = (len(reported & truth) / len(reported)) if reported else 1.0
     campaign_fps = [record["fingerprint"]
                     for record in status["campaigns"]]
     return {
-        "recall": round(recall, 4),
-        "precision": round(precision, 4),
-        "truth_count": len(truth),
-        "reported_count": len(reported),
+        "recall": round(len(reported & truth) / len(truth), 4)
+        if truth else 1.0,
+        "precision": round(len(reported & truth) / len(reported), 4)
+        if reported else 1.0,
         "false_positives": sorted(reported - truth),
         "outbreak_alerts": len(status["outbreaks"]),
         "campaign_alerts": len(campaign_fps),
@@ -1505,53 +880,31 @@ def _campaign_run(profile, epochs: int, defended: bool,
 
 
 def bench_stealth_campaign(fleet_size: int, epochs: int,
-                           workers: int = 4,
-                           levels=STEALTH_LEVELS) -> dict:
+                           workers: int) -> dict:
     """The headline curve: precision/recall per stealth level, two arms.
 
     Also re-runs the defended ``high`` arm twice and once on the other
     disk backend to gate campaign determinism.
     """
-    import os
+    def arm(level, defended=True):
+        return _campaign_run(fleet_size, level, epochs, defended, workers)
 
-    curve = []
-    for level in levels:
-        profile = _stealth_profile(fleet_size, level)
-        naive = _campaign_run(profile, epochs, defended=False,
-                              workers=workers)
-        defended = _campaign_run(profile, epochs, defended=True,
-                                 workers=workers)
-        point = {"level": level, "naive": naive, "defended": defended}
-        curve.append(point)
+    curve = [{"level": level, "naive": arm(level, defended=False),
+              "defended": arm(level)}
+             for level in ("off", "low", "medium", "high", "maximum")]
     by_level = {point["level"]: point for point in curve}
-
-    high = _stealth_profile(fleet_size, "high")
-    rerun = _campaign_run(high, epochs, defended=True, workers=workers)
-    saved = os.environ.get("REPRO_DISK_BACKEND")
-    other = "sparse" if (saved or "flat") == "flat" else "flat"
-    try:
-        os.environ["REPRO_DISK_BACKEND"] = other
-        cross = _campaign_run(high, epochs, defended=True,
-                              workers=workers)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_DISK_BACKEND", None)
-        else:
-            os.environ["REPRO_DISK_BACKEND"] = saved
+    rerun = arm("high")
+    other = ("sparse" if (os.environ.get("REPRO_DISK_BACKEND") or "flat")
+             == "flat" else "flat")
+    with mock.patch.dict(os.environ, REPRO_DISK_BACKEND=other):
+        cross = arm("high")
     reference = by_level["high"]["defended"]["verdict_maps"]
-    determinism = {
-        "runs_identical": reference == rerun["verdict_maps"],
-        "backends_identical": reference == cross["verdict_maps"],
-        "other_backend": other,
-    }
     for point in curve:   # the maps did their job; keep the JSON small
-        for arm in ("naive", "defended"):
-            point[arm].pop("verdict_maps", None)
+        for side in ("naive", "defended"):
+            point[side].pop("verdict_maps", None)
 
-    aware_levels = ("medium", "high", "maximum")
-    rotate_levels = ("high", "maximum")
     return {
-        "fleet_size": fleet_size, "epochs": epochs, "curve": curve,
+        "curve": curve,
         "defended_precision_all_1": all(
             point["defended"]["precision"] == 1.0 for point in curve),
         "defended_recall_min_through_high": min(
@@ -1559,172 +912,28 @@ def bench_stealth_campaign(fleet_size: int, epochs: int,
             for level in ("off", "low", "medium", "high")),
         "naive_recall_max_when_aware": max(
             by_level[level]["naive"]["recall"]
-            for level in aware_levels),
-        "evasion_gap_at_high": round(
-            by_level["high"]["defended"]["recall"]
-            - by_level["high"]["naive"]["recall"], 4),
+            for level in ("medium", "high", "maximum")),
         "campaign_alerts_deduped": all(
             by_level[level]["defended"]["campaign_fingerprints_unique"]
             and by_level[level]["defended"]["campaign_alerts"] >= 1
-            for level in rotate_levels),
-        "probe_hit_rate_off": by_level["off"]["defended"][
-            "probe_hit_rate"],
-        "probe_hit_rate_cloaked": by_level["high"]["defended"][
-            "probe_hit_rate"],
-        "determinism": determinism,
+            for level in ("high", "maximum")),
+        "determinism": {
+            "runs_identical": reference == rerun["verdict_maps"],
+            "backends_identical": reference == cross["verdict_maps"],
+            "other_backend": other,
+        },
     }
-
-
-def print_stealth_campaign(stealth: dict) -> None:
-    """Render the per-level curve the way the other benches print."""
-    print(f"stealth campaign ({stealth['fleet_size']} machines x "
-          f"{stealth['epochs']} epochs, naive vs defended):")
-    for point in stealth["curve"]:
-        naive, defended = point["naive"], point["defended"]
-        probe = defended["probe_hit_rate"]
-        print(f"  {point['level']:>8}: naive P {naive['precision']:.2f} "
-              f"R {naive['recall']:.2f} | defended "
-              f"P {defended['precision']:.2f} R {defended['recall']:.2f} "
-              f"| outbreaks {defended['outbreak_alerts']}, "
-              f"campaigns {defended['campaign_alerts']}, "
-              f"probe {'n/a' if probe is None else f'{probe:.2f}'}")
-    determinism = stealth["determinism"]
-    print(f"  determinism: reruns identical "
-          f"{determinism['runs_identical']}, "
-          f"{determinism['other_backend']} backend identical "
-          f"{determinism['backends_identical']}")
-
-
-def stealth_campaign_gates(stealth: dict):
-    """The ISSUE's acceptance gates for the per-level curve."""
-    return (
-        ("stealth defended precision 1.0 at every level",
-         stealth["defended_precision_all_1"]),
-        ("stealth defended recall >= 0.95 through high",
-         stealth["defended_recall_min_through_high"] >= 0.95),
-        ("stealth naive recall measurably degraded when aware",
-         stealth["naive_recall_max_when_aware"]
-         <= stealth["defended_recall_min_through_high"] - 0.5),
-        ("stealth campaign alerts deduped across rotated identities",
-         stealth["campaign_alerts_deduped"]),
-        ("stealth campaigns deterministic across runs",
-         stealth["determinism"]["runs_identical"]),
-        ("stealth campaigns deterministic across disk backends",
-         stealth["determinism"]["backends_identical"]),
-    )
-
-
-def run_stealth_campaign(out, fleet_size: int = 50,
-                         epochs: int = 3) -> int:
-    """``--stealth-campaign``: the CI job — curve, gates, artifact."""
-    stealth = bench_stealth_campaign(fleet_size, epochs, workers=4)
-    print_stealth_campaign(stealth)
-    failures = []
-    for label, passed in stealth_campaign_gates(stealth):
-        print(f"  [{'PASS' if passed else 'FAIL'}] {label}")
-        if not passed:
-            failures.append(label)
-    if out is not None:
-        payload = {"pr": 10, "mode": "stealth-campaign",
-                   "stealth_campaign": stealth}
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}")
-    if failures:
-        print(f"FAILED gates: {failures}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def run_workload_replay(fleet_size: int = 20, epochs: int = 2) -> int:
-    """The CI workload-replay smoke: record once, replay twice, compare."""
-    from repro.workloads import SamplingPolicy, record_sweep, replay_sweep
-
-    profile = _trace_profile(fleet_size)
-    sampling = SamplingPolicy(seed=3, file_rate=0.25, full_every=4)
-    with tempfile.TemporaryDirectory(prefix="gb-replay-") as tdir:
-        trace_path = str(Path(tdir) / "sweep.trace.jsonl")
-        recorded = _traced_sweep(
-            lambda tmp: record_sweep(trace_path, profile, tmp, epochs,
-                                     sampling=sampling, workers=2))
-        first = _traced_sweep(lambda tmp: replay_sweep(trace_path, tmp))
-        second = _traced_sweep(lambda tmp: replay_sweep(trace_path, tmp))
-    print(f"workload replay: {fleet_size} machines x {epochs} epochs, "
-          f"trace digest {recorded.trace_digest[:16]}..., "
-          f"{len(recorded.infected)} machine(s) infected by trace")
-    checks = (
-        ("recorded and replayed verdicts element-identical",
-         recorded.verdicts == first.verdicts == second.verdicts),
-        ("trace digests identical across replays",
-         recorded.trace_digest == first.trace_digest
-         == second.trace_digest),
-        ("replay journals byte-identical",
-         first.journal_digest == second.journal_digest),
-        ("trace detected its planted infection",
-         any(machine in epoch_verdicts
-             and epoch_verdicts[machine][0] == "infected"
-             for machine in recorded.infected
-             for epoch_verdicts in recorded.verdicts)),
-    )
-    failures = [label for label, passed in checks if not passed]
-    for label, passed in checks:
-        print(f"  [{'PASS' if passed else 'FAIL'}] {label}")
-    return 1 if failures else 0
-
-
-def run_trace_record(trace_path: Path, fleet_size: int,
-                     epochs: int) -> int:
-    """``--trace FILE``: record the reference workload's trace to FILE."""
-    from repro.workloads import SamplingPolicy, record_sweep
-
-    profile = _trace_profile(fleet_size)
-    sampling = SamplingPolicy(seed=3, file_rate=0.25, full_every=4)
-    recorded = _traced_sweep(
-        lambda tmp: record_sweep(str(trace_path), profile, tmp, epochs,
-                                 sampling=sampling, workers=2))
-    print(f"recorded {epochs} epoch(s) x {fleet_size} machine(s) "
-          f"to {trace_path}")
-    print(f"  trace digest   {recorded.trace_digest}")
-    print(f"  journal digest {recorded.journal_digest}")
-    print(f"  infected       {', '.join(recorded.infected) or '(none)'}")
-    return 0
-
-
-def run_trace_replay(trace_path: Path) -> int:
-    """``--replay FILE``: replay an existing trace and report digests."""
-    from repro.workloads import replay_sweep
-
-    replayed = _traced_sweep(
-        lambda tmp: replay_sweep(str(trace_path), tmp))
-    print(f"replayed {trace_path}")
-    print(f"  trace digest   {replayed.trace_digest}")
-    print(f"  journal digest {replayed.journal_digest}")
-    for index, epoch_verdicts in enumerate(replayed.verdicts, start=1):
-        infected = sorted(machine
-                          for machine, key in epoch_verdicts.items()
-                          if key[0] == "infected")
-        print(f"  epoch {index}: {len(epoch_verdicts)} verdict(s), "
-              f"{len(infected)} infected"
-              + (f" ({', '.join(infected)})" if infected else ""))
-    return 0
 
 
 def write_telemetry_artifacts(directory: Path) -> None:
     """A traced 3-machine coordinator epoch for the CI artifact upload:
     its epochs journal, span JSONL and metrics snapshot."""
-    import shutil
-
-    from repro.fleet import EscalationPolicy, FleetCoordinator
-    from repro.telemetry import Telemetry
-
     reset_global_metrics()
-    golden = golden_machine(120)
-    fleet = cloned_fleet(golden, 3, infected=(1,))
+    fleet = cloned_fleet(golden_machine(120), 3, infected=(1,))
     telemetry = Telemetry.enabled()
     directory.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix="gb-bench-trace-") as tmp:
-        coordinator = FleetCoordinator(tmp, fleet,
-                                       policy=EscalationPolicy("ris"))
+    with temp_coordinator(
+            fleet, policy=EscalationPolicy("ris")) as coordinator:
         with telemetry.activate():
             coordinator.run_epoch()
         shutil.copy(coordinator.epochs_path, directory / "epochs.jsonl")
@@ -1735,377 +944,252 @@ def write_telemetry_artifacts(directory: Path) -> None:
     print(f"wrote telemetry artifacts to {directory}")
 
 
-# -- driver -------------------------------------------------------------------
+# A gate is a label and either a result key that must be true or a
+# predicate over the result.
+Gate = Tuple[str, Union[str, Callable[[dict], bool]]]
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny profiles, no perf gates (CI)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output JSON path (default: BENCH_PR10.json "
-                             "for full runs, none for --smoke)")
-    parser.add_argument("--telemetry-out", type=Path, default=None,
-                        help="directory for a traced epoch's journal, "
-                             "span JSONL and metrics snapshot (CI "
-                             "artifacts)")
-    parser.add_argument("--fleet-soak", action="store_true",
-                        help="run only the fleet soak (epochs under "
-                             "chaos, zero-lost-machines gate) and exit")
-    parser.add_argument("--distributed-soak", action="store_true",
-                        help="run only the distributed soak (forked "
-                             "agents, kill -9 mid-lease, element-"
-                             "identical gate) and exit")
-    parser.add_argument("--stealth-campaign", action="store_true",
-                        help="run only the stealth-campaign curve "
-                             "(50 machines x 3 epochs per level, naive "
-                             "vs defended, precision/recall gates) and "
-                             "exit")
-    parser.add_argument("--stealth-fleet", type=int, default=50)
-    parser.add_argument("--stealth-epochs", type=int, default=3)
-    parser.add_argument("--workload-replay", action="store_true",
-                        help="run only the workload-replay smoke "
-                             "(record a trace, replay twice, element-"
-                             "identical gate) and exit")
-    parser.add_argument("--trace", type=Path, default=None,
-                        metavar="FILE",
-                        help="record the reference workload's sweep "
-                             "trace to FILE and exit")
-    parser.add_argument("--replay", type=Path, default=None,
-                        metavar="FILE",
-                        help="replay an existing sweep trace and print "
-                             "its digests and verdicts, then exit")
-    parser.add_argument("--soak-epochs", type=int, default=3)
-    parser.add_argument("--soak-fleet", type=int, default=50)
-    parser.add_argument("--soak-rate", type=float, default=0.05)
-    parser.add_argument("--soak-seed", type=int, default=2026)
-    parser.add_argument("--soak-agents", type=int, default=2)
-    args = parser.parse_args()
+@dataclass(frozen=True)
+class Experiment:
+    """One bench row: what runs, at which sizes, and what must hold.
 
-    if args.fleet_soak:
-        return run_fleet_soak(args.soak_epochs, args.soak_fleet,
-                              args.soak_rate, args.soak_seed)
+    ``gates`` hold on every run; ``floors`` are speed-up gates, checked
+    only at full size, which smoke sizes are too small to clear.  A row
+    with a ``flag`` runs alone at full size under that flag, and a row
+    without ``smoke`` sizes runs only so.  ``render`` prints extra lines.
+    """
 
-    if args.distributed_soak:
-        return run_distributed_soak(args.soak_epochs, args.soak_fleet,
-                                    args.soak_agents)
+    name: str
+    run: Callable[..., dict]
+    smoke: Optional[dict]
+    full: dict
+    gates: Tuple[Gate, ...] = ()
+    floors: Tuple[Gate, ...] = ()
+    flag: Optional[str] = None
+    render: Optional[Callable[[dict], str]] = None
 
-    if args.stealth_campaign:
-        return run_stealth_campaign(args.out or OUT_DEFAULT,
-                                    fleet_size=args.stealth_fleet,
-                                    epochs=args.stealth_epochs)
 
-    if args.workload_replay:
-        return run_workload_replay()
+EXPERIMENTS = (
+    Experiment(
+        "telemetry_overhead", bench_telemetry_overhead,
+        smoke=dict(file_count=120, reads=500),
+        full=dict(file_count=1000, reads=10_000),
+        gates=(("telemetry overhead <= 5%",
+                lambda r: r["overhead_pct"] <= 5.0),)),
+    Experiment(
+        "delta_rescan", bench_delta_rescan,
+        smoke=dict(file_count=120, mutations=4),
+        full=dict(file_count=1000, mutations=10),
+        gates=(("delta rescan findings identical", "findings_identical"),),
+        floors=(("delta rescan speedup >= 10x",
+                 lambda r: r["speedup"] >= 10),)),
+    Experiment(
+        "delta_sweep", bench_delta_sweep,
+        smoke=dict(fleet_size=6, workers=2, file_count=120, changed=3),
+        full=dict(fleet_size=50, workers=8, file_count=120, changed=3),
+        gates=(("delta sweep findings identical", "findings_identical"),
+               ("delta sweep skipped every unchanged machine",
+                lambda r: r["skipped"]
+                == r["fleet_size"] - len(r["changed_machines"]))),
+        floors=(("delta sweep speedup >= 5x", lambda r: r["speedup"] >= 5),)),
+    Experiment(
+        "fleet_escalation", bench_fleet_escalation,
+        smoke=dict(file_count=120, strains=5),
+        full=dict(file_count=120, strains=12),
+        gates=(("fleet escalation precision 1.0",
+                lambda r: r["precision"] == 1.0 and bool(r["escalated"])),
+               ("fleet escalation confirmed_by provenance",
+                "confirmed_by_provenance_ok"))),
+    Experiment(
+        "cold_parse_zero_copy", bench_cold_parse_zero_copy,
+        smoke=dict(file_count=120), full=dict(file_count=1000),
+        gates=(("zero-copy parse namespace identical",
+                "namespace_identical"),
+               ("zero-copy parse reports identical", "reports_identical")),
+        floors=(("cold zero-copy parse >= 5x",
+                 lambda r: r["speedup"] >= 5),)),
+    Experiment(
+        "memory_ceiling", bench_memory_ceiling,
+        smoke=dict(fleet_size=6, file_count=120),
+        full=dict(fleet_size=16, file_count=200),
+        gates=(("memory ceiling verdicts identical", "verdicts_identical"),),
+        floors=(("memory ceiling >= 4x machines per GB",
+                 lambda r: r["density_ratio"] >= 4),)),
+    Experiment(
+        "index_overhead", bench_index_overhead,
+        smoke=dict(fleet_size=10, file_count=120, workers=2),
+        full=dict(fleet_size=50, file_count=120, workers=8),
+        floors=(("index maintenance overhead <= 5%",
+                 lambda r: r["overhead_pct"] <= 5.0),)),
+    Experiment(
+        "distributed_sweep", bench_distributed_sweep,
+        smoke=dict(fleet_size=4, file_count=120, agents=2),
+        full=dict(fleet_size=8, file_count=1000, agents=4),
+        gates=(("distributed sweep verdicts identical",
+                "verdicts_identical"),
+               ("distributed chaos zero lost machines", "chaos_zero_lost"),
+               ("distributed chaos verdicts identical",
+                "chaos_verdicts_identical")),
+        # Forked agents need cores to beat GIL-serialized threads; with
+        # fewer than 4 they can only time-slice, so there the floor is
+        # that the wire + fork overhead stays bounded.
+        floors=(("distributed sweep >= 2x single process "
+                 "(overhead <= 3x below 4 cores)",
+                 lambda r: r["speedup"] >= 2 if r["cpu_count"] >= 4
+                 else r["distributed_s"] <= 3 * r["single_process_s"]),)),
+    Experiment(
+        "sampled_sweep", bench_sampled_sweep,
+        smoke=dict(fleet_size=20, epochs=3, rates=(0.05, 0.35), workers=2),
+        full=dict(fleet_size=200, epochs=4, rates=(0.05, 0.15, 0.35),
+                  workers=8),
+        gates=(("sampled sweep full recall 1.0",
+                lambda r: r["full_recall"] == 1.0),
+               ("sampled sweep no false positives", "false_positive_free"),
+               ("sampled sweep actually sampled",
+                lambda r: all(point["sampled_scans"] > 0
+                              for point in r["curve"]))),
+        floors=(("sampled sweep >= 5x reduction at recall >= 0.95",
+                 lambda r: r["operating_reduction"] >= 5
+                 and r["operating_recall"] >= 0.95),)),
+    Experiment(
+        "trace_replay", bench_trace_replay,
+        smoke=dict(fleet_size=8, epochs=2),
+        full=dict(fleet_size=20, epochs=2),
+        gates=(("trace replay verdicts element-identical",
+                "verdicts_identical"),
+               ("trace replay journals byte-identical across backends",
+                "journal_digests_identical"),
+               ("trace replay digests identical", "trace_digests_identical"),
+               ("trace replay infection detected and identical",
+                lambda r: r["infected_identical"] and r["detected"])),
+        flag="--workload-replay"),
+    Experiment(
+        "stealth_campaign", bench_stealth_campaign,
+        smoke=dict(fleet_size=12, epochs=3, workers=2),
+        full=dict(fleet_size=50, epochs=3, workers=4),
+        gates=(("stealth defended precision 1.0 at every level",
+                "defended_precision_all_1"),
+               ("stealth defended recall >= 0.95 through high",
+                lambda r: r["defended_recall_min_through_high"] >= 0.95),
+               ("stealth naive recall measurably degraded when aware",
+                lambda r: r["naive_recall_max_when_aware"]
+                <= r["defended_recall_min_through_high"] - 0.5),
+               ("stealth campaign alerts deduped across rotated "
+                "identities", "campaign_alerts_deduped"),
+               ("stealth campaigns deterministic across runs",
+                lambda r: r["determinism"]["runs_identical"]),
+               ("stealth campaigns deterministic across disk backends",
+                lambda r: r["determinism"]["backends_identical"])),
+        flag="--stealth-campaign",
+        render=lambda r: render_stealth_curve({"stealth_campaign": r})),
+    Experiment(
+        "chaos", bench_chaos_sweep,
+        smoke=dict(fleet_size=6, workers=2, file_count=120),
+        full=dict(fleet_size=12, workers=8, file_count=120),
+        gates=(("chaos sweep recall unchanged", "recall_unchanged"),
+               ("chaos sweep zero errors", lambda r: not r["errors"]),
+               ("chaos sweep faults actually fired",
+                lambda r: r["faults_fired"] > 0))),
+    Experiment(
+        "fleet_soak", bench_fleet_soak,
+        smoke=None, full=dict(epochs=3, fleet_size=50),
+        gates=(("fleet soak zero lost machines",
+                lambda r: all(s["machines"] == r["fleet_size"]
+                              for s in r["summaries"])),
+               ("fleet soak checkpoint read back from disk",
+                lambda r: not r["checkpoint_failures"]),
+               ("fleet soak faults actually fired",
+                lambda r: r["faults_fired"] > 0)),
+        flag="--fleet-soak"),
+    Experiment(
+        "distributed_soak", bench_distributed_soak,
+        smoke=None, full=dict(epochs=3, fleet_size=50, agents=2),
+        gates=(("distributed soak zero lost machines",
+                lambda r: not r["lost"]),
+               ("distributed soak element-identical to the "
+                "single-process reference", lambda r: not r["differing"]),
+               ("distributed soak killed agent-0 declared dead",
+                lambda r: r["agents"].get("agent-0", {}).get("state")
+                == AGENT_DEAD),
+               ("distributed soak checkpoint read back from disk",
+                lambda r: not r["checkpoint_failures"])),
+        flag="--distributed-soak"),
+)
 
-    if args.trace is not None:
-        return run_trace_record(args.trace, fleet_size=20, epochs=2)
 
-    if args.replay is not None:
-        return run_trace_replay(args.replay)
-
-    if args.smoke:
-        profile = dict(files=120, reads=10, scans=3, fleet=6, workers=2,
-                       diff_entries=2_000,
-                       overhead_reads=500, delta_mutations=4,
-                       delta_changed=3, strains=5, zc_files=120,
-                       ceiling_fleet=6, ceiling_files=120,
-                       console_fleet=10, console_epochs=5,
-                       console_lookups=40, dist_fleet=4, dist_agents=2,
-                       sweep_fleet=20, sweep_epochs=3,
-                       sweep_rates=(0.05, 0.35),
-                       trace_fleet=8, trace_epochs=2,
-                       stealth_fleet=12, stealth_epochs=3)
-    else:
-        profile = dict(files=1000, reads=40, scans=5, fleet=50, workers=8,
-                       diff_entries=10_000,
-                       overhead_reads=10_000, delta_mutations=10,
-                       delta_changed=3, strains=12, zc_files=1000,
-                       ceiling_fleet=16, ceiling_files=200,
-                       console_fleet=50, console_epochs=20,
-                       console_lookups=200, dist_fleet=8, dist_agents=4,
-                       sweep_fleet=200, sweep_epochs=4,
-                       sweep_rates=(0.05, 0.15, 0.35),
-                       trace_fleet=20, trace_epochs=2,
-                       stealth_fleet=50, stealth_epochs=3)
-
-    print(f"profile: {profile}")
-    results = {"pr": 10, "mode": "smoke" if args.smoke else "full",
-               "profile": profile, "timings": {}}
-    timings = results["timings"]
-
-    timings["raw_mft_parse_cold_s"] = bench_raw_mft_parse(profile["files"])
-    print(f"raw MFT parse (cold, {profile['files']} files): "
-          f"{timings['raw_mft_parse_cold_s'] * 1000:.1f} ms")
-
-    timings["read_file_content"] = bench_read_file_content(
-        profile["files"], profile["reads"])
-    print(f"repeated read_file_content ({profile['reads']} reads): "
-          f"{timings['read_file_content']['speedup']:.1f}x vs seed")
-
-    timings["raw_asep_scan"] = bench_raw_asep_scan(
-        profile["files"], profile["scans"])
-    print(f"raw ASEP scan ({profile['scans']} scans x "
-          f"{len(HIVE_FILES)} hives): "
-          f"{timings['raw_asep_scan']['speedup']:.1f}x vs seed")
-
-    timings["diff_10k_s"] = bench_diff_10k(profile["diff_entries"])
-    print(f"cross-view diff + merge ({profile['diff_entries']} entries "
-          f"x5): {timings['diff_10k_s'] * 1000:.1f} ms")
-
-    timings["telemetry_overhead"] = bench_telemetry_overhead(
-        profile["files"], profile["overhead_reads"])
-    overhead = timings["telemetry_overhead"]
-    print(f"telemetry overhead ({profile['overhead_reads']} warm reads): "
-          f"default {overhead['default_s'] * 1000:.1f} ms, "
-          f"nulled {overhead['nulled_s'] * 1000:.1f} ms "
-          f"({overhead['overhead_pct']:+.1f}%)")
-
-    timings["delta_rescan"] = bench_delta_rescan(
-        profile["files"], profile["delta_mutations"])
-    rescan = timings["delta_rescan"]
-    print(f"delta rescan ({profile['files']} files, "
-          f"{rescan['mutations_per_round']} mutations/round): "
-          f"cold {rescan['cold_s'] * 1000:.1f} ms, "
-          f"warm {rescan['warm_delta_s'] * 1000:.2f} ms "
-          f"({rescan['speedup']:.1f}x), findings identical: "
-          f"{rescan['findings_identical']}")
-
-    timings["delta_sweep"] = bench_delta_sweep(
-        profile["fleet"], profile["workers"],
-        file_count=min(profile["files"], 120),
-        changed=profile["delta_changed"])
-    dsweep = timings["delta_sweep"]
-    print(f"delta sweep ({dsweep['fleet_size']} machines, "
-          f"{len(dsweep['changed_machines'])} changed): "
-          f"full {dsweep['full_s']:.2f}s, delta {dsweep['delta_s']:.2f}s "
-          f"({dsweep['speedup']:.1f}x), {dsweep['skipped']} skipped, "
-          f"{dsweep['records_patched']:.0f} MFT record(s) patched, "
-          f"infected identical: {dsweep['infected_identical']}")
-
-    timings["fleet_epoch"] = bench_fleet_epoch(
-        profile["fleet"], file_count=min(profile["files"], 120),
-        workers=profile["workers"])
-    fleet_epoch = timings["fleet_epoch"]
-    print(f"fleet epoch ({fleet_epoch['fleet_size']} machines): "
-          f"naive serial {fleet_epoch['naive_serial_s']:.2f}s, "
-          f"seed epoch {fleet_epoch['seed_epoch_s']:.2f}s, "
-          f"steady epoch {fleet_epoch['steady_epoch_s']:.3f}s "
-          f"({fleet_epoch['speedup']:.1f}x), all skipped: "
-          f"{fleet_epoch['steady_all_skipped']}")
-
-    results["fleet_escalation"] = bench_fleet_escalation(
-        file_count=min(profile["files"], 120),
-        strains=profile["strains"])
-    escalation = results["fleet_escalation"]
-    print(f"fleet escalation ({escalation['strains']} strains + "
-          f"{escalation['clean_controls']} clean): "
-          f"{len(escalation['escalated'])} escalated, "
-          f"{len(escalation['confirmed'])} confirmed, "
-          f"precision {escalation['precision']:.2f}, "
-          f"recall {escalation['recall']:.2f}")
-
-    timings["cold_parse_zero_copy"] = bench_cold_parse_zero_copy(
-        profile["zc_files"])
-    zero_copy = timings["cold_parse_zero_copy"]
-    print(f"cold zero-copy parse ({zero_copy['mft_slots']} MFT slots, "
-          f"{zero_copy['file_count']} files): "
-          f"legacy {zero_copy['legacy_cold_s'] * 1000:.1f} ms, "
-          f"zero-copy {zero_copy['zero_copy_cold_s'] * 1000:.1f} ms "
-          f"({zero_copy['speedup']:.1f}x), namespace identical: "
-          f"{zero_copy['namespace_identical']}, reports identical: "
-          f"{zero_copy['reports_identical']}")
-
-    timings["memory_ceiling"] = bench_memory_ceiling(
-        profile["ceiling_fleet"], profile["ceiling_files"])
-    ceiling = timings["memory_ceiling"]
-    print(f"memory ceiling ({ceiling['fleet_size']} machines): "
-          f"COW {ceiling['cow_machines_per_gb']:.0f}/GB vs deep-copy "
-          f"{ceiling['deep_copy_machines_per_gb']:.0f}/GB "
-          f"({ceiling['density_ratio']:.1f}x), verdicts identical: "
-          f"{ceiling['verdicts_identical']}")
-
-    timings["console_query"] = bench_console_query(
-        profile["console_fleet"], profile["console_epochs"],
-        profile["console_lookups"])
-    console = timings["console_query"]
-    print(f"console query ({console['fleet_size']} machines x "
-          f"{console['epochs']} epochs, {console['lookups']} lookups): "
-          f"indexed p50 {console['indexed_p50_us']:.0f} us / "
-          f"p95 {console['indexed_p95_us']:.0f} us, replay p50 "
-          f"{console['replay_p50_us']:.0f} us ({console['speedup']:.1f}x), "
-          f"answers identical: {console['answers_identical']}")
-
-    timings["index_overhead"] = bench_index_overhead(
-        profile["console_fleet"], file_count=min(profile["files"], 120),
-        workers=profile["workers"])
-    index_overhead = timings["index_overhead"]
-    print(f"index overhead ({index_overhead['fleet_size']} machines): "
-          f"steady epoch {index_overhead['steady_without_index_s']:.3f}s "
-          f"off vs {index_overhead['steady_with_index_s']:.3f}s on "
-          f"({index_overhead['overhead_pct']:+.1f}%)")
-
-    timings["distributed_sweep"] = bench_distributed_sweep(
-        profile["dist_fleet"], profile["files"], profile["dist_agents"])
-    dist = timings["distributed_sweep"]
-    print(f"distributed sweep ({dist['fleet_size']} machines x "
-          f"{dist['file_count']} files, {dist['agents']} agents): "
-          f"single-process {dist['single_process_s']:.2f}s, "
-          f"distributed {dist['distributed_s']:.2f}s "
-          f"({dist['speedup']:.1f}x), verdicts identical: "
-          f"{dist['verdicts_identical']}, chaos @ "
-          f"{dist['chaos_fault_rate']:.0%}: zero lost "
-          f"{dist['chaos_zero_lost']}, identical "
-          f"{dist['chaos_verdicts_identical']}")
-
-    timings["sampled_sweep"] = bench_sampled_sweep(
-        profile["sweep_fleet"], profile["sweep_epochs"],
-        rates=profile["sweep_rates"], workers=profile["workers"])
-    sampled = timings["sampled_sweep"]
-    print(f"sampled sweep ({sampled['fleet_size']} machines x "
-          f"{sampled['epochs']} epochs): full steady "
-          f"{sampled['full']['steady_scan_s']:.0f} sim-s, "
-          f"recall {sampled['full_recall']:.2f}")
-    for point in sampled["curve"]:
-        print(f"  rate {point['file_rate']:.2f}: "
-              f"{point['steady_scan_s']:.0f} sim-s "
-              f"({point['reduction']:.1f}x less), "
-              f"recall {point['recall']:.2f}, "
-              f"est. recall {point['estimated_recall_last']:.2f}, "
-              f"{point['sampling_escalations']} escalated by sampling")
-    if sampled["operating_rate"] is not None:
-        print(f"  operating point: rate "
-              f"{sampled['operating_rate']:.2f} -> "
-              f"{sampled['operating_reduction']:.1f}x reduction @ "
-              f"recall {sampled['operating_recall']:.2f}")
-
-    timings["trace_replay"] = bench_trace_replay(
-        profile["trace_fleet"], profile["trace_epochs"])
-    trace = timings["trace_replay"]
-    print(f"trace replay ({trace['fleet_size']} machines x "
-          f"{trace['epochs']} epochs, flat + sparse backends): "
-          f"verdicts identical: {trace['verdicts_identical']}, "
-          f"journals identical: {trace['journal_digests_identical']}, "
-          f"trace digests identical: "
-          f"{trace['trace_digests_identical']}")
-
-    results["stealth_campaign"] = bench_stealth_campaign(
-        profile["stealth_fleet"], profile["stealth_epochs"],
-        workers=profile["workers"])
-    print_stealth_campaign(results["stealth_campaign"])
-
-    results["chaos"] = bench_chaos_sweep(
-        min(profile["fleet"], 12), profile["workers"],
-        file_count=min(profile["files"], 120))
-    chaos = results["chaos"]
-    print(f"chaos sweep ({chaos['fleet_size']} machines @ "
-          f"{chaos['fault_rate']:.0%} faults): "
-          f"{chaos['faults_fired']} faults fired, "
-          f"recall unchanged: {chaos['recall_unchanged']}, "
-          f"errors: {len(chaos['errors'])}")
-
-    failures = []
-    chaos_gates = (
-        ("chaos sweep recall unchanged", chaos["recall_unchanged"]),
-        ("chaos sweep zero errors", not chaos["errors"]),
-        ("chaos sweep faults actually fired", chaos["faults_fired"] > 0),
-        ("delta rescan findings identical", rescan["findings_identical"]),
-        ("delta sweep infected identical", dsweep["infected_identical"]),
-        ("delta sweep findings identical", dsweep["findings_identical"]),
-        ("delta sweep skipped every unchanged machine",
-         dsweep["skipped"] == dsweep["fleet_size"]
-         - len(dsweep["changed_machines"])),
-        ("fleet steady epoch all skipped",
-         fleet_epoch["steady_all_skipped"]),
-        ("fleet steady verdicts stable", fleet_epoch["verdicts_stable"]),
-        ("fleet escalation precision 1.0",
-         escalation["precision"] == 1.0 and escalation["escalated"]),
-        ("fleet escalation confirmed_by provenance",
-         escalation["confirmed_by_provenance_ok"]),
-        ("zero-copy parse namespace identical",
-         zero_copy["namespace_identical"]),
-        ("zero-copy parse reports identical",
-         zero_copy["reports_identical"]),
-        ("memory ceiling verdicts identical",
-         ceiling["verdicts_identical"]),
-        ("console query answers identical",
-         console["answers_identical"]),
-        ("console fleet_status matches replay",
-         console["status_identical"]),
-        ("distributed sweep verdicts identical",
-         dist["verdicts_identical"]),
-        ("distributed chaos zero lost machines",
-         dist["chaos_zero_lost"]),
-        ("distributed chaos verdicts identical",
-         dist["chaos_verdicts_identical"]),
-        ("sampled sweep full recall 1.0", sampled["full_recall"] == 1.0),
-        ("sampled sweep no false positives",
-         sampled["false_positive_free"]),
-        ("sampled sweep actually sampled",
-         all(point["sampled_scans"] > 0
-             for point in sampled["curve"])),
-        ("trace replay verdicts element-identical",
-         trace["verdicts_identical"]),
-        ("trace replay journals byte-identical across backends",
-         trace["journal_digests_identical"]),
-        ("trace replay digests identical", trace["trace_digests_identical"]),
-        ("trace replay infection detected and identical",
-         trace["infected_identical"] and trace["infected"]),
-    ) + stealth_campaign_gates(results["stealth_campaign"])
-    for label, passed in chaos_gates:
-        print(f"  [{'PASS' if passed else 'FAIL'}] {label}")
-        if not passed:
-            failures.append(label)
-    overhead_ok = overhead["overhead_pct"] <= 5.0
-    print(f"  [{'PASS' if overhead_ok else 'FAIL'}] "
-          f"telemetry overhead <= 5%")
-    if not overhead_ok:
-        failures.append("telemetry overhead <= 5%")
-    if not args.smoke:
-        gates = (
-            ("read_file_content speedup >= 5x",
-             timings["read_file_content"]["speedup"] >= 5),
-            ("raw ASEP scan speedup >= 5x",
-             timings["raw_asep_scan"]["speedup"] >= 5),
-            ("delta rescan speedup >= 10x", rescan["speedup"] >= 10),
-            ("delta sweep speedup >= 5x", dsweep["speedup"] >= 5),
-            ("fleet steady epoch >= 5x naive serial",
-             fleet_epoch["speedup"] >= 5),
-            ("cold zero-copy parse >= 5x",
-             zero_copy["speedup"] >= 5),
-            ("memory ceiling >= 4x machines per GB",
-             ceiling["density_ratio"] >= 4),
-            ("console query p50 >= 10x replay",
-             console["speedup"] >= 10),
-            ("index maintenance overhead <= 5%",
-             index_overhead["overhead_pct"] <= 5.0),
-            # Forked agents need cores to beat GIL-serialized threads;
-            # a single-core host can only time-slice them, so there the
-            # gate is that the wire + fork overhead stays bounded.
-            ("distributed sweep >= 2x single process"
-             if dist["cpu_count"] >= 4 else
-             "distributed sweep overhead <= 3x (single-core host)",
-             dist["speedup"] >= 2 if dist["cpu_count"] >= 4
-             else dist["distributed_s"] <= 3 * dist["single_process_s"]),
-            ("sampled sweep >= 5x reduction at recall >= 0.95",
-             sampled["operating_reduction"] >= 5
-             and sampled["operating_recall"] >= 0.95),
-        )
-        for label, passed in gates:
+def run_rows(rows, full: bool) -> Tuple[dict, list]:
+    """Run ``rows``, printing headlines and gate verdicts; return each
+    row's result (sizes included) by name and the failed gate labels."""
+    results, failed = {}, []
+    for row in rows:
+        sizes = row.full if full else row.smoke
+        result = results[row.name] = {**sizes, **row.run(**sizes)}
+        # The headline: every top-level number the run measured.
+        print(f"{row.name} {sizes}: " + ", ".join(
+            f"{key} {value:g}" for key, value in result.items()
+            if key not in sizes and type(value) in (int, float)))
+        if row.render is not None:
+            print(row.render(result))
+        for label, check in row.gates + (row.floors if full else ()):
+            passed = bool(result[check] if isinstance(check, str)
+                          else check(result))
             print(f"  [{'PASS' if passed else 'FAIL'}] {label}")
             if not passed:
-                failures.append(label)
+                failed.append(label)
+    return results, failed
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--smoke", action="store_true",
+                        help="every row at its smoke size, no floors (CI)")
+    parser.add_argument("--out", type=Path, metavar="FILE",
+                        help="write the results JSON to FILE")
+    parser.add_argument("--telemetry-out", type=Path, metavar="DIR",
+                        help="write a traced epoch's artifacts to DIR")
+    for row in EXPERIMENTS:
+        if row.flag:
+            parser.add_argument(row.flag, dest="mode", action="store_const",
+                                const=row.name, help=f"run only the "
+                                f"{row.name} row, at its full size")
+    parser.add_argument("--trace", type=Path, metavar="FILE",
+                        help="record the trace_replay workload to FILE")
+    parser.add_argument("--replay", type=Path, metavar="FILE",
+                        help="replay a recorded sweep trace")
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    by_name = {row.name: row for row in EXPERIMENTS}
+    if args.trace or args.replay:
+        trace = (record_trace(args.trace, **by_name["trace_replay"].full)
+                 if args.trace else replay_trace(args.replay))
+        print(f"{trace.trace_path}: trace digest {trace.trace_digest}, "
+              f"journal digest {trace.journal_digest}")
+        for epoch, verdicts in enumerate(trace.verdicts, start=1):
+            infected = [name for name, key in sorted(verdicts.items())
+                        if key[0] == "infected"]
+            print(f"  epoch {epoch}: {len(verdicts)} verdict(s), infected: "
+                  f"{', '.join(infected) or 'none'}")
+        return 0
+    if args.mode is not None:
+        rows, full = [by_name[args.mode]], True
+    else:
+        rows = [row for row in EXPERIMENTS if row.smoke is not None]
+        full = not args.smoke
+    results, failed = run_rows(rows, full)
     if args.telemetry_out is not None:
         write_telemetry_artifacts(args.telemetry_out)
-
-    out = args.out or (None if args.smoke else OUT_DEFAULT)
-    if out is not None:
-        out.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"wrote {out}")
-
-    if failures:
-        print(f"FAILED gates: {failures}", file=sys.stderr)
+    if args.out is not None:
+        payload = {"mode": args.mode or ("full" if full else "smoke"),
+                   "failed": failed, **results}
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        args.out.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {args.out}")
+    if failed:
+        print(f"FAILED gates: {failed}", file=sys.stderr)
         return 1
     return 0
 

@@ -10,10 +10,10 @@ The input is a ``repro.fleet`` epochs journal (``epochs.jsonl``:
 ``epoch-start``, ``fleet-machine``, ``fleet-outbreak``,
 ``fleet-campaign``, ``fleet-agent``, ``epoch-end`` records), rendered as
 an epoch-by-epoch report with escalation provenance, outbreak alerts,
-and the cross-epoch campaign timeline.  A ``BENCH_PR10.json`` (full
-bench or ``--stealth-campaign`` artifact) is also accepted and rendered
-as the per-stealth-level detection columns (docs/adversary.md).  Any
-other file is rejected with a non-zero exit.
+and the cross-epoch campaign timeline.  A ``scripts/bench.py --out``
+JSON (full run or ``--stealth-campaign`` artifact) is also accepted and
+rendered as the per-stealth-level detection columns (docs/adversary.md).
+Any other file is rejected with a non-zero exit.
 
 ``--demo`` runs one coordinator epoch over a small fleet (one infected
 client, confirmed by a RIS network boot) into ``--out`` (default: a new
@@ -134,13 +134,13 @@ def is_fleet_journal(records: dict) -> bool:
 
 
 def render_stealth_curve(payload: dict) -> str:
-    """Per-stealth-level detection columns from a ``BENCH_PR10.json``.
+    """Per-stealth-level detection columns from a bench results JSON.
 
-    Accepts either a full bench result or a ``--stealth-campaign``
-    artifact; both carry the curve under ``stealth_campaign``.
+    Accepts a full bench result or a ``--stealth-campaign`` artifact
+    (including the committed ``BENCH_PR10.json``); all carry the curve
+    under ``stealth_campaign``.
     """
-    stealth = payload.get("stealth_campaign") or payload.get(
-        "timings", {}).get("stealth_campaign")
+    stealth = payload.get("stealth_campaign")
     if not stealth:
         return "no stealth_campaign section in this bench file"
     lines = [f"stealth campaign curve ({stealth.get('fleet_size', '?')} "

@@ -11,7 +11,7 @@ maximum``:
   :mod:`repro.stealth.campaign`
 
 See ``docs/adversary.md`` for the level table and the measured
-precision/recall-per-level curve (``BENCH_PR10.json``).
+precision/recall-per-level curve (``scripts/bench.py --stealth-campaign``).
 """
 
 from repro.stealth.levels import (ALL_BEHAVIORS, AWARE, CLOAK, COORDINATE,
