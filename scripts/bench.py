@@ -708,8 +708,7 @@ def bench_sampled_sweep(fleet_size: int, epochs: int, rates,
         summaries, reported = [], set()
         with temp_coordinator(workload.machines.values(),
                               workers=workers, sampling=sampling,
-                              console_index=False,
-                              lease_seconds=1e6) as coordinator:
+                              console_index=False) as coordinator:
             for epoch in range(1, epochs + 1):
                 workload.apply_epoch(epoch)
                 aggregate = coordinator.run_epoch()
@@ -839,7 +838,7 @@ def _campaign_run(fleet_size: int, level: str, epochs: int,
     horizon = 60.0
     with temp_coordinator(workload.machines.values(), workers=workers,
                           outbreak_threshold=3, console_index=False,
-                          lease_seconds=1e6, **kwargs) as coordinator:
+                          **kwargs) as coordinator:
         for epoch in range(1, epochs + 1):
             workload.apply_epoch(epoch)
             truth_now = workload.infected_machines(epoch)

@@ -31,7 +31,8 @@ files under ``<fleet_dir>/index/``:
 ``state.json``
     Cursors (how far into each journal the index has read), head
     digests (so a compacted/rewritten journal triggers a rebuild), and
-    the incrementally-replayed work-queue state snapshot.
+    the work-queue state, folded incrementally by the queue's own
+    :class:`~repro.fleet.queue.QueueState`.
 
 **Incremental maintenance.**  :meth:`JournalIndex.update` reads only
 the bytes past each cursor (``complete_only`` — a torn live tail is
@@ -58,6 +59,7 @@ import os
 import tempfile
 from typing import Dict, Iterable, List, Optional
 
+from repro.fleet.queue import QueueState
 from repro.telemetry.journal_io import (head_digest, iter_journal,
                                         read_record_at, replace_journal)
 from repro.telemetry.metrics import global_metrics
@@ -88,100 +90,6 @@ _MACHINE_FIELDS = ("machine", "epoch", "verdict", "findings", "noise",
                    "sampled", "coverage", "sampling_escalated")
 
 
-class _QueueState:
-    """A pure, side-effect-free replica of ``WorkQueue`` replay state.
-
-    The queue WAL's semantics are append-driven; this mirrors
-    :meth:`repro.fleet.queue.WorkQueue._apply` without locks, clocks,
-    or write paths, so the console can track queue depth incrementally
-    and serialize the snapshot into ``state.json``.
-    """
-
-    def __init__(self) -> None:
-        self.epoch: Optional[int] = None
-        self.shards: Dict[str, int] = {}
-        self.pending: Dict[int, List[str]] = {}
-        self.leases: Dict[str, dict] = {}
-        self.acked: Dict[str, dict] = {}
-
-    def apply(self, record: dict) -> None:
-        op = record.get("op")
-        if op == "epoch-open":
-            self.epoch = int(record["epoch"])
-            self.shards = {name: int(shard) for name, shard
-                           in record.get("shards", {}).items()}
-            self.pending = {}
-            for name in record.get("machines", []):
-                shard = self.shards.get(name, 0)
-                self.pending.setdefault(shard, []).append(name)
-            self.leases = {}
-            self.acked = {}
-        elif op == "lease":
-            machine = record["machine"]
-            self._drop_pending(machine)
-            self.leases[machine] = {
-                "worker": int(record.get("worker", 0)),
-                "token": int(record.get("token", 0)),
-                "expires_at": float(record.get("expires_at", 0.0)),
-            }
-        elif op == "renew":
-            machine = record["machine"]
-            lease = self.leases.get(machine)
-            if lease is not None and lease["token"] == int(
-                    record.get("token", -1)):
-                lease["expires_at"] = float(record.get("expires_at", 0.0))
-        elif op in ("expire", "requeue"):
-            machine = record["machine"]
-            self.leases.pop(machine, None)
-            if machine not in self.acked:
-                shard = self.shards.get(machine, 0)
-                queue = self.pending.setdefault(shard, [])
-                if machine not in queue:
-                    queue.append(machine)
-        elif op == "ack":
-            machine = record["machine"]
-            self.leases.pop(machine, None)
-            self._drop_pending(machine)
-            self.acked[machine] = {key: value
-                                   for key, value in record.items()
-                                   if key not in ("op", "machine")}
-        elif op == "epoch-close":
-            self.__init__()
-        # Unknown ops are ignored, same stance as the queue itself.
-
-    def _drop_pending(self, machine: str) -> None:
-        shard = self.shards.get(machine, 0)
-        queue = self.pending.get(shard, [])
-        if machine in queue:
-            queue.remove(machine)
-
-    def pending_machines(self) -> List[str]:
-        return sorted(machine for queue in self.pending.values()
-                      for machine in queue)
-
-    def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "shards": self.shards,
-                "pending": {str(shard): list(queue) for shard, queue
-                            in self.pending.items() if queue},
-                "leases": self.leases, "acked": self.acked}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "_QueueState":
-        state = cls()
-        state.epoch = payload.get("epoch")
-        if state.epoch is not None:
-            state.epoch = int(state.epoch)
-        state.shards = {name: int(shard) for name, shard
-                        in payload.get("shards", {}).items()}
-        state.pending = {int(shard): list(queue) for shard, queue
-                         in payload.get("pending", {}).items()}
-        state.leases = {name: dict(lease) for name, lease
-                        in payload.get("leases", {}).items()}
-        state.acked = {name: dict(payload_) for name, payload_
-                       in payload.get("acked", {}).items()}
-        return state
-
-
 class JournalIndex:
     """Incremental sidecar index over one fleet directory's journals."""
 
@@ -209,7 +117,7 @@ class JournalIndex:
         self._events: List[dict] = []
         self._event_offsets: set = set()
         self._baseline_entries: Dict[str, dict] = {}
-        self._queue_state = _QueueState()
+        self._queue_state = QueueState()
         self._cursors = {"epochs": 0, "queue": 0, "baselines": 0}
         self._heads = {"epochs": "", "queue": "", "baselines": ""}
         self._torn_skipped = 0
@@ -252,7 +160,7 @@ class JournalIndex:
                             if key in self._heads})
         self._torn_skipped = int(state.get("torn_skipped", 0))
         if state.get("queue_state"):
-            self._queue_state = _QueueState.from_dict(state["queue_state"])
+            self._queue_state = QueueState.from_dict(state["queue_state"])
 
         for line in iter_journal(self.machines_path, on_torn=self._torn):
             self._fold_machine_entry(line.record)
@@ -557,7 +465,7 @@ class JournalIndex:
         self._events.clear()
         self._event_offsets.clear()
         self._baseline_entries.clear()
-        self._queue_state = _QueueState()
+        self._queue_state = QueueState()
         self._cursors = {"epochs": 0, "queue": 0, "baselines": 0}
         self._heads = {key: self._capture_head(path) for key, path in
                        (("epochs", self.source_epochs),
@@ -707,7 +615,7 @@ class JournalIndex:
         status: dict = {
             "fleet_dir": self.fleet_dir,
             "open_epoch": queue.epoch,
-            "pending": sum(len(q) for q in queue.pending.values()),
+            "pending": queue.pending_count(),
             "leased": len(queue.leases),
             "acked": len(queue.acked),
             "epochs_completed": len(summaries),

@@ -156,12 +156,13 @@ class FleetError(ReproError):
 
 
 class StaleLease(FleetError):
-    """A worker acted on a lease that expired or was superseded.
+    """A worker acked a lease that was superseded or already acked.
 
-    The queue re-leased the machine to another worker (or the epoch
-    moved on); honouring the stale ack would double-count the machine.
-    The late worker drops its result — the current lease holder's scan
-    is the one that lands.
+    Its holder was declared dead and the machine requeued (and perhaps
+    re-leased), or the machine was already acked this epoch; honouring
+    the stale ack would double-count the machine.  The late worker
+    drops its result — the current lease holder's scan is the one that
+    lands.
     """
 
     def __init__(self, machine: str, token: int, reason: str):

@@ -103,7 +103,6 @@ class ScanAgent:
         self._channel: Optional[transport.FrameChannel] = None
         self._pending_ack: Optional[Dict] = None
         self._adopted: list = []        # outstanding leases from hello-ok
-        self._held: Dict[str, int] = {}  # machine -> token (for heartbeats)
         self._stop = threading.Event()
         self.stats = {"leases": 0, "acks": 0, "skips": 0, "scans": 0,
                       "errors": 0, "reconnects": 0, "late": 0,
@@ -226,16 +225,9 @@ class ScanAgent:
 
     def _serve_lease(self, reply: Dict) -> None:
         lease = reply["lease"]
-        name = lease["machine"]
-        epoch = int(lease["epoch"])
-        token = int(lease["token"])
-        self._held[name] = token
-        try:
-            ack = self._scan_to_ack(name, epoch, token,
-                                    reply.get("baseline_generation"))
-        finally:
-            self._held.pop(name, None)
-        self._pending_ack = ack
+        self._pending_ack = self._scan_to_ack(
+            lease["machine"], int(lease["epoch"]), int(lease["token"]),
+            reply.get("baseline_generation"))
         self._flush_pending_ack()
 
     def _scan_to_ack(self, name: str, epoch: int, token: int,
@@ -309,8 +301,7 @@ class ScanAgent:
                     if channel.recv(timeout=2.0).get("op") != "hello-ok":
                         raise TransportError("heartbeat hello rejected")
                 else:
-                    channel.send({"op": "heartbeat",
-                                  "leases": sorted(self._held)})
+                    channel.send({"op": "heartbeat"})
                     channel.recv(timeout=2.0)
             except TransportError:
                 if channel is not None:

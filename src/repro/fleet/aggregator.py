@@ -228,7 +228,8 @@ class EpochSummary:
     mass_hiding: int = 0
     outbreaks: int = 0
     scan_seconds: float = 0.0
-    # Acks that arrived after their lease expired or was superseded.
+    # Acks that arrived after their lease was taken back (the agent was
+    # declared dead, or a restarted coordinator resumed the epoch).
     # Each one means a machine was scanned more than once this epoch —
     # wasted work worth alarming on, even though the verdict that
     # landed is still correct (last valid lease wins).

@@ -24,13 +24,14 @@ Failure-first design decisions, in order of importance:
   record → ``WorkQueue.ack``), in one process, under the coordinator's
   lock — agents never write.  A skip acks as ``{"skip": true}`` and the
   controller rehydrates its verdict from its own baseline store.
-* **Heartbeat liveness.**  Every frame an agent sends (work channel or
-  its dedicated heartbeat channel) refreshes its session's
-  ``last_seen`` on the liveness clock (wall-monotonic by default,
-  injectable :class:`~repro.clock.SimClock` in tests).  :meth:`reap`
-  marks sessions silent past ``agent_timeout_seconds`` as
-  ``AGENT_DEAD`` and requeues exactly their leases — kill -9 loses a
-  scan in flight, never a machine.
+* **Heartbeat liveness.**  A lease has no deadline: it ends when its
+  agent acks it or when this controller declares the agent dead.
+  Every frame an agent sends (work channel or its dedicated heartbeat
+  channel) refreshes its session's ``last_seen`` on the liveness clock
+  (wall-monotonic by default, injectable :class:`~repro.clock.SimClock`
+  in tests).  :meth:`reap` marks sessions silent past
+  ``agent_timeout_seconds`` as ``AGENT_DEAD`` and requeues exactly
+  their leases — kill -9 loses a scan in flight, never a machine.
 * **Flap detection.**  A session that keeps reconnecting is marked
   ``AGENT_FLAPPING`` (the agent-level analogue of the per-machine
   circuit breaker's taxonomy) so operators can tell a crashy agent
@@ -50,7 +51,7 @@ import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.reporting import report_from_dict
-from repro.errors import StaleLease, TransportError, TransportTimeout
+from repro.errors import TransportError, TransportTimeout
 from repro.fleet import transport
 from repro.fleet.aggregator import MachineVerdict
 from repro.fleet.queue import Lease
@@ -337,8 +338,6 @@ class ScanController:
             return self._handle_lease(session)
         if op == "ack":
             return self._handle_ack(session, message)
-        if op == "renew":
-            return self._handle_renew(session, message)
         if op == "heartbeat":
             return {"op": "heartbeat-ok"}
         if op == "bye":
@@ -362,26 +361,13 @@ class ScanController:
         reply: Dict = {"lease": {
             "machine": lease.machine, "epoch": lease.epoch,
             "worker": lease.worker, "token": lease.token,
-            "expires_at": lease.expires_at, "shard": lease.shard}}
+            "shard": lease.shard}}
         baseline = self.coordinator._skip_baseline(lease.machine)
         if baseline is not None:
             # The skip offer: an agent whose clone is still at this
             # generation acks {"skip": true} instead of scanning.
             reply["baseline_generation"] = baseline.disk_generation
         return reply
-
-    def _handle_renew(self, session: AgentSession, message: Dict) -> Dict:
-        machine = str(message.get("machine"))
-        lease = session.leases.get(machine)
-        if lease is None or lease.token != int(message.get("token", -1)):
-            return {"op": "renew-stale"}
-        try:
-            renewed = self.coordinator.queue.renew(lease)
-        except StaleLease:
-            session.leases.pop(machine, None)
-            return {"op": "renew-stale"}
-        session.leases[machine] = renewed
-        return {"op": "renew-ok", "expires_at": renewed.expires_at}
 
     def _handle_bye(self, session: AgentSession) -> Dict:
         session.state = AGENT_DONE
@@ -405,15 +391,14 @@ class ScanController:
             return {"op": "ack-ok", "duplicate": True}
         current = coordinator.queue.leased_machines().get(machine)
         if current is not None and current.token == token:
-            if coordinator._checkpoint(
-                    current, *self._acked_verdict(machine, epoch, message)):
-                session.acks += 1
-                return {"op": "ack-ok", "duplicate": False}
-        else:
-            # Acked under another lease, or the lease was reclaimed
-            # (agent declared dead, machine re-leased or already
-            # redone): the late result is dropped.
-            coordinator._late_ack(machine)
+            coordinator._checkpoint(
+                current, *self._acked_verdict(machine, epoch, message))
+            session.acks += 1
+            return {"op": "ack-ok", "duplicate": False}
+        # Acked under another lease, or the lease was reclaimed (agent
+        # declared dead, machine re-leased or already redone): the late
+        # result is dropped.
+        coordinator._late_ack(machine)
         session.late_acks += 1
         return {"op": "ack-late"}
 

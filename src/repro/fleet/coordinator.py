@@ -58,7 +58,7 @@ from repro.core.baseline import BaselineStore, MachineBaseline
 from repro.core.costmodel import estimate_scan_seconds
 from repro.core.noise import NoiseFilter
 from repro.errors import (CircuitOpen, CoordinatorKilled, FleetError,
-                          ReproError, StaleLease, TransientIoError)
+                          ReproError, TransientIoError)
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import CircuitBreaker
 from repro.fleet.aggregator import (DEFAULT_OUTBREAK_THRESHOLD,
@@ -93,7 +93,6 @@ class FleetCoordinator:
                  scheduler: Optional[FleetScheduler] = None,
                  policy: Optional[EscalationPolicy] = None,
                  clock: Optional[SimClock] = None,
-                 lease_seconds: float = 300.0,
                  compact_every: int = 0,
                  fault_plan: Optional[FaultPlan] = None,
                  noise_filter: Optional[NoiseFilter] = None,
@@ -129,7 +128,6 @@ class FleetCoordinator:
         self.epochs_path = os.path.join(fleet_dir, EPOCHS_FILE)
         self.store = BaselineStore(fleet_dir)
         self.queue = WorkQueue(fleet_dir, clock=clock,
-                               lease_seconds=lease_seconds,
                                durable=queue_durable)
         self.clock = self.queue.clock
         self.scheduler = scheduler or FleetScheduler(shards=self.workers)
@@ -253,7 +251,7 @@ class FleetCoordinator:
             epoch, outbreak_threshold=self.outbreak_threshold)
         resuming = self.queue.epoch is not None
         if resuming:
-            recovered = self.queue.recover_leases()
+            recovered = self.queue.expire_leases()
             if recovered:
                 logger.info("epoch %d resume: requeued %d orphaned "
                             "lease(s)", epoch, len(recovered))
@@ -359,16 +357,13 @@ class FleetCoordinator:
                                  *self._scan_machine(epoch, lease.machine))
                 progressed = True
             if not progressed and not self.queue.epoch_drained():
-                # Every pending shard is empty but leases are still out
-                # (e.g. a test leased directly and died): ride the clock
-                # to the earliest expiry and reap.
-                deadline = self.queue.next_expiry()
-                if deadline is None:
-                    raise FleetError(
-                        f"epoch {epoch} stalled with no pending work, "
-                        f"no leases, and machines unaccounted for")
-                self.clock.advance(max(0.0, deadline - self.clock.now()))
-                self.queue.expire_leases()
+                # Resume requeued every lease, so an unacked machine
+                # with nothing pending is held by a lease taken outside
+                # this drain; only its holder can ack or release it.
+                raise FleetError(
+                    f"epoch {epoch} stalled with no pending work: "
+                    f"{sorted(self.queue.leased_machines())} leased "
+                    f"outside the drain")
 
     # -- the control plane both modes share --------------------------------------
 
@@ -399,26 +394,23 @@ class FleetCoordinator:
             return lease
 
     def _checkpoint(self, lease: Lease, verdict: MachineVerdict,
-                    fresh: Optional[Dict] = None) -> bool:
-        """Land one leased machine's verdict; False if it came late.
+                    fresh: Optional[Dict] = None) -> None:
+        """Land one leased machine's verdict under its live lease.
 
         ``fresh`` holds a new scan's :meth:`BaselineStore.put` arguments
-        (skips, failed scans and quarantines have none).  A lease gone
-        stale before the ack drops the result as a late ack: the machine
-        is redone, and the journal keeps both records, last one wins.
+        (skips, failed scans and quarantines have none).  Callers hold a
+        live lease: the in-process drain acks the lease it just took,
+        and the controller checks the agent's token first (a stale one
+        is its late ack, :meth:`_late_ack`).
         """
         if fresh is not None:
             stored = self.store.put(lease.machine, **fresh)
             self.breaker.record_success(lease.machine)
             verdict = replace(verdict, baseline_id=stored.baseline_id)
         self._journal(verdict.to_dict())
-        try:
-            self.queue.ack(lease, verdict=verdict.verdict,
-                           scanned=verdict.scanned,
-                           confirmed=verdict.confirmed)
-        except StaleLease:
-            self._late_ack(lease.machine)
-            return False
+        self.queue.ack(lease, verdict=verdict.verdict,
+                       scanned=verdict.scanned,
+                       confirmed=verdict.confirmed)
         if self.queue.epoch_drained():
             self._drained.set()
         global_metrics().incr("fleet.epoch.checkpoints")
@@ -431,11 +423,12 @@ class FleetCoordinator:
                 and self._acks >= self._kill_after_acks):
             raise CoordinatorKilled(
                 f"killed after {self._acks} ack(s) in epoch {lease.epoch}")
-        return True
 
     def _late_ack(self, machine: str) -> None:
-        """Count a result dropped because its lease went stale: a whole
-        scan's work wasted, on the metrics and the epoch summary."""
+        """Count a result dropped because its lease was taken back (its
+        agent declared dead, or the epoch resumed by a restarted
+        coordinator): a whole scan's work wasted, on the metrics and
+        the epoch summary."""
         global_metrics().incr("fleet.ack.late")
         if self.aggregator is not None:
             self.aggregator.summary.late_acks += 1
@@ -483,9 +476,9 @@ class FleetCoordinator:
             return skip_verdict(baseline, epoch), None
         # The scan body itself is shared with the distributed agents
         # (repro.fleet.scanwork); scan costs are charged to the
-        # machine's own clock and the fleet clock (leases, checkpoints)
-        # mirrors the elapsed time when the two are distinct, so lease
-        # expiry sees scans take time.
+        # machine's own clock, and the fleet clock mirrors the elapsed
+        # time when the two are distinct, so journal and WAL timestamps
+        # after a scan stay true.
         try:
             if self.sampling is not None and name in self._sampled_tier:
                 outcome = perform_sampled_machine_scan(

@@ -1,27 +1,31 @@
-"""WAL-backed durable work queue with lease/ack/renew semantics.
+"""WAL-backed durable work queue with lease/ack semantics.
 
-Every state transition — epoch opened, machine leased, lease renewed or
-expired, machine acked — is one appended JSONL line, in the same
+Every state transition — epoch opened, machine leased or requeued,
+machine acked — is one appended JSONL line, in the same
 torn-tail-tolerant style as :class:`~repro.core.baseline.BaselineStore`:
 a writer killed mid-line loses at most that line, and replay rebuilds
 the exact queue state from the survivors.  That makes the queue the
 epoch's checkpoint: a coordinator killed at any ack boundary restarts,
 replays the WAL, and finds every acked machine still acked and every
-unfinished machine still pending.
+unfinished machine still pending.  :class:`QueueState` is the one fold
+of those records; the console index folds the same WAL through it.
 
 Lease semantics follow the standard at-least-once work-queue contract:
 
-* :meth:`WorkQueue.lease` hands a machine to a worker with an expiry on
-  the fleet's :class:`~repro.clock.SimClock`; the draw passes through
-  the ``fleet.lease`` fault site, so a chaos plan can fail the exchange
-  (the machine stays pending — a failed lease never loses work).
-* :meth:`WorkQueue.renew` extends a live lease (long scans heartbeat).
+* :meth:`WorkQueue.lease` hands a machine to a worker; the draw passes
+  through the ``fleet.lease`` fault site, so a chaos plan can fail the
+  exchange (the machine stays pending — a failed lease never loses
+  work).
 * :meth:`WorkQueue.ack` commits the machine as done — exactly once per
-  epoch: an ack bearing an expired or superseded token raises
-  :class:`~repro.errors.StaleLease` instead of double-counting.
-* :meth:`WorkQueue.expire_leases` returns timed-out machines to their
-  shard (``fleet.lease_expired`` metric) — a dead worker's machines are
-  re-leased, not lost.
+  epoch: an ack bearing a superseded token, or for a machine already
+  acked, raises :class:`~repro.errors.StaleLease` instead of
+  double-counting.
+* A lease is a claim, not a timer: it has no deadline, and ends only
+  when its holder acks it or the holder's host declares the holder
+  dead.  :meth:`WorkQueue.expire_leases` requeues every outstanding
+  lease when a coordinator resumes (its in-process workers died with
+  it); :meth:`WorkQueue.requeue` returns one dead agent's leases when
+  the controller's heartbeat reaper declares it dead.
 
 Dispatch is sharded: the epoch opener assigns every machine a
 deterministic shard, a worker leases from its own shard first, and a
@@ -32,12 +36,13 @@ of the fleet.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.clock import SimClock
 from repro.errors import FleetError, StaleLease
@@ -54,49 +59,169 @@ QUEUE_FILE = "queue.jsonl"
 
 @dataclass(frozen=True)
 class Lease:
-    """One worker's claim on one machine, valid until ``expires_at``."""
+    """One worker's claim on one machine, held until acked or requeued."""
 
     machine: str
     epoch: int
     worker: int
     token: int
-    expires_at: float
     shard: int
     stolen: bool = False
+
+
+class QueueState:
+    """The queue WAL's meaning: the one fold of its records.
+
+    :class:`WorkQueue` replays and appends through it (under its lock,
+    stamping records on its clock); the console's
+    :class:`~repro.console.index.JournalIndex` folds the WAL into one
+    incrementally and caches :meth:`to_dict` in its ``state.json``.
+    Records an older writer left behind still fold: a ``lease``
+    record's deadline is ignored, an ``expire`` requeues like a
+    ``requeue``, and a deadline extension is skipped like any unknown
+    op.
+    """
+
+    def __init__(self) -> None:
+        self.epoch: Optional[int] = None        # currently open epoch
+        self.machines: List[str] = []           # epoch roster, queue order
+        self.shards: Dict[str, int] = {}
+        self.pending: Dict[int, List[str]] = {}
+        self.leases: Dict[str, Lease] = {}      # machine -> live lease
+        self.acked: Dict[str, dict] = {}        # machine -> ack payload
+        self.token = 0                          # last lease token issued
+        self.at = 0.0                           # latest WAL timestamp
+
+    def apply(self, record: dict) -> None:
+        """Fold one WAL record; a malformed one raises ``KeyError``,
+        ``TypeError`` or ``ValueError`` before changing anything."""
+        at = float(record.get("at", 0.0))
+        op = record["op"]
+        if op == "epoch-open":
+            epoch, machines = int(record["epoch"]), list(record["machines"])
+            shards = {name: int(shard) for name, shard
+                      in record["shards"].items()}
+            self.epoch, self.machines, self.shards = epoch, machines, shards
+            self.pending = {}
+            for name in machines:
+                self.pending.setdefault(shards.get(name, 0), []).append(name)
+            self.leases, self.acked = {}, {}
+        elif op == "lease":
+            lease = Lease(machine=record["machine"],
+                          epoch=int(record["epoch"]),
+                          worker=int(record["worker"]),
+                          token=int(record["token"]),
+                          shard=int(record["shard"]),
+                          stolen=bool(record.get("stolen", False)))
+            self._drop_pending(lease.machine)
+            self.leases[lease.machine] = lease
+            self.token = max(self.token, lease.token)
+        elif op in ("requeue", "expire"):
+            machine = record["machine"]
+            self.leases.pop(machine, None)
+            if machine not in self.acked:
+                queue = self.pending.setdefault(self.shards.get(machine, 0),
+                                                [])
+                if machine not in queue:
+                    queue.append(machine)
+        elif op == "ack":
+            machine = record["machine"]
+            self.leases.pop(machine, None)
+            self._drop_pending(machine)
+            self.acked[machine] = {key: value
+                                   for key, value in record.items()
+                                   if key not in ("op", "machine")}
+        elif op == "epoch-close":
+            self.epoch = None
+            self.machines, self.shards, self.pending = [], {}, {}
+            self.leases, self.acked = {}, {}
+        # Unknown ops are ignored: a newer writer's records must not
+        # brick an older reader (same stance as the telemetry loader).
+        self.at = max(self.at, at)
+
+    def _drop_pending(self, machine: str) -> None:
+        queue = self.pending.get(self.shards.get(machine, 0), [])
+        if machine in queue:
+            queue.remove(machine)
+
+    def pending_count(self) -> int:
+        return sum(len(queue) for queue in self.pending.values())
+
+    def pending_machines(self) -> List[str]:
+        return sorted(machine for queue in self.pending.values()
+                      for machine in queue)
+
+    def to_dict(self) -> dict:
+        return {"epoch": self.epoch, "machines": list(self.machines),
+                "shards": dict(self.shards),
+                "pending": {str(shard): list(queue) for shard, queue
+                            in self.pending.items() if queue},
+                "leases": {name: dataclasses.asdict(lease)
+                           for name, lease in self.leases.items()},
+                "acked": self.acked, "token": self.token, "at": self.at}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "QueueState":
+        state = cls()
+        if payload.get("epoch") is not None:
+            state.epoch = int(payload["epoch"])
+        state.machines = list(payload.get("machines", []))
+        state.shards = {name: int(shard) for name, shard
+                        in payload.get("shards", {}).items()}
+        state.pending = {int(shard): list(queue) for shard, queue
+                         in payload.get("pending", {}).items()}
+        # An older cache's leases carry only worker, token and a
+        # deadline (ignored); the rest defaults from the epoch.
+        state.leases = {
+            name: Lease(machine=name,
+                        epoch=int(lease.get("epoch", state.epoch or 0)),
+                        worker=int(lease.get("worker", 0)),
+                        token=int(lease.get("token", 0)),
+                        shard=int(lease.get("shard",
+                                            state.shards.get(name, 0))),
+                        stolen=bool(lease.get("stolen", False)))
+            for name, lease in payload.get("leases", {}).items()}
+        state.acked = {name: dict(acked) for name, acked
+                       in payload.get("acked", {}).items()}
+        state.token = int(payload.get("token", 0))
+        state.at = float(payload.get("at", 0.0))
+        return state
 
 
 class WorkQueue:
     """Durable machine queue for one fleet directory.
 
-    All simulated-time comparisons (lease expiry) run on the supplied
-    :class:`SimClock`; the WAL records each transition's simulated
-    timestamp so a restarted queue resumes at the time the dead
-    coordinator last recorded rather than back at the epoch start.
+    The WAL records each transition's simulated timestamp on the
+    supplied :class:`SimClock`, so a restarted queue resumes at the time
+    the dead coordinator last recorded rather than back at the epoch
+    start.
     """
 
     def __init__(self, directory: str, clock: Optional[SimClock] = None,
-                 lease_seconds: float = 300.0, durable: bool = False):
-        if lease_seconds <= 0:
-            raise FleetError("lease_seconds must be positive")
+                 durable: bool = False):
         self.directory = directory
         self.path = os.path.join(directory, QUEUE_FILE)
-        self.lease_seconds = lease_seconds
         self.durable = bool(durable)
         self._lock = threading.RLock()
-        self.epoch: Optional[int] = None        # currently open epoch
-        self._machines: List[str] = []          # epoch roster, queue order
-        self._shards: Dict[str, int] = {}
-        self._pending: Dict[int, List[str]] = {}
-        self._leases: Dict[str, Lease] = {}     # machine -> live lease
-        self._acked: Dict[str, dict] = {}       # machine -> ack payload
-        self._token = 0
-        self._recorded_at = 0.0                 # latest WAL timestamp
-        self._replay()
-        self.clock = clock or SimClock(start=self._recorded_at)
-        if self.clock.now() < self._recorded_at:
+        self._state = QueueState()
+        for line in iter_journal(self.path, on_torn=self._warn_torn):
+            try:
+                self._state.apply(line.record)
+            except (ValueError, KeyError, TypeError) as exc:
+                # The torn tail of a killed writer: one lost
+                # transition, re-done by the resumed epoch.
+                self._warn_torn(line.line_no, str(exc))
+        recorded_at = self._state.at
+        self.clock = clock or SimClock(start=recorded_at)
+        if self.clock.now() < recorded_at:
             # A restarted coordinator's fresh clock must not run behind
-            # the WAL, or durable leases would outlive their writers.
-            self.clock.advance(self._recorded_at - self.clock.now())
+            # the WAL, or its timestamps would run backwards.
+            self.clock.advance(recorded_at - self.clock.now())
+
+    @property
+    def epoch(self) -> Optional[int]:
+        """The currently open epoch, or None between epochs."""
+        return self._state.epoch
 
     # -- WAL ---------------------------------------------------------------------
 
@@ -107,93 +232,15 @@ class WorkQueue:
     _FSYNC_OPS = frozenset({"epoch-open", "epoch-close"})
 
     def _append(self, record: dict) -> None:
+        """Stamp, append and fold one transition."""
         record = dict(record, at=round(self.clock.now(), 6))
         append_journal(self.path, record, fsync=(
-            self.durable or record.get("op") in self._FSYNC_OPS))
-        self._recorded_at = max(self._recorded_at, record["at"])
-
-    def _replay(self) -> None:
-        for line in iter_journal(self.path, on_torn=self._warn_torn):
-            try:
-                self._apply(line.record)
-            except (ValueError, KeyError, TypeError) as exc:
-                # The torn tail of a killed writer: one lost
-                # transition, re-done by the resumed epoch.
-                self._warn_torn(line.line_no, str(exc))
-                continue
+            self.durable or record["op"] in self._FSYNC_OPS))
+        self._state.apply(record)
 
     def _warn_torn(self, line_no: int, reason: str) -> None:
         logger.warning("skipping torn queue line %d in %s: %s",
                        line_no, self.path, reason)
-
-    def _apply(self, record: dict) -> None:
-        """One WAL record onto the in-memory state (replay path)."""
-        self._recorded_at = max(self._recorded_at,
-                                float(record.get("at", 0.0)))
-        op = record["op"]
-        if op == "epoch-open":
-            self.epoch = int(record["epoch"])
-            self._machines = list(record["machines"])
-            self._shards = {name: int(shard) for name, shard
-                            in record["shards"].items()}
-            self._pending = {}
-            for name in self._machines:
-                shard = self._shards.get(name, 0)
-                self._pending.setdefault(shard, []).append(name)
-            self._leases = {}
-            self._acked = {}
-        elif op == "lease":
-            machine = record["machine"]
-            self._drop_pending(machine)
-            self._leases[machine] = Lease(
-                machine=machine, epoch=int(record["epoch"]),
-                worker=int(record["worker"]), token=int(record["token"]),
-                expires_at=float(record["expires_at"]),
-                shard=int(record["shard"]),
-                stolen=bool(record.get("stolen", False)))
-            self._token = max(self._token, int(record["token"]))
-        elif op == "renew":
-            machine = record["machine"]
-            lease = self._leases.get(machine)
-            if lease is not None and lease.token == int(record["token"]):
-                self._leases[machine] = Lease(
-                    machine=lease.machine, epoch=lease.epoch,
-                    worker=lease.worker, token=lease.token,
-                    expires_at=float(record["expires_at"]),
-                    shard=lease.shard, stolen=lease.stolen)
-        elif op in ("expire", "requeue"):
-            machine = record["machine"]
-            self._leases.pop(machine, None)
-            if machine not in self._acked:
-                self._push_pending(machine)
-        elif op == "ack":
-            machine = record["machine"]
-            self._leases.pop(machine, None)
-            self._drop_pending(machine)
-            self._acked[machine] = {key: value
-                                    for key, value in record.items()
-                                    if key not in ("op", "machine")}
-        elif op == "epoch-close":
-            self.epoch = None
-            self._machines = []
-            self._shards = {}
-            self._pending = {}
-            self._leases = {}
-            self._acked = {}
-        # Unknown ops are ignored: a newer writer's records must not
-        # brick an older reader (same stance as the telemetry loader).
-
-    def _drop_pending(self, machine: str) -> None:
-        shard = self._shards.get(machine, 0)
-        queue = self._pending.get(shard, [])
-        if machine in queue:
-            queue.remove(machine)
-
-    def _push_pending(self, machine: str) -> None:
-        shard = self._shards.get(machine, 0)
-        queue = self._pending.setdefault(shard, [])
-        if machine not in queue:
-            queue.append(machine)
 
     # -- epoch lifecycle ---------------------------------------------------------
 
@@ -202,50 +249,38 @@ class WorkQueue:
         """Start an epoch over ``assignments`` (machine → shard, in
         dispatch-priority order)."""
         with self._lock:
-            if self.epoch is not None:
+            if self._state.epoch is not None:
                 raise FleetError(
-                    f"epoch {self.epoch} is still open; close or resume "
-                    f"it before opening epoch {epoch}")
-            record = {"op": "epoch-open", "epoch": int(epoch),
-                      "machines": list(assignments),
-                      "shards": {name: int(shard)
-                                 for name, shard in assignments.items()}}
-            self._append(record)
-            self._apply(record)
+                    f"epoch {self._state.epoch} is still open; close or "
+                    f"resume it before opening epoch {epoch}")
+            self._append({"op": "epoch-open", "epoch": int(epoch),
+                          "machines": list(assignments),
+                          "shards": {name: int(shard) for name, shard
+                                     in assignments.items()}})
 
     def close_epoch(self) -> None:
         with self._lock:
-            if self.epoch is None:
+            state = self._state
+            if state.epoch is None:
                 raise FleetError("no epoch is open")
-            if self.pending_count() or self._leases:
+            if state.pending_count() or state.leases:
                 raise FleetError(
-                    f"epoch {self.epoch} still has "
-                    f"{self.pending_count()} pending and "
-                    f"{len(self._leases)} leased machine(s)")
-            record = {"op": "epoch-close", "epoch": self.epoch}
-            self._append(record)
-            self._apply(record)
+                    f"epoch {state.epoch} still has "
+                    f"{state.pending_count()} pending and "
+                    f"{len(state.leases)} leased machine(s)")
+            self._append({"op": "epoch-close", "epoch": state.epoch})
 
-    def recover_leases(self) -> List[str]:
+    def expire_leases(self) -> List[str]:
         """Requeue every outstanding lease (coordinator restart).
 
-        The workers that held these leases died with the coordinator
-        that spawned them, so waiting out the expiry would only stall
-        the resumed epoch.  Returns the requeued machine names.
+        A lease has no deadline; it expires when its holder is known
+        dead.  The in-process workers that held these leases died with
+        the coordinator that ran them, so a resuming coordinator
+        requeues them all.  Returns the requeued machine names.
         """
-        with self._lock:
-            recovered = sorted(self._leases)
-            for machine in recovered:
-                record = {"op": "requeue", "machine": machine,
-                          "epoch": self.epoch}
-                self._append(record)
-                self._apply(record)
-            if recovered:
-                global_metrics().incr("fleet.queue.recovered",
-                                      len(recovered))
-            return recovered
+        return self._requeue(self._state.leases, "fleet.queue.recovered")
 
-    def requeue(self, machines) -> List[str]:
+    def requeue(self, machines: Iterable[str]) -> List[str]:
         """Return specific leased machines to their shards.
 
         The controller's liveness reaper calls this when an agent's
@@ -254,22 +289,20 @@ class WorkQueue:
         not currently leased (already acked, already requeued) are
         skipped.  Returns the machines actually requeued.
         """
+        return self._requeue(machines, "fleet.queue.reclaimed")
+
+    def _requeue(self, machines: Iterable[str], counter: str) -> List[str]:
         with self._lock:
-            requeued = []
-            for machine in sorted(machines):
-                if machine not in self._leases:
-                    continue
-                record = {"op": "requeue", "machine": machine,
-                          "epoch": self.epoch}
-                self._append(record)
-                self._apply(record)
-                requeued.append(machine)
+            requeued = [machine for machine in sorted(machines)
+                        if machine in self._state.leases]
+            for machine in requeued:
+                self._append({"op": "requeue", "machine": machine,
+                              "epoch": self._state.epoch})
             if requeued:
-                global_metrics().incr("fleet.queue.reclaimed",
-                                      len(requeued))
+                global_metrics().incr(counter, len(requeued))
             return requeued
 
-    # -- lease / ack / renew -----------------------------------------------------
+    # -- lease / ack -------------------------------------------------------------
 
     def lease(self, worker: int) -> Optional[Lease]:
         """Claim the next machine for ``worker``; None when none pending.
@@ -281,7 +314,7 @@ class WorkQueue:
         machine pending for the retry.
         """
         with self._lock:
-            if self.epoch is None:
+            if self._state.epoch is None:
                 raise FleetError("no epoch is open")
             picked = self._pick(worker)
             if picked is None:
@@ -292,134 +325,75 @@ class WorkQueue:
             # fault leaves no trace: the machine is still pending.
             faults_context.maybe_inject(SITE_FLEET_LEASE,
                                         clock=self.clock, scope=machine)
-            self._token += 1
-            lease = Lease(machine=machine, epoch=self.epoch,
-                          worker=worker, token=self._token,
-                          expires_at=self.clock.now() + self.lease_seconds,
-                          shard=shard, stolen=stolen)
-            record = {"op": "lease", "machine": machine,
-                      "epoch": lease.epoch, "worker": worker,
-                      "token": lease.token,
-                      "expires_at": round(lease.expires_at, 6),
-                      "shard": shard, "stolen": stolen}
-            self._append(record)
-            self._apply(record)
+            self._append({"op": "lease", "machine": machine,
+                          "epoch": self._state.epoch, "worker": worker,
+                          "token": self._state.token + 1,
+                          "shard": shard, "stolen": stolen})
             metrics = global_metrics()
             metrics.incr("fleet.queue.leases")
             if stolen:
                 metrics.incr("fleet.queue.steals")
-            return lease
+            return self._state.leases[machine]
 
     def _pick(self, worker: int) -> Optional[Tuple[str, int, bool]]:
         """(machine, shard, stolen) for the next claim, or None."""
-        own = worker % max(1, self._shard_count())
-        queue = self._pending.get(own, [])
+        pending = self._state.pending
+        own = worker % (max(self._state.shards.values(), default=0) + 1)
+        queue = pending.get(own, [])
         if queue:
             return queue[0], own, False
         # Work stealing: the deepest backlog donates its head; ties go
         # to the lowest shard id so the choice is deterministic.
         candidates = [(len(queue), -shard) for shard, queue
-                      in self._pending.items() if queue]
+                      in pending.items() if queue]
         if not candidates:
             return None
         __, negative_shard = max(candidates)
         shard = -negative_shard
-        return self._pending[shard][0], shard, True
-
-    def _shard_count(self) -> int:
-        return max(self._shards.values(), default=0) + 1
-
-    def renew(self, lease: Lease) -> Lease:
-        """Heartbeat: push a live lease's expiry out by ``lease_seconds``."""
-        with self._lock:
-            self._check_live(lease, "renew")
-            renewed = Lease(machine=lease.machine, epoch=lease.epoch,
-                            worker=lease.worker, token=lease.token,
-                            expires_at=self.clock.now() + self.lease_seconds,
-                            shard=lease.shard, stolen=lease.stolen)
-            record = {"op": "renew", "machine": lease.machine,
-                      "token": lease.token,
-                      "expires_at": round(renewed.expires_at, 6)}
-            self._append(record)
-            self._apply(record)
-            global_metrics().incr("fleet.queue.renewals")
-            return renewed
+        return pending[shard][0], shard, True
 
     def ack(self, lease: Lease, **payload) -> None:
         """Commit the leased machine as done — exactly once per epoch."""
         with self._lock:
-            self._check_live(lease, "ack")
-            record = {"op": "ack", "machine": lease.machine,
-                      "epoch": lease.epoch, "token": lease.token,
-                      **payload}
-            self._append(record)
-            self._apply(record)
+            if lease.machine in self._state.acked:
+                raise StaleLease(lease.machine, lease.token,
+                                 "machine already acked this epoch; "
+                                 "late ack dropped")
+            current = self._state.leases.get(lease.machine)
+            if current is None or current.token != lease.token:
+                raise StaleLease(lease.machine, lease.token,
+                                 f"lease superseded by "
+                                 f"#{current.token if current else '?'}; "
+                                 f"late ack dropped")
+            self._append({"op": "ack", "machine": lease.machine,
+                          "epoch": lease.epoch, "token": lease.token,
+                          **payload})
             global_metrics().incr("fleet.queue.acks")
-
-    def _check_live(self, lease: Lease, action: str) -> None:
-        if lease.machine in self._acked:
-            raise StaleLease(lease.machine, lease.token,
-                             f"machine already acked this epoch; "
-                             f"late {action} dropped")
-        current = self._leases.get(lease.machine)
-        if current is None or current.token != lease.token:
-            raise StaleLease(lease.machine, lease.token,
-                             f"lease superseded by "
-                             f"#{current.token if current else '?'}; "
-                             f"late {action} dropped")
-        if self.clock.now() >= current.expires_at:
-            raise StaleLease(lease.machine, lease.token,
-                             f"lease expired at {current.expires_at:.1f}s "
-                             f"(now {self.clock.now():.1f}s)")
-
-    def expire_leases(self) -> List[str]:
-        """Requeue every lease whose expiry has passed on the clock."""
-        with self._lock:
-            now = self.clock.now()
-            expired = sorted(machine for machine, lease
-                             in self._leases.items()
-                             if now >= lease.expires_at)
-            for machine in expired:
-                record = {"op": "expire", "machine": machine,
-                          "epoch": self.epoch,
-                          "token": self._leases[machine].token}
-                self._append(record)
-                self._apply(record)
-            if expired:
-                global_metrics().incr("fleet.lease_expired", len(expired))
-            return expired
-
-    def next_expiry(self) -> Optional[float]:
-        """The earliest live-lease deadline, or None with no leases out."""
-        with self._lock:
-            if not self._leases:
-                return None
-            return min(lease.expires_at for lease in self._leases.values())
 
     # -- inspection --------------------------------------------------------------
 
     def pending_count(self) -> int:
         with self._lock:
-            return sum(len(queue) for queue in self._pending.values())
+            return self._state.pending_count()
 
     def pending_machines(self) -> List[str]:
         with self._lock:
-            return sorted(machine for queue in self._pending.values()
-                          for machine in queue)
+            return self._state.pending_machines()
 
     def leased_machines(self) -> Dict[str, Lease]:
         with self._lock:
-            return dict(self._leases)
+            return dict(self._state.leases)
 
     def acked_machines(self) -> Dict[str, dict]:
         with self._lock:
-            return dict(self._acked)
+            return dict(self._state.acked)
 
     def epoch_drained(self) -> bool:
         """True when every rostered machine has been acked."""
         with self._lock:
-            return (self.epoch is not None and not self.pending_count()
-                    and not self._leases)
+            state = self._state
+            return (state.epoch is not None and not state.pending_count()
+                    and not state.leases)
 
     # -- compaction --------------------------------------------------------------
 
@@ -438,18 +412,18 @@ class WorkQueue:
             if os.path.exists(self.path):
                 with open(self.path, "r", encoding="utf-8") as handle:
                     before = sum(1 for line in handle if line.strip())
+            state = self._state
             lines: List[str] = []
-            if self.epoch is not None:
-                for machine in sorted(self._leases):
-                    self._leases.pop(machine)
-                    self._push_pending(machine)
+            if state.epoch is not None:
+                for machine in sorted(state.leases):
+                    state.apply({"op": "requeue", "machine": machine})
                 now = round(self.clock.now(), 6)
                 lines.append(json.dumps(
-                    {"op": "epoch-open", "epoch": self.epoch,
-                     "machines": list(self._machines),
-                     "shards": dict(self._shards), "at": now},
+                    {"op": "epoch-open", "epoch": state.epoch,
+                     "machines": list(state.machines),
+                     "shards": dict(state.shards), "at": now},
                     sort_keys=True))
-                for machine, payload in sorted(self._acked.items()):
+                for machine, payload in sorted(state.acked.items()):
                     lines.append(json.dumps(
                         {"op": "ack", "machine": machine, **payload},
                         sort_keys=True))

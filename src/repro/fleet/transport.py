@@ -10,9 +10,9 @@ The controller/agent split (:mod:`repro.fleet.controller`,
   seen, which makes duplicated frames (a retransmitting network, or
   the ``duplicate`` chaos kind) harmless.
 * **Versioned ops.**  ``hello``/``hello-ok`` (auth), ``lease``,
-  ``renew``, ``ack``, ``heartbeat``, ``bye`` and their replies.  The
-  protocol version rides in the hello; a mismatch is rejected before
-  anything else happens.
+  ``ack``, ``heartbeat``, ``bye`` and their replies.  The protocol
+  version rides in the hello; a mismatch is rejected before anything
+  else happens.
 * **Auth.**  The hello carries ``mac = HMAC-SHA256(secret,
   "v:agent:nonce")`` and the controller verifies it with
   :func:`hmac.compare_digest` — constant-time, so the wire leaks

@@ -105,10 +105,6 @@ def _build_coordinator(fleet_dir: str, workload: FleetWorkload,
                   if fault_seed is not None else None)
     kwargs = dict(coordinator_kwargs or {})
     kwargs.setdefault("console_index", False)
-    # Trace runs are synchronous single-process sweeps: a lease that
-    # expires mid-scan only buys a deterministic-but-wasteful double
-    # scan, so default it far beyond any simulated machine's scan time.
-    kwargs.setdefault("lease_seconds", 1e6)
     return FleetCoordinator(fleet_dir, workload.machines.values(),
                             workers=workers, sampling=sampling,
                             fault_plan=fault_plan, **kwargs)

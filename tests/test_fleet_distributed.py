@@ -27,6 +27,7 @@ from repro.ghostware import Aphex, HackerDefender
 from repro.machine import Machine
 from repro.telemetry.journal_io import read_journal
 from repro.telemetry.metrics import global_metrics
+from repro.workloads import FleetProfile, FleetWorkload, InfectionWave
 from repro.workloads.scenarios import build_home_pc
 
 pytestmark = pytest.mark.skipif(
@@ -129,6 +130,43 @@ class TestDistributedSweep:
         key = verdict_key(aggregates[0])
         assert set(key) == set(roster()), "a machine was lost"
         assert key == reference_key
+
+
+class TestOneLeaseContract:
+    """Both worker kinds keep their leases for as long as a scan takes,
+    so the same epoch is summarized the same way in both modes."""
+
+    def test_both_worker_kinds_report_the_same_epoch(self, tmp_path):
+        # Churn-sized machines: every cold scan runs for hundreds of
+        # simulated seconds.
+        profile = FleetProfile(
+            name="parity", size=4, seed=1,
+            file_count=(240, 340), virtual_files=(80_000, 200_000),
+            registry_kb=(40, 80), churn_files=(2, 5),
+            churn_registry=(0, 1), disk_mb=64, max_records=1024,
+            waves=(InfectionWave("hackerdefender", onset_epoch=1,
+                                 initial=1, spread=0.0),))
+
+        def epoch_one():
+            workload = FleetWorkload(profile)
+            workload.apply_epoch(1)
+            return workload.machines
+
+        machines = epoch_one()
+        single = FleetCoordinator(str(tmp_path / "single"),
+                                  machines.values(), workers=2).run_epoch()
+        machines = epoch_one()
+        distributed, = FleetCoordinator(
+            str(tmp_path / "dist"), sorted(machines),
+            workers=2).run_distributed(1, machines.__getitem__, agents=2)
+
+        def counts(aggregate):
+            summary = aggregate.summary
+            return (summary.machines, summary.scanned, summary.skipped,
+                    summary.late_acks, summary.escalated, summary.confirmed)
+
+        assert verdict_key(distributed) == verdict_key(single)
+        assert counts(distributed) == counts(single) == (4, 4, 0, 0, 1, 1)
 
 
 class TestQuarantine:

@@ -8,10 +8,12 @@ import os
 import pytest
 
 from repro.clock import SimClock
+from repro.console.index import JournalIndex, fleet_status_from_index
 from repro.errors import FleetError, StaleLease
 from repro.fleet.aggregator import FleetAggregator, MachineVerdict
+from repro.fleet.coordinator import fleet_status
 from repro.fleet.policy import CONFIRM_METHODS, EscalationPolicy
-from repro.fleet.queue import WorkQueue
+from repro.fleet.queue import QUEUE_FILE, WorkQueue
 from repro.fleet.scheduler import (FleetHistory, FleetScheduler,
                                    load_history, stable_shard)
 
@@ -49,10 +51,9 @@ class TestWorkQueue:
             queue.ack(lease, verdict="clean")
 
     def test_expired_lease_is_requeued_and_late_ack_rejected(self, tmp_path):
-        clock = SimClock()
-        queue = open_queue(tmp_path, ["a"], clock=clock, lease_seconds=60.0)
+        queue = open_queue(tmp_path, ["a"])
         dead = queue.lease(worker=0)
-        clock.advance(61.0)
+        # Expiry takes back every outstanding lease, deadline or not.
         assert queue.expire_leases() == ["a"]
         # The machine went back to its shard; a new worker re-leases it.
         fresh = queue.lease(worker=1)
@@ -63,24 +64,6 @@ class TestWorkQueue:
             queue.ack(dead, verdict="clean")
         queue.ack(fresh, verdict="clean")
         assert queue.epoch_drained()
-
-    def test_ack_after_expiry_without_requeue_rejected(self, tmp_path):
-        clock = SimClock()
-        queue = open_queue(tmp_path, ["a"], clock=clock, lease_seconds=60.0)
-        lease = queue.lease(worker=0)
-        clock.advance(120.0)
-        with pytest.raises(StaleLease, match="expired"):
-            queue.ack(lease, verdict="clean")
-
-    def test_renew_extends_expiry(self, tmp_path):
-        clock = SimClock()
-        queue = open_queue(tmp_path, ["a"], clock=clock, lease_seconds=60.0)
-        lease = queue.lease(worker=0)
-        clock.advance(50.0)
-        renewed = queue.renew(lease)
-        assert renewed.expires_at == pytest.approx(110.0)
-        clock.advance(50.0)    # 100s: stale for the old, live for the new
-        queue.ack(renewed, verdict="clean")
 
     def test_wal_replay_restores_state(self, tmp_path):
         clock = SimClock()
@@ -97,11 +80,11 @@ class TestWorkQueue:
         # The restarted clock never runs behind the WAL's last record.
         assert restarted.clock.now() >= clock.now() - 1e-6
 
-    def test_recover_leases_requeues_orphans(self, tmp_path):
+    def test_expire_leases_requeues_orphans(self, tmp_path):
         queue = open_queue(tmp_path, ["a", "b"])
         queue.lease(worker=0)
         restarted = WorkQueue(str(tmp_path))
-        recovered = restarted.recover_leases()
+        recovered = restarted.expire_leases()
         assert recovered == ["a"] or recovered == ["b"]
         assert restarted.pending_count() == 2
         assert not restarted.leased_machines()
@@ -160,6 +143,82 @@ class TestWorkQueue:
             assert queue.pending_count() == 1   # machine still pending
             retry = queue.lease(worker=0)       # one-shot spent: succeeds
         assert retry.machine == "a"
+
+
+# A queue WAL as written before leases lost their deadlines: lease
+# records carry ``expires_at``, and ``renew``/``expire`` ops occur.
+PARENT_WAL = [
+    {"op": "epoch-open", "epoch": 3, "machines": ["a", "b", "c"],
+     "shards": {"a": 0, "b": 0, "c": 0}, "at": 10.0},
+    {"op": "lease", "machine": "a", "epoch": 3, "worker": 0, "token": 1,
+     "expires_at": 310.0, "shard": 0, "stolen": False, "at": 11.0},
+    {"op": "lease", "machine": "b", "epoch": 3, "worker": 1, "token": 2,
+     "expires_at": 312.0, "shard": 0, "stolen": False, "at": 12.0},
+    {"op": "renew", "machine": "a", "token": 1, "expires_at": 460.0,
+     "at": 160.0},
+    {"op": "expire", "machine": "a", "epoch": 3, "token": 1, "at": 460.0},
+    {"op": "ack", "machine": "b", "epoch": 3, "token": 2,
+     "verdict": "clean", "scanned": True, "confirmed": False, "at": 470.5},
+]
+
+
+def append_wal(fleet_dir, records):
+    with open(fleet_dir / QUEUE_FILE, "a", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
+
+
+class TestParentFormatQueueData:
+    """Queue data written before leases lost their deadlines still folds
+    through the one QueueState, so a fleet directory an upgrade finds
+    mid-epoch resumes where it stood."""
+
+    def test_wal_folds_alike_in_queue_and_index(self, tmp_path):
+        append_wal(tmp_path, PARENT_WAL)
+        queue = WorkQueue(str(tmp_path))
+        assert queue.epoch == 3
+        assert queue.pending_machines() == ["a", "c"]
+        assert queue.leased_machines() == {}
+        assert sorted(queue.acked_machines()) == ["b"]
+        assert queue.clock.now() == 470.5
+        status = fleet_status_from_index(str(tmp_path))
+        assert status["open_epoch"] == 3
+        assert status["pending_machines"] == ["a", "c"]
+        assert status["leased_machines"] == []
+        assert status["acked"] == 1
+        assert status == fleet_status(str(tmp_path))
+        # The resumed queue's tokens continue after the old writer's.
+        assert queue.lease(worker=0).token == 3
+
+    def test_cached_index_state_with_lease_deadlines_loads(self, tmp_path):
+        append_wal(tmp_path, PARENT_WAL[:3])
+        index = JournalIndex(str(tmp_path))
+        index.update()
+        with open(index.state_path, encoding="utf-8") as handle:
+            state = json.load(handle)
+        # The old cache shape: leases carry a deadline, and there is no
+        # roster, token or timestamp.
+        state["queue_state"] = {
+            "epoch": 3, "shards": {"a": 0, "b": 0, "c": 0},
+            "pending": {"0": ["c"]}, "acked": {},
+            "leases": {"a": {"worker": 0, "token": 1, "expires_at": 310.0},
+                       "b": {"worker": 1, "token": 2,
+                             "expires_at": 312.0}}}
+        with open(index.state_path, "w", encoding="utf-8") as handle:
+            json.dump(state, handle)
+        cached = JournalIndex(str(tmp_path))
+        assert cached.update()["rebuilt"] is False    # served from cache
+        status = cached.status()
+        assert status["leased_machines"] == ["a", "b"]
+        assert status["pending_machines"] == ["c"]
+        assert status == fleet_status(str(tmp_path))
+        # The loaded leases keep folding the records that follow.
+        append_wal(tmp_path, PARENT_WAL[3:])
+        assert cached.update()["queue"] == 3
+        status = cached.status()
+        assert status["pending_machines"] == ["a", "c"]
+        assert status["leased_machines"] == []
+        assert status["acked"] == 1
 
 
 class TestFleetScheduler:

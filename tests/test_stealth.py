@@ -209,8 +209,7 @@ class TestCampaignDedupe:
         workload = FleetWorkload(STEALTH_PROFILE)
         coordinator = FleetCoordinator(
             str(tmp_path / "fleet"), workload.machines.values(), workers=2,
-            outbreak_threshold=2, console_index=False, lease_seconds=1e6,
-            **DEFENDED)
+            outbreak_threshold=2, console_index=False, **DEFENDED)
         finding_ids = {}
         for epoch in (1, 2, 3):
             workload.apply_epoch(epoch)
@@ -236,8 +235,7 @@ class TestCampaignDedupe:
         fleet_dir = str(tmp_path / "fleet")
         coordinator = FleetCoordinator(
             fleet_dir, workload.machines.values(), workers=2,
-            outbreak_threshold=2, console_index=False, lease_seconds=1e6,
-            **DEFENDED)
+            outbreak_threshold=2, console_index=False, **DEFENDED)
         for epoch in (1, 2):
             workload.apply_epoch(epoch)
             coordinator.run_epoch()
@@ -247,8 +245,7 @@ class TestCampaignDedupe:
         # the next (rotated) epoch must not re-alert known campaigns.
         resumed = FleetCoordinator(
             fleet_dir, workload.machines.values(), workers=2,
-            outbreak_threshold=2, console_index=False, lease_seconds=1e6,
-            **DEFENDED)
+            outbreak_threshold=2, console_index=False, **DEFENDED)
         workload.apply_epoch(3)
         resumed.run_epoch()
         after = self._campaign_records(resumed)
@@ -262,8 +259,7 @@ class TestKillResume:
             workload = FleetWorkload(STEALTH_PROFILE)
             coordinator = FleetCoordinator(
                 str(directory), workload.machines.values(), workers=2,
-                outbreak_threshold=2, console_index=False,
-                lease_seconds=1e6, **DEFENDED)
+                outbreak_threshold=2, console_index=False, **DEFENDED)
             workload.apply_epoch(1)
             coordinator.run_epoch()
             workload.apply_epoch(2)   # rotation + rearm mid-campaign
@@ -273,7 +269,7 @@ class TestKillResume:
                 coordinator = FleetCoordinator(
                     str(directory), workload.machines.values(), workers=2,
                     outbreak_threshold=2, console_index=False,
-                    lease_seconds=1e6, **DEFENDED)
+                    **DEFENDED)
             return coordinator.run_epoch()
 
         reference = run(tmp_path / "ref", kill=False)

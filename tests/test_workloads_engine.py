@@ -294,7 +294,7 @@ class TestSampledCoordinator:
         sampling = SamplingPolicy(seed=7, file_rate=0.25, full_every=64)
         coordinator = FleetCoordinator(
             str(tmp_path), workload.machines.values(), workers=2,
-            sampling=sampling, console_index=False, lease_seconds=1e6)
+            sampling=sampling, console_index=False)
         workload.apply_epoch(1)
         first = coordinator.run_epoch()
         # Never-scanned machines are all above full_staleness → full.
@@ -312,7 +312,7 @@ class TestSampledCoordinator:
         sampling = SamplingPolicy(seed=7, file_rate=0.25, full_every=64)
         coordinator = FleetCoordinator(
             str(tmp_path), workload.machines.values(), workers=2,
-            sampling=sampling, console_index=False, lease_seconds=1e6)
+            sampling=sampling, console_index=False)
         workload.apply_epoch(1)
         coordinator.run_epoch()
         # Infect a machine guaranteed to land in the sample tier
@@ -340,8 +340,7 @@ class TestSampledCoordinator:
             workload = self._workload()
             coordinator = FleetCoordinator(
                 str(directory), workload.machines.values(), workers=2,
-                sampling=sampling, console_index=False,
-                lease_seconds=1e6)
+                sampling=sampling, console_index=False)
             workload.apply_epoch(1)
             coordinator.run_epoch()
             workload.apply_epoch(2)
@@ -350,8 +349,7 @@ class TestSampledCoordinator:
                     coordinator.run_epoch(kill_after_acks=2)
                 resumed = FleetCoordinator(
                     str(directory), workload.machines.values(),
-                    workers=2, sampling=sampling, console_index=False,
-                    lease_seconds=1e6)
+                    workers=2, sampling=sampling, console_index=False)
                 aggregate = resumed.run_epoch()
                 assert resumed._sampled_tier \
                     == resumed._journaled_sampled(2)
@@ -458,11 +456,11 @@ class TestEscalationProperty:
         source = FleetWorkload(profile)
         sampled_run = FleetCoordinator(
             str(base / "sampled"), source.machines.values(), workers=2,
-            sampling=sampling, console_index=False, lease_seconds=1e6)
+            sampling=sampling, console_index=False)
         mirror = FleetWorkload(profile)
         full_run = FleetCoordinator(
             str(base / "full"), mirror.machines.values(), workers=2,
-            console_index=False, lease_seconds=1e6)
+            console_index=False)
 
         last_sampled = last_full = None
         for epoch in (1, 2, 3):
