@@ -160,12 +160,13 @@ class OutsideRecorder(EscalationPolicy):
     """A RIS policy that keeps each machine's latest network-boot
     outcome, for the identity gates."""
 
-    def __init__(self, fault_plan=None):
-        super().__init__("ris", fault_plan=fault_plan)
+    def __init__(self):
+        super().__init__("ris")
         self.outside = {}
 
-    def confirm(self, machine, inside_report):
-        outcome = super().confirm(machine, inside_report)
+    def confirm(self, machine, inside_report, noise_filter, fault_plan):
+        outcome = super().confirm(machine, inside_report, noise_filter,
+                                  fault_plan)
         self.outside[machine.name] = outcome
         return outcome
 
@@ -184,7 +185,7 @@ class OutsideRecorder(EscalationPolicy):
 def ris_epoch(fleet, workers: int, fault_plan=None):
     """One RIS coordinator epoch in a throwaway fleet dir: its aggregate,
     its wall-clock seconds and the :class:`OutsideRecorder` that ran it."""
-    policy = OutsideRecorder(fault_plan)
+    policy = OutsideRecorder()
     with temp_coordinator(fleet, workers=workers, fault_plan=fault_plan,
                           policy=policy) as coordinator:
         return (*clocked(coordinator.run_epoch), policy)

@@ -179,8 +179,7 @@ def cmd_sweep(options) -> int:
         return 2
     plan = _chaos_plan(options)
     policy = EscalationPolicy(confirm_with=escalate or "winpe",
-                              escalate=escalate is not None,
-                              fault_plan=plan)
+                              escalate=escalate is not None)
     epochs = max(1, options.epochs or (10 if options.continuous else 1))
     if options.delta:
         epochs = max(2, epochs)
@@ -203,12 +202,11 @@ def cmd_sweep(options) -> int:
 
         roster = [f"client-{index:02d}" for index in range(size)]
         coordinator = FleetCoordinator(fleet_dir, roster, workers=agents,
-                                       policy=policy, compact_every=4)
+                                       policy=policy, fault_plan=plan,
+                                       compact_every=4)
         with telemetry.activate():
             aggregates = coordinator.run_distributed(
-                epochs, machine_factory, agents=agents,
-                fault_seed=options.chaos_seed,
-                fault_rate=options.chaos_rate)
+                epochs, machine_factory, agents=agents)
         for aggregate in aggregates:
             summaries.append(aggregate.summary.to_dict())
             if not options.json:

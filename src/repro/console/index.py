@@ -2,9 +2,8 @@
 
 The journals themselves stay exactly as the fleet subsystem writes them
 — append-only JSONL, torn-tail tolerant, compacted by their owners.
-The index never mutates a journal (except through the explicit
-:meth:`JournalIndex.compact` retention policy); it maintains *sidecar*
-files under ``<fleet_dir>/index/``:
+The index never mutates a journal; it maintains *sidecar* files under
+``<fleet_dir>/index/``:
 
 ``machines.idx.jsonl``
     One small entry per ``fleet-machine`` record: the verdict fields an
@@ -61,7 +60,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.fleet.queue import QueueState
 from repro.telemetry.journal_io import (head_digest, iter_journal,
-                                        read_record_at, replace_journal)
+                                        read_record_at)
 from repro.telemetry.metrics import global_metrics
 
 logger = logging.getLogger(__name__)
@@ -666,51 +665,6 @@ class JournalIndex:
             "cursors": dict(self._cursors),
             "torn_skipped": self._torn_skipped,
         }
-
-    # -- retention ---------------------------------------------------------------
-
-    def compact(self, retain_epochs: int) -> dict:
-        """Retention: drop journal epochs older than the newest N.
-
-        The only path by which the console writes a journal.  Rewrites
-        ``epochs.jsonl`` crash-safely (:func:`replace_journal`),
-        keeping every record belonging to the newest ``retain_epochs``
-        epochs (records carrying no epoch are kept), then rebuilds the
-        index against the rewritten journal.  Queries over the retained
-        epoch range return exactly what they returned before.  At
-        fleet-years of history this is what bounds the journal: the
-        baseline store keeps the durable per-machine verdicts, so
-        dropping old epochs loses timeline depth, never current state.
-        """
-        retain = max(1, int(retain_epochs))
-        self.update()
-        epochs = sorted(self._epoch_entries)
-        known = {int(entry.get("epoch", 0))
-                 for entries in self._machine_entries.values()
-                 for entry in entries} | set(epochs)
-        if not known:
-            return {"records_before": 0, "records_after": 0,
-                    "cutoff_epoch": None}
-        cutoff = max(known) - retain + 1
-        before = 0
-
-        def retained():
-            nonlocal before
-            for line in iter_journal(self.source_epochs,
-                                     on_torn=self._torn):
-                before += 1
-                epoch = line.record.get("epoch")
-                if epoch is None or int(epoch) >= cutoff:
-                    yield json.dumps(line.record, sort_keys=True)
-
-        after = replace_journal(self.source_epochs, retained())
-        self.rebuild()
-        metrics = global_metrics()
-        metrics.incr("console.index.compactions")
-        metrics.incr("console.index.compacted_records",
-                     max(0, before - after))
-        return {"records_before": before, "records_after": after,
-                "cutoff_epoch": cutoff}
 
 
 def fleet_status_from_index(fleet_dir: str,

@@ -5,7 +5,9 @@ Two flows from the paper:
 * :func:`vm_outside_scan` — the suspect machine *is* a VM: scan inside,
   power the VM down, attach its virtual disk to the host, scan from the
   host, diff.  Because both scans cover exactly the same drive image,
-  this diff has zero false positives by construction.
+  this diff has zero false positives by construction.  It is the WinPE
+  outside scan with the CD boot swapped for the drive attach, so it
+  runs under the same fault plan, layer retries and span.
 * :func:`automated_winpe_vm_scan` — the GhostBuster WinPE CD carries a VM:
   it plants a ``RunOnce`` ASEP hook on the suspect drive that auto-starts
   the high-level scan, boots the drive inside a VM instance, collects the
@@ -18,13 +20,14 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.diff import DetectionReport, cross_view_diff
+from repro.core.ghostbuster import GhostBuster
 from repro.core.noise import NoiseFilter
 from repro.core.scanners.files import (high_level_file_scan,
                                        outside_file_scan)
-from repro.core.scanners.registry import (high_level_asep_scan,
-                                          outside_asep_scan)
 from repro.core.snapshot import FileEntry, ResourceType, ScanSnapshot
+from repro.core.winpe import WinPEEnvironment
 from repro.errors import ScanError
+from repro.faults.plan import FaultPlan
 from repro.machine import Machine, RUNONCE_KEY
 from repro.ntfs.mft_parser import MftParser
 
@@ -32,33 +35,36 @@ SCAN_RESULT_PATH = "\\gb_scan_result.dat"
 GB_SCANNER_EXE = "\\Windows\\System32\\gbscan.exe"
 
 
+class _HostAttachedDrive(WinPEEnvironment):
+    """The powered-down VM's virtual disk, attached to the host."""
+
+    def file_scan(self, win32_naming: bool = True) -> ScanSnapshot:
+        return outside_file_scan(self.disk, self.clock,
+                                 win32_naming=win32_naming, view="vm-host")
+
+
+class _VmHostGhostBuster(GhostBuster):
+    """The outside-the-box scan with the CD boot swapped for the host
+    attaching the VM's drive."""
+
+    def _clean_boot(self, report: DetectionReport) -> WinPEEnvironment:
+        drive = _HostAttachedDrive(self.machine)
+        drive.booted = True      # attaching a drive boots nothing
+        return drive
+
+
 def vm_outside_scan(machine: Machine,
                     resources=("files", "registry"),
-                    power_up_after: bool = True) -> DetectionReport:
+                    power_up_after: bool = True,
+                    noise_filter: Optional[NoiseFilter] = None,
+                    fault_plan: Optional[FaultPlan] = None
+                    ) -> DetectionReport:
     """Host-side scan of a powered-down VM's virtual disk."""
-    report = DetectionReport(machine.name, mode="vm-outside")
-    wanted = set(resources)
-
-    lies = {}
-    if "files" in wanted:
-        lies["files"] = high_level_file_scan(machine)
-    if "registry" in wanted:
-        lies["registry"] = high_level_asep_scan(machine)
-
-    machine.shutdown()   # "power down" the VM, releasing the drive image
-
-    if "files" in wanted:
-        truth = outside_file_scan(machine.disk, machine.clock,
-                                  win32_naming=True, view="vm-host")
-        report.findings.extend(cross_view_diff(lies["files"], truth))
-        report.snapshots.extend([lies["files"], truth])
-    if "registry" in wanted:
-        truth = outside_asep_scan(machine.disk, machine.clock)
-        report.findings.extend(cross_view_diff(lies["registry"], truth))
-        report.snapshots.extend([lies["registry"], truth])
-
-    if power_up_after:
-        machine.boot()
+    report = _VmHostGhostBuster(
+        machine, noise_filter=noise_filter,
+        fault_plan=fault_plan).outside_scan(resources=resources,
+                                            reboot_after=power_up_after)
+    report.mode = "vm-outside"
     return report
 
 

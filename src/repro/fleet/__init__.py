@@ -30,8 +30,8 @@ from repro.fleet.policy import (CONFIRM_METHODS, CONFIRM_VMSCAN,
                                 EscalationPolicy)
 from repro.fleet.provision import clone_fleet, fleet_storage_stats
 from repro.fleet.queue import QUEUE_FILE, Lease, WorkQueue
-from repro.fleet.scanwork import (ScanOutcome, perform_machine_scan,
-                                  skip_verdict)
+from repro.fleet.scanwork import (ScanOutcome, ScanSettings,
+                                  perform_machine_scan, skip_verdict)
 from repro.fleet.scheduler import (FleetHistory, FleetScheduler,
                                    ScheduledMachine, load_history,
                                    stable_shard)
@@ -46,7 +46,7 @@ __all__ = [
     "EscalationPolicy", "FleetAggregator", "FleetCoordinator",
     "FleetHistory", "FleetScheduler", "FrameChannel", "Lease",
     "MachineVerdict", "OutbreakAlert", "ScanAgent", "ScanController",
-    "ScanOutcome", "ScheduledMachine", "WorkQueue",
+    "ScanOutcome", "ScanSettings", "ScheduledMachine", "WorkQueue",
     "chaos_plan", "clone_fleet", "fleet_status", "fleet_storage_stats",
     "fold_agent_records", "load_history", "new_secret",
     "perform_machine_scan", "run_agent_process", "skip_verdict",

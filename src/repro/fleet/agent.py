@@ -5,9 +5,10 @@ leases machines over the wire (:mod:`repro.fleet.transport`), builds
 them *lazily* from a ``machine_factory`` (COW clones from
 :func:`repro.fleet.provision.clone_fleet` — each agent only ever pays
 for the machines it actually scans), runs the exact shared scan body
-(:func:`repro.fleet.scanwork.perform_machine_scan`), and acks the
-outcome — verdict, serialized report, escalation provenance — back to
-the controller, which owns every durable write.
+(:mod:`repro.fleet.scanwork`) with the coordinator's own
+:class:`~repro.fleet.scanwork.ScanSettings`, and acks the outcome —
+verdict, serialized report, escalation provenance — back to the
+controller, which owns every durable write.
 
 The failure story is the point:
 
@@ -24,12 +25,14 @@ The failure story is the point:
   distributed analogue of the coordinator's ``kill_after_acks`` power
   cord, used by the kill -9 soak to prove verdicts stay
   element-identical.
-* **Generation-gated skips.**  lease-ok carries only the skip offer:
-  the ``baseline_generation`` the coordinator's one skip rule accepts
+* **Generation-gated skips.**  lease-ok carries the skip offer: the
+  ``baseline_generation`` the coordinator's one skip rule accepts
   (stored baseline plus the sampled-tier rule).  A machine whose clone
   is still at that generation is acked ``{"skip": true}`` without
   scanning, and the controller rehydrates the verdict from its own
-  store, same as the single-process skip path.
+  store, same as the single-process skip path.  A sample-tier machine's
+  lease-ok also says ``"sampled": true``, and the agent runs the cheap
+  sampled pass, as the single-process worker does.
 
 Heartbeats ride a second, chaos-free connection: a partitioned *work*
 channel must not look like a dead agent, or every transport fault
@@ -44,15 +47,15 @@ import random
 import signal
 import threading
 import time
-from typing import Callable, Dict, Optional, Sequence
+from dataclasses import replace
+from typing import Callable, Dict, Optional
 
-from repro.core.noise import NoiseFilter
 from repro.core.reporting import report_to_dict
 from repro.errors import ReproError, TransportError
 from repro.faults.plan import FaultPlan
 from repro.fleet import transport
-from repro.fleet.policy import EscalationPolicy
-from repro.fleet.scanwork import perform_machine_scan
+from repro.fleet.scanwork import (ScanSettings, perform_machine_scan,
+                                  perform_sampled_machine_scan)
 from repro.machine import Machine
 from repro.telemetry.metrics import global_metrics
 
@@ -61,44 +64,35 @@ logger = logging.getLogger(__name__)
 # Backed-off reconnect attempts before an agent gives up on its controller.
 MAX_RECONNECTS = 60
 
+# One liveness beat per this many seconds on the heartbeat channel.
+HEARTBEAT_SECONDS = 0.25
+
 
 class ScanAgent:
     """One agent's lease → scan → ack loop against a controller."""
 
     def __init__(self, address, secret: str, agent_id: str,
                  machine_factory: Callable[[str], Machine],
+                 settings: ScanSettings,
                  worker: int = 0,
-                 heartbeat_seconds: float = 0.25,
-                 fault_plan: Optional[FaultPlan] = None,
                  transport_plan: Optional[FaultPlan] = None,
-                 policy: Optional[EscalationPolicy] = None,
-                 noise_filter: Optional[NoiseFilter] = None,
-                 resources: Sequence[str] = ("files", "registry"),
                  reconnect_base_s: float = 0.05,
                  reconnect_cap_s: float = 1.0,
                  poll_seconds: float = 0.02,
-                 kill_after_leases: Optional[int] = None,
-                 scan_config: Optional[Dict] = None):
+                 kill_after_leases: Optional[int] = None):
         self.address = tuple(address)
         self.secret = secret
         self.agent_id = agent_id
         self.machine_factory = machine_factory
+        # The coordinator's scan settings: what the single-process
+        # worker would scan this machine with.
+        self.settings = settings
         self.worker = int(worker)
-        self.heartbeat_seconds = heartbeat_seconds
-        self.fault_plan = fault_plan
         self.transport_plan = transport_plan
-        self.noise_filter = noise_filter or NoiseFilter()
-        self.policy = policy or EscalationPolicy(
-            noise_filter=self.noise_filter, fault_plan=fault_plan)
-        self.resources = tuple(resources)
         self.reconnect_base_s = reconnect_base_s
         self.reconnect_cap_s = reconnect_cap_s
         self.poll_seconds = poll_seconds
         self.kill_after_leases = kill_after_leases
-        # Stealth counter-move knobs, mirroring the coordinator's
-        # single-process scan body (stabilize_rounds / flag_unstable /
-        # scan_order_jitter).
-        self.scan_config = dict(scan_config or {})
         self._machines: Dict[str, Machine] = {}
         self._channel: Optional[transport.FrameChannel] = None
         self._pending_ack: Optional[Dict] = None
@@ -227,11 +221,12 @@ class ScanAgent:
         lease = reply["lease"]
         self._pending_ack = self._scan_to_ack(
             lease["machine"], int(lease["epoch"]), int(lease["token"]),
-            reply.get("baseline_generation"))
+            reply.get("baseline_generation"), bool(reply.get("sampled")))
         self._flush_pending_ack()
 
     def _scan_to_ack(self, name: str, epoch: int, token: int,
-                     baseline_generation: Optional[int]) -> Dict:
+                     baseline_generation: Optional[int],
+                     sampled: bool) -> Dict:
         base = {"op": "ack", "machine": name, "epoch": epoch,
                 "token": token}
         try:
@@ -246,15 +241,11 @@ class ScanAgent:
                 and machine.disk.generation == int(baseline_generation)):
             self.stats["skips"] += 1
             return dict(base, skip=True)
+        # The same two-way choice as the coordinator's own worker.
+        scan = (perform_sampled_machine_scan if sampled
+                else perform_machine_scan)
         try:
-            outcome = perform_machine_scan(
-                machine, epoch, self.policy, self.noise_filter,
-                self.resources, self.fault_plan,
-                stabilize_rounds=int(
-                    self.scan_config.get("stabilize_rounds", 1)),
-                flag_unstable=bool(
-                    self.scan_config.get("flag_unstable", False)),
-                scan_order_jitter=self.scan_config.get("scan_order_jitter"))
+            outcome = scan(machine, epoch, self.settings)
         except ReproError as exc:
             self.stats["errors"] += 1
             logger.warning("agent %s scan of %s failed: %s",
@@ -289,7 +280,7 @@ class ScanAgent:
     # -- heartbeats --------------------------------------------------------------
 
     def _heartbeat_loop(self) -> None:
-        """Chaos-free liveness channel; one beat per heartbeat_seconds."""
+        """Chaos-free liveness channel; one beat per HEARTBEAT_SECONDS."""
         channel: Optional[transport.FrameChannel] = None
         while not self._stop.is_set():
             try:
@@ -307,46 +298,36 @@ class ScanAgent:
                 if channel is not None:
                     channel.close()
                 channel = None
-            self._stop.wait(self.heartbeat_seconds)
+            self._stop.wait(HEARTBEAT_SECONDS)
         if channel is not None:
             channel.close()
 
 
 def run_agent_process(address, secret: str, agent_id: str, worker: int,
                       machine_factory: Callable[[str], Machine],
-                      fault_seed: Optional[int] = None,
-                      fault_rate: float = 0.0,
+                      settings: ScanSettings,
                       transport_seed: Optional[int] = None,
                       transport_rate: float = 0.0,
-                      heartbeat_seconds: float = 0.25,
-                      kill_after_leases: Optional[int] = None,
-                      policy_config: Optional[Dict] = None,
-                      scan_config: Optional[Dict] = None,
-                      resources: Sequence[str] = ("files", "registry"),
-                      poll_seconds: float = 0.02) -> Dict:
+                      kill_after_leases: Optional[int] = None) -> Dict:
     """Top-level multiprocessing entry point for one agent.
 
-    Builds fault plans *inside* the child from their seeds: a fresh
-    process's per-``(site, machine)`` streams start at draw zero, which
-    is exactly where the reference single-process sweep's streams start
-    for each machine — the foundation of element-identical verdicts
-    across kills and restarts.
+    ``settings`` is the coordinator's own value, inherited through the
+    fork.  Only its fault plan is copied: a fresh copy's
+    per-``(site, machine)`` streams start at draw zero, which is exactly
+    where the reference single-process sweep's streams start for each
+    machine — the foundation of element-identical verdicts across kills
+    and restarts.  That holds for a machine's first scan in this
+    process; the single-process plan carries each stream on across
+    epochs, so a later-epoch scan of a machine this agent has not held
+    before can draw different faults.
     """
-    plan = (FaultPlan.default(fault_seed, rate=fault_rate)
-            if fault_seed is not None else None)
+    plan = settings.fault_plan
+    if plan is not None:
+        settings = replace(settings,
+                           fault_plan=FaultPlan(plan.seed, plan.specs))
     wire_plan = (transport.chaos_plan(transport_seed, transport_rate)
                  if transport_seed is not None else None)
-    config = dict(policy_config or {})
-    policy = EscalationPolicy(
-        confirm_with=config.get("confirm_with", "winpe"),
-        escalate=config.get("escalate", True),
-        resources=config.get("resources", resources),
-        fault_plan=plan)
     agent = ScanAgent(address, secret, agent_id, machine_factory,
-                      worker=worker, heartbeat_seconds=heartbeat_seconds,
-                      fault_plan=plan, transport_plan=wire_plan,
-                      policy=policy, resources=resources,
-                      poll_seconds=poll_seconds,
-                      kill_after_leases=kill_after_leases,
-                      scan_config=scan_config)
+                      settings, worker=worker, transport_plan=wire_plan,
+                      kill_after_leases=kill_after_leases)
     return agent.run()

@@ -67,7 +67,8 @@ AGENT_FLAPPING = "flapping"
 AGENT_DEAD = "dead"
 AGENT_DONE = "done"
 
-DEFAULT_FLAP_THRESHOLD = 3
+# Reconnects after which a session is labelled AGENT_FLAPPING.
+FLAP_THRESHOLD = 3
 
 # How often an idle connection thread rechecks that the controller runs.
 RECV_POLL_SECONDS = 0.25
@@ -126,17 +127,13 @@ class ScanController:
 
     def __init__(self, coordinator, secret: str,
                  host: str = "127.0.0.1", port: int = 0,
-                 heartbeat_seconds: float = 0.25,
                  agent_timeout_seconds: float = 5.0,
-                 flap_threshold: int = DEFAULT_FLAP_THRESHOLD,
                  liveness_clock=None):
         self.coordinator = coordinator
         self.secret = secret
         self.host = host
         self.port = port
-        self.heartbeat_seconds = heartbeat_seconds
         self.agent_timeout_seconds = agent_timeout_seconds
-        self.flap_threshold = max(1, int(flap_threshold))
         self.liveness_clock = liveness_clock or transport.WallClock()
         # Sessions are guarded by coordinator.lock, the lock every
         # durable write of an epoch serializes on.
@@ -273,7 +270,6 @@ class ScanController:
                     agent_id, int(hello.get("worker", 0)), now)
             session.last_seen = now
             reply = {"op": "hello-ok", "agent": agent_id,
-                     "heartbeat_s": self.heartbeat_seconds,
                      "session": session.reconnects}
             if role == "work":
                 # "Fresh" for flap accounting means no prior *work*
@@ -287,7 +283,7 @@ class ScanController:
                     if session.state != AGENT_DONE:
                         session.state = (
                             AGENT_FLAPPING
-                            if session.reconnects >= self.flap_threshold
+                            if session.reconnects >= FLAP_THRESHOLD
                             else AGENT_ALIVE)
                         global_metrics().incr("fleet.agent.reconnects")
                 # Reconnect replay, server half: hand back the leases
@@ -367,6 +363,9 @@ class ScanController:
             # The skip offer: an agent whose clone is still at this
             # generation acks {"skip": true} instead of scanning.
             reply["baseline_generation"] = baseline.disk_generation
+        if self.coordinator._sampled(lease.machine):
+            # The sample tier: the agent runs the cheap sampled pass.
+            reply["sampled"] = True
         return reply
 
     def _handle_bye(self, session: AgentSession) -> Dict:

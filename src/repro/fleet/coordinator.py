@@ -16,7 +16,7 @@ verdict exactly once.  The coordinator:
    :class:`~repro.fleet.aggregator.FleetAggregator` (outbreak alarms
    fire mid-epoch, not at the end);
 5. compacts the baseline store and queue WAL every ``compact_every``
-   epochs.
+   epochs, and with ``retain_epochs`` the epochs journal too.
 
 **The checkpoint protocol.**  Per machine, the write order is fixed:
 
@@ -46,6 +46,7 @@ die anyway (every step in between is one atomic append).
 from __future__ import annotations
 
 import functools
+import json
 import logging
 import os
 import threading
@@ -67,13 +68,14 @@ from repro.fleet.aggregator import (DEFAULT_OUTBREAK_THRESHOLD,
 from repro.fleet.controller import ScanController, fold_agent_records
 from repro.fleet.policy import EscalationPolicy
 from repro.fleet.queue import Lease, WorkQueue
-from repro.fleet.scanwork import (perform_machine_scan,
+from repro.fleet.scanwork import (ScanSettings, perform_machine_scan,
                                   perform_sampled_machine_scan, skip_verdict)
 from repro.fleet.scheduler import FleetScheduler, load_history
 from repro.fleet import transport
 from repro.machine import Machine
 from repro.telemetry import context as telemetry_context
-from repro.telemetry.journal_io import append_journal, iter_journal
+from repro.telemetry.journal_io import (append_journal, iter_journal,
+                                        replace_journal)
 from repro.telemetry.metrics import global_metrics
 
 logger = logging.getLogger(__name__)
@@ -90,7 +92,6 @@ class FleetCoordinator:
     def __init__(self, fleet_dir: str,
                  machines: Iterable[Union[Machine, str]],
                  workers: int = 2,
-                 scheduler: Optional[FleetScheduler] = None,
                  policy: Optional[EscalationPolicy] = None,
                  clock: Optional[SimClock] = None,
                  compact_every: int = 0,
@@ -98,7 +99,6 @@ class FleetCoordinator:
                  noise_filter: Optional[NoiseFilter] = None,
                  outbreak_threshold: int = DEFAULT_OUTBREAK_THRESHOLD,
                  resources=("files", "registry"),
-                 breaker_threshold: int = 3,
                  console_index: bool = True,
                  retain_epochs: int = 0,
                  queue_durable: bool = False,
@@ -118,20 +118,27 @@ class FleetCoordinator:
         if not self.machines:
             raise FleetError("a fleet needs at least one machine")
         self.workers = max(1, int(workers))
-        self.policy = policy or EscalationPolicy(
-            noise_filter=noise_filter, fault_plan=fault_plan)
-        self.noise_filter = noise_filter or NoiseFilter()
-        self.resources = tuple(resources)
+        # What every worker scans with, in-process or forked.  An
+        # optional SamplingPolicy (repro.workloads.sampling) gives the
+        # epoch's sample tier the cheap stratified pass instead of the
+        # full scan body.
+        self.settings = ScanSettings(
+            policy=policy or EscalationPolicy(),
+            noise_filter=noise_filter or NoiseFilter(),
+            resources=tuple(resources), fault_plan=fault_plan,
+            sampling=sampling,
+            stabilize_rounds=max(1, int(stabilize_rounds)),
+            flag_unstable=bool(flag_unstable),
+            scan_order_jitter=scan_order_jitter)
         self.compact_every = max(0, int(compact_every))
-        self.fault_plan = fault_plan
         self.outbreak_threshold = outbreak_threshold
         self.epochs_path = os.path.join(fleet_dir, EPOCHS_FILE)
         self.store = BaselineStore(fleet_dir)
         self.queue = WorkQueue(fleet_dir, clock=clock,
                                durable=queue_durable)
         self.clock = self.queue.clock
-        self.scheduler = scheduler or FleetScheduler(shards=self.workers)
-        self.breaker = CircuitBreaker(failure_threshold=breaker_threshold)
+        self.scheduler = FleetScheduler(shards=self.workers)
+        self.breaker = CircuitBreaker()
         self._quarantined: List[str] = []   # errored last epoch → risk
         # Opens, closes and distributed checkpoints serialize on this.
         self.lock = threading.RLock()
@@ -140,24 +147,15 @@ class FleetCoordinator:
         self._acks = 0
         self._drained = threading.Event()  # set by the epoch's last checkpoint
         self._epochs_run = 0
-        # Optional SamplingPolicy (repro.workloads.sampling): machines
-        # in the epoch's sample tier get the cheap stratified pass
-        # instead of the full scan body.  The tier split is journaled
-        # in the epoch-start record so a resumed coordinator replays
-        # the dead one's assignment instead of recomputing it against
-        # drifted history.
-        self.sampling = sampling
+        # The epoch's sample tier is journaled in the epoch-start record
+        # so a resumed coordinator replays the dead one's assignment
+        # instead of recomputing it against drifted history.
         self._sampled_tier: set = set()
         self.retain_epochs = max(0, int(retain_epochs))
         # The operator console's sidecar index, fed at journal-write
         # time so point lookups never replay this journal.  Optional:
         # the journals alone remain the system of record, and a console
         # can always rebuild() from them.
-        # Scan-until-stable + stealth counter-moves, threaded into every
-        # scan body (single-process workers and forked agents alike).
-        self.stabilize_rounds = max(1, int(stabilize_rounds))
-        self.flag_unstable = bool(flag_unstable)
-        self.scan_order_jitter = scan_order_jitter
         self.index = None
         if console_index:
             from repro.console.index import JournalIndex
@@ -278,7 +276,7 @@ class FleetCoordinator:
                     # estimate from its entity counts restores real
                     # longest-first order on first contact.
                     timings[name] = estimate_scan_seconds(
-                        machine, self.resources)
+                        machine, self.settings.resources)
             plan = self.scheduler.plan(
                 sorted(self.machines), epoch, self.history,
                 scan_seconds=timings,
@@ -287,8 +285,8 @@ class FleetCoordinator:
             start_record = {"type": "epoch-start", "epoch": epoch,
                             "machines": len(plan)}
             self._sampled_tier = set()
-            if self.sampling is not None:
-                tiers = self.sampling.assign(plan, epoch)
+            if self.settings.sampling is not None:
+                tiers = self.settings.sampling.assign(plan, epoch)
                 self._sampled_tier = {name for name, tier in tiers.items()
                                       if tier == "sample"}
                 start_record["sampled"] = sorted(self._sampled_tier)
@@ -321,21 +319,44 @@ class FleetCoordinator:
 
         self._epochs_run += 1
         if self.compact_every and self._epochs_run % self.compact_every == 0:
-            self.store.compact()
-            self.queue.compact()
-            if self.index is not None:
-                if self.retain_epochs:
-                    # Retention rewrites the epochs journal and rebuilds
-                    # the whole index (which also re-reads the freshly
-                    # compacted store and WAL); the history is replayed
-                    # from the rewrite so a restarted coordinator plans
-                    # from the same one.
-                    self.index.compact(self.retain_epochs)
-                    self.history = load_history(self.epochs_path)
-                else:
-                    # The store/WAL rewrites changed those journals'
-                    # heads; the next update() notices and rebuilds.
-                    self.index.update()
+            self.compact()
+
+    def compact(self) -> None:
+        """Rewrite the baseline store and the queue WAL, and with
+        ``retain_epochs`` the epochs journal too.
+
+        Retention keeps the records of the newest ``retain_epochs``
+        epochs and every record that carries no epoch.  It bounds the
+        journal at fleet-years of history: the baseline store keeps the
+        durable per-machine verdicts, so dropping old epochs loses
+        timeline depth, never current state.
+        """
+        self.store.compact()
+        self.queue.compact()
+        if self.retain_epochs:
+            cutoff = self.history.last_epoch_no - self.retain_epochs + 1
+            before = 0
+
+            def retained():
+                nonlocal before
+                for line in iter_journal(self.epochs_path):
+                    before += 1
+                    epoch = line.record.get("epoch")
+                    if epoch is None or int(epoch) >= cutoff:
+                        yield json.dumps(line.record, sort_keys=True)
+
+            after = replace_journal(self.epochs_path, retained())
+            # Replayed from the rewrite, so a restarted coordinator
+            # plans from the same history.
+            self.history = load_history(self.epochs_path)
+            metrics = global_metrics()
+            metrics.incr("fleet.journal.compactions")
+            metrics.incr("fleet.journal.compacted_records",
+                         max(0, before - after))
+        if self.index is not None:
+            # The rewrites changed those journals' heads; update()
+            # notices and rebuilds.
+            self.index.update()
 
     def run(self, epochs: int,
             kill_after_acks: Optional[int] = None) -> List[FleetAggregator]:
@@ -443,6 +464,11 @@ class FleetCoordinator:
         return MachineVerdict(machine=name, epoch=epoch, verdict="error",
                               error=error)
 
+    def _sampled(self, name: str) -> bool:
+        """Whether ``name`` is in the epoch's sample tier."""
+        return (self.settings.sampling is not None
+                and name in self._sampled_tier)
+
     def _skip_baseline(self, name: str) -> Optional[MachineBaseline]:
         """The stored baseline ``name`` skips on if its disk still matches.
 
@@ -479,22 +505,11 @@ class FleetCoordinator:
         # machine's own clock, and the fleet clock mirrors the elapsed
         # time when the two are distinct, so journal and WAL timestamps
         # after a scan stay true.
+        scan = (perform_sampled_machine_scan if self._sampled(name)
+                else perform_machine_scan)
         try:
-            if self.sampling is not None and name in self._sampled_tier:
-                outcome = perform_sampled_machine_scan(
-                    machine, epoch, self.sampling, self.policy,
-                    self.noise_filter, self.resources, self.fault_plan,
-                    span_clock=self.clock,
-                    stabilize_rounds=self.stabilize_rounds,
-                    flag_unstable=self.flag_unstable,
-                    scan_order_jitter=self.scan_order_jitter)
-            else:
-                outcome = perform_machine_scan(
-                    machine, epoch, self.policy, self.noise_filter,
-                    self.resources, self.fault_plan, span_clock=self.clock,
-                    stabilize_rounds=self.stabilize_rounds,
-                    flag_unstable=self.flag_unstable,
-                    scan_order_jitter=self.scan_order_jitter)
+            outcome = scan(machine, epoch, self.settings,
+                           span_clock=self.clock)
         except ReproError as exc:
             return self._scan_failed(
                 name, epoch, f"{type(exc).__name__}: {exc}"), None
@@ -531,22 +546,20 @@ class FleetCoordinator:
 
     def spawn_agents(self, count: int, address, secret: str,
                      machine_factory,
-                     fault_seed: Optional[int] = None,
-                     fault_rate: float = 0.0,
                      transport_seed: Optional[int] = None,
                      transport_rate: float = 0.0,
-                     heartbeat_seconds: float = 0.25,
                      kill_after_leases: Optional[Dict[int, int]] = None,
                      first_index: int = 0) -> List:
         """Fork ``count`` agent processes against a running controller.
 
-        The ``fork`` context matters twice over: the ``machine_factory``
-        closure is inherited rather than pickled, and an expensive
-        golden image built before the fork is shared copy-on-write by
-        every agent.  Fault plans travel as *seeds* and are rebuilt
-        inside each child (see :func:`repro.fleet.agent.
-        run_agent_process`) so a respawned process's per-machine fault
-        streams start at draw zero, same as the reference run.
+        The ``fork`` context matters three times over: the
+        ``machine_factory`` closure and this coordinator's
+        :class:`~repro.fleet.scanwork.ScanSettings` are inherited rather
+        than pickled, and an expensive golden image built before the
+        fork is shared copy-on-write by every agent.  Each child copies
+        the fault plan (see :func:`repro.fleet.agent.run_agent_process`)
+        so a respawned process's per-machine fault streams start at draw
+        zero, same as the reference run.
         """
         import multiprocessing
 
@@ -563,20 +576,10 @@ class FleetCoordinator:
                     address=tuple(address), secret=secret,
                     agent_id=f"agent-{index}", worker=index,
                     machine_factory=machine_factory,
-                    fault_seed=fault_seed, fault_rate=fault_rate,
+                    settings=self.settings,
                     transport_seed=transport_seed,
                     transport_rate=transport_rate,
-                    heartbeat_seconds=heartbeat_seconds,
-                    kill_after_leases=kills.get(index),
-                    policy_config={
-                        "confirm_with": self.policy.confirm_with,
-                        "escalate": self.policy.escalate,
-                        "resources": list(self.policy.resources)},
-                    scan_config={
-                        "stabilize_rounds": self.stabilize_rounds,
-                        "flag_unstable": self.flag_unstable,
-                        "scan_order_jitter": self.scan_order_jitter},
-                    resources=self.resources),
+                    kill_after_leases=kills.get(index)),
                 name=f"fleet-agent-{index}", daemon=True)
             process.start()
             processes.append(process)
@@ -586,10 +589,7 @@ class FleetCoordinator:
                         agents: int = 2, *,
                         secret: Optional[str] = None,
                         host: str = "127.0.0.1", port: int = 0,
-                        heartbeat_seconds: float = 0.25,
                         agent_timeout_seconds: float = 2.0,
-                        fault_seed: Optional[int] = None,
-                        fault_rate: float = 0.0,
                         transport_seed: Optional[int] = None,
                         transport_rate: float = 0.0,
                         kill_after_leases: Optional[Dict[int, int]] = None
@@ -598,23 +598,22 @@ class FleetCoordinator:
 
         The coordinator process keeps custody of every durable write (it
         hosts the :class:`~repro.fleet.controller.ScanController`); the
-        ``agents`` forked children do the GIL-heavy parsing and talk the
-        wire protocol.  Crash tolerance is the controller's liveness
-        reaper plus fresh agents forked whenever the whole pool has died
-        with work still pending — ``kill -9`` of any agent mid-lease
-        costs wall time, never a machine or a verdict.
+        ``agents`` forked children do the GIL-heavy parsing, with this
+        coordinator's scan settings and fault plan, and talk the wire
+        protocol.  Crash tolerance is the controller's liveness reaper
+        plus fresh agents forked whenever the whole pool has died with
+        work still pending — ``kill -9`` of any agent mid-lease costs
+        wall time, never a machine or a verdict.
         """
         secret = secret or transport.new_secret()
         controller = ScanController(
             self, secret, host=host, port=port,
-            heartbeat_seconds=heartbeat_seconds,
             agent_timeout_seconds=agent_timeout_seconds)
         controller.start()
         spawn = functools.partial(
             self.spawn_agents, agents, controller.address, secret,
-            machine_factory, fault_seed=fault_seed, fault_rate=fault_rate,
-            transport_seed=transport_seed, transport_rate=transport_rate,
-            heartbeat_seconds=heartbeat_seconds)
+            machine_factory, transport_seed=transport_seed,
+            transport_rate=transport_rate)
         processes = spawn(kill_after_leases=kill_after_leases)
         agent_seq = agents
 

@@ -115,10 +115,7 @@ class EscalationPolicy:
 
     def __init__(self, confirm_with: str = CONFIRM_WINPE,
                  escalate: bool = True,
-                 resources: Sequence[str] = ("files", "registry"),
-                 noise_filter: Optional[NoiseFilter] = None,
-                 advanced: bool = True,
-                 fault_plan: Optional[FaultPlan] = None):
+                 resources: Sequence[str] = ("files", "registry")):
         if confirm_with not in CONFIRM_METHODS:
             raise FleetError(
                 f"unknown confirmation method {confirm_with!r}; "
@@ -129,9 +126,6 @@ class EscalationPolicy:
         # a process diff needs a crash dump written to the suspect disk,
         # which would dirty the very generation the delta skip gates on.
         self.resources = tuple(resources)
-        self.noise_filter = noise_filter or NoiseFilter()
-        self.advanced = advanced
-        self.fault_plan = fault_plan
 
     def should_escalate(self, report: DetectionReport) -> bool:
         """Any non-noise inside finding buys a confirmation boot; with
@@ -139,13 +133,17 @@ class EscalationPolicy:
         return self.escalate and (self.confirm_with == CONFIRM_RIS
                                   or not report.is_clean)
 
-    def confirm(self, machine: Machine,
-                inside_report: DetectionReport) -> EscalationOutcome:
+    def confirm(self, machine: Machine, inside_report: DetectionReport,
+                noise_filter: Optional[NoiseFilter],
+                fault_plan: Optional[FaultPlan]) -> EscalationOutcome:
         """Run the outside-the-box pass and stamp the provenance.
 
-        The outcome's ``confirmed_by`` is also attached to the outside
-        report (``report.confirmed_by``) so the verdict document itself
-        carries the provenance, not just the epoch record.
+        The pass runs under the scan's own ``noise_filter`` and
+        ``fault_plan``: the policy decides only whether and how a
+        machine is confirmed.  The outcome's ``confirmed_by`` is also
+        attached to the outside report (``report.confirmed_by``) so the
+        verdict document itself carries the provenance, not just the
+        epoch record.
         """
         metrics = global_metrics()
         metrics.incr("fleet.escalations")
@@ -154,19 +152,17 @@ class EscalationPolicy:
                 machine=machine.name, method=self.confirm_with):
             if self.confirm_with == CONFIRM_WINPE:
                 outside = GhostBuster(
-                    machine, advanced=self.advanced,
-                    noise_filter=self.noise_filter,
-                    fault_plan=self.fault_plan).outside_scan(
+                    machine, advanced=True, noise_filter=noise_filter,
+                    fault_plan=fault_plan).outside_scan(
                         resources=self.resources)
             elif self.confirm_with == CONFIRM_RIS:
                 outside = RisServer(
-                    self.noise_filter, self.fault_plan).network_boot_scan(
+                    noise_filter, fault_plan).network_boot_scan(
                         machine, resources=self.resources)
             else:
-                outside = vm_outside_scan(machine,
-                                          resources=self.resources)
-                outside.findings = self.noise_filter.apply(
-                    outside.findings)
+                outside = vm_outside_scan(
+                    machine, resources=self.resources,
+                    noise_filter=noise_filter, fault_plan=fault_plan)
         confirmed = not outside.is_clean
         outside.confirmed_by = self.confirm_with
         if confirmed:

@@ -11,17 +11,23 @@ instead of skipping on its stored verdict.
 
 Extracting the body here is what makes the distributed mode's
 element-identical-verdicts guarantee checkable: the agent executes
-byte-for-byte the same scan sequence the in-process worker would, and
-because fault streams are seeded per ``(site, machine)`` — independent
-of which process draws them — a machine scanned by agent 3 after a
-kill -9 produces the same verdict the uninterrupted single-process
-sweep records.
+byte-for-byte the same scan sequence the in-process worker would, with
+the same :class:`ScanSettings` (the coordinator's one copy, which a
+forked agent inherits).  Because fault streams are seeded per
+``(site, machine)`` — independent of which process draws them — a
+machine's first scan in a process draws the same faults wherever it
+runs, so a machine scanned by agent 3 after a kill -9 produces the
+same verdict the uninterrupted single-process sweep records.  The
+position in each stream lives in the process's own copy of the plan:
+the single-process plan carries it on across epochs, while a machine
+that moves to another (or a respawned) agent starts again at draw
+zero, so later epochs under a fault plan can differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.anomaly import check_mass_hiding
 from repro.core.baseline import MachineBaseline
@@ -34,6 +40,31 @@ from repro.fleet.policy import (EscalationPolicy, campaign_fingerprints,
                                 finding_ids)
 from repro.machine import Machine
 from repro.telemetry import context as telemetry_context
+
+if TYPE_CHECKING:
+    from repro.workloads.sampling import SamplingPolicy
+
+
+@dataclass(frozen=True)
+class ScanSettings:
+    """Everything a worker scans with, owned by the coordinator.
+
+    The coordinator builds the one copy from its own arguments and every
+    worker scans with it: the in-process drain directly, a forked agent
+    through the fork (inherited, never pickled or re-described), so
+    what a scan is configured with never depends on the process model.
+    """
+
+    policy: EscalationPolicy = field(default_factory=EscalationPolicy)
+    noise_filter: NoiseFilter = field(default_factory=NoiseFilter)
+    resources: Tuple[str, ...] = ("files", "registry")
+    fault_plan: Optional[FaultPlan] = None
+    # The sample tier's cheap stratified pass (repro.workloads.sampling).
+    sampling: Optional["SamplingPolicy"] = None
+    # Scan-until-stable and the stealth counter-moves (docs/adversary.md).
+    stabilize_rounds: int = 1
+    flag_unstable: bool = False
+    scan_order_jitter: Optional[int] = None
 
 
 @dataclass
@@ -91,22 +122,14 @@ class ScanOutcome:
 
 
 def perform_machine_scan(machine: Machine, epoch: int,
-                         policy: EscalationPolicy,
-                         noise_filter: NoiseFilter,
-                         resources: Sequence[str],
-                         fault_plan: Optional[FaultPlan],
-                         span_clock=None,
-                         stabilize_rounds: int = 1,
-                         flag_unstable: bool = False,
-                         scan_order_jitter: Optional[int] = None
-                         ) -> ScanOutcome:
+                         settings: ScanSettings,
+                         span_clock=None) -> ScanOutcome:
     """Boot-if-needed, inside scan, optional escalation; no writes.
 
     ``span_clock`` picks which clock the telemetry span charges (the
     coordinator passes the fleet clock; an agent has only the
-    machine's own).  ``stabilize_rounds`` / ``flag_unstable`` /
-    ``scan_order_jitter`` are the stealth counter-moves threaded down
-    from the coordinator (see docs/adversary.md).
+    machine's own).  The confirmation runs under the scan's own noise
+    filter and fault plan.
     """
     if not machine.powered_on:
         machine.boot()
@@ -115,16 +138,18 @@ def perform_machine_scan(machine: Machine, epoch: int,
             "fleet.scan", clock=span_clock or machine.clock,
             machine=machine.name, epoch=epoch):
         report = GhostBuster(machine, advanced=True,
-                             noise_filter=noise_filter,
-                             fault_plan=fault_plan,
-                             stabilize_rounds=stabilize_rounds,
-                             flag_unstable=flag_unstable,
-                             scan_order_jitter=scan_order_jitter
-                             ).inside_scan(resources=tuple(resources))
+                             noise_filter=settings.noise_filter,
+                             fault_plan=settings.fault_plan,
+                             stabilize_rounds=settings.stabilize_rounds,
+                             flag_unstable=settings.flag_unstable,
+                             scan_order_jitter=settings.scan_order_jitter
+                             ).inside_scan(resources=settings.resources)
     escalated = confirmed = False
     confirmed_by = None
+    policy = settings.policy
     if policy.should_escalate(report):
-        outcome = policy.confirm(machine, report)
+        outcome = policy.confirm(machine, report, settings.noise_filter,
+                                 settings.fault_plan)
         escalated = True
         confirmed = outcome.confirmed
         confirmed_by = outcome.confirmed_by
@@ -144,16 +169,8 @@ def perform_machine_scan(machine: Machine, epoch: int,
 
 
 def perform_sampled_machine_scan(machine: Machine, epoch: int,
-                                 sampling,
-                                 policy: EscalationPolicy,
-                                 noise_filter: NoiseFilter,
-                                 resources: Sequence[str],
-                                 fault_plan: Optional[FaultPlan],
-                                 span_clock=None,
-                                 stabilize_rounds: int = 1,
-                                 flag_unstable: bool = False,
-                                 scan_order_jitter: Optional[int] = None
-                                 ) -> ScanOutcome:
+                                 settings: ScanSettings,
+                                 span_clock=None) -> ScanOutcome:
     """The cheap stratified pass, escalating discrepancies to a full scan.
 
     A clean sampled pass yields a sampled verdict carrying its honest
@@ -168,18 +185,14 @@ def perform_sampled_machine_scan(machine: Machine, epoch: int,
     # module scope.
     from repro.workloads.sampling import perform_sampled_scan
 
-    sampled = perform_sampled_scan(machine, epoch, sampling,
-                                   noise_filter=noise_filter,
-                                   resources=resources,
-                                   fault_plan=fault_plan,
+    sampled = perform_sampled_scan(machine, epoch, settings.sampling,
+                                   noise_filter=settings.noise_filter,
+                                   resources=settings.resources,
+                                   fault_plan=settings.fault_plan,
                                    span_clock=span_clock)
     if sampled.escalate:
-        full = perform_machine_scan(machine, epoch, policy, noise_filter,
-                                    resources, fault_plan,
-                                    span_clock=span_clock,
-                                    stabilize_rounds=stabilize_rounds,
-                                    flag_unstable=flag_unstable,
-                                    scan_order_jitter=scan_order_jitter)
+        full = perform_machine_scan(machine, epoch, settings,
+                                    span_clock=span_clock)
         return replace(full,
                        scan_seconds=full.scan_seconds + sampled.scan_seconds,
                        sampling_escalated=True)

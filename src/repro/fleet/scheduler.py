@@ -34,6 +34,13 @@ from typing import Dict, List, Optional, Sequence
 
 logger = logging.getLogger(__name__)
 
+# Score = STALENESS_WEIGHT * staleness + RISK_WEIGHT * risk.
+STALENESS_WEIGHT = 1.0
+RISK_WEIGHT = 10.0
+# A machine with no verdict at all is the stalest thing in the fleet: it
+# beats any risk score so first contact happens fast.
+NEVER_SCANNED_STALENESS = 1000.0
+
 
 def stable_shard(machine: str, shards: int) -> int:
     """Deterministic shard index for a machine name.
@@ -98,13 +105,13 @@ def recent_write_probe(machine, horizon_seconds: float = 3600.0,
 
     A raw-volume mtime sweep — no process, no API chain, so no ghostware
     hook can filter it.  Fresh writes under ``\\Windows`` are how an
-    infection *lands*; a machine that trips the probe is worth a boosted
-    scheduler rank.  The flip side is the adversary counter-move this
-    probe exists to measure: a timestamp cloak that backdates its
-    artifacts drops the machine right back below the horizon, so the
-    probe is a triage signal, never a verdict.  ``skip`` prunes known
-    churn directories whose legitimate writes would drown the signal —
-    ``Temp`` and the registry hives, which the OS flushes constantly.
+    infection *lands*.  The probe exists to measure the adversary
+    counter-move: a timestamp cloak that backdates its artifacts drops
+    the machine right back below the horizon, so the probe is a measured
+    triage signal, never a verdict, and the scheduler does not read it.
+    ``skip`` prunes known churn directories whose legitimate writes
+    would drown the signal — ``Temp`` and the registry hives, which the
+    OS flushes constantly.
     """
     now = machine.clock.now()
     volume = machine.volume
@@ -138,35 +145,25 @@ class ScheduledMachine:
 class FleetScheduler:
     """Ranks a roster and deals it into shards for one epoch."""
 
-    def __init__(self, shards: int = 1, staleness_weight: float = 1.0,
-                 risk_weight: float = 10.0,
-                 never_scanned_staleness: float = 1000.0):
+    def __init__(self, shards: int = 1):
         self.shards = max(1, int(shards))
-        self.staleness_weight = staleness_weight
-        self.risk_weight = risk_weight
-        # A machine with no verdict at all is the stalest thing in the
-        # fleet: it beats any risk score so first contact happens fast.
-        self.never_scanned_staleness = never_scanned_staleness
 
     def priority(self, machine: str, epoch: int,
                  history: FleetHistory,
                  scan_seconds: Optional[float] = None,
-                 quarantined: bool = False,
-                 risk_boost: float = 0.0) -> ScheduledMachine:
+                 quarantined: bool = False) -> ScheduledMachine:
         last = history.last_epoch.get(machine)
-        staleness = (self.never_scanned_staleness if last is None
+        staleness = (NEVER_SCANNED_STALENESS if last is None
                      else float(epoch - last))
         risk = (history.detections.get(machine, 0)
                 + 2.0 * history.confirmations.get(machine, 0)
-                + history.failures.get(machine, 0)
-                + float(risk_boost))
+                + history.failures.get(machine, 0))
         if quarantined:
             # The breaker gave up on this machine recently; whatever
             # was wrong deserves priority attention now that it gets
             # another chance.
             risk += 3.0
-        score = (self.staleness_weight * staleness
-                 + self.risk_weight * risk)
+        score = STALENESS_WEIGHT * staleness + RISK_WEIGHT * risk
         cost = float("inf") if scan_seconds is None else float(scan_seconds)
         return ScheduledMachine(machine=machine, staleness=staleness,
                                 risk=risk, cost=cost, score=score,
@@ -175,24 +172,19 @@ class FleetScheduler:
     def plan(self, machines: Sequence[str], epoch: int,
              history: FleetHistory,
              scan_seconds: Optional[Dict[str, float]] = None,
-             quarantined: Sequence[str] = (),
-             risk_boost: Optional[Dict[str, float]] = None
+             quarantined: Sequence[str] = ()
              ) -> List[ScheduledMachine]:
         """The epoch's dispatch order: score desc, then LPT, then name.
 
         ``sorted`` is stable and every key component is deterministic,
         so two coordinators planning the same inputs emit the same
         order — which the queue then persists as the epoch roster.
-        ``risk_boost`` carries per-machine triage signals (e.g.
-        :func:`recent_write_probe` hits) into the risk term.
         """
         timings = scan_seconds or {}
         quarantine_set = set(quarantined)
-        boosts = risk_boost or {}
         ranked = [self.priority(machine, epoch, history,
                                 scan_seconds=timings.get(machine),
-                                quarantined=machine in quarantine_set,
-                                risk_boost=boosts.get(machine, 0.0))
+                                quarantined=machine in quarantine_set)
                   for machine in machines]
         ranked.sort(key=lambda entry: (-entry.score,
                                        -entry.cost,

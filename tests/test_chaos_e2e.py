@@ -17,7 +17,8 @@ from repro.core import GhostBuster
 from repro.core.diff import ScanConfidence
 from repro.errors import ReproError
 from repro.faults.plan import (FaultPlan, FaultSpec, SITE_DISK_READ,
-                               SITE_MFT_PARSE, SITE_RIS_TRANSPORT)
+                               SITE_MFT_PARSE, SITE_RIS_TRANSPORT,
+                               SITE_WINAPI_ENUM)
 from repro.fleet import EscalationPolicy, FleetCoordinator
 from repro.ghostware import (Aphex, HackerDefender, ProBotSE, Urbin,
                              Vanquish)
@@ -52,8 +53,9 @@ class _OutsideRecorder(EscalationPolicy):
         super().__init__(*args, **kwargs)
         self.outside = {}
 
-    def confirm(self, machine, inside_report):
-        outcome = super().confirm(machine, inside_report)
+    def confirm(self, machine, inside_report, noise_filter, fault_plan):
+        outcome = super().confirm(machine, inside_report, noise_filter,
+                                  fault_plan)
         self.outside[machine.name] = outcome
         return outcome
 
@@ -63,12 +65,12 @@ def _coordinator(fleet_dir, machines, fault_plan=None,
     """A coordinator whose plan covers its scans and confirmations."""
     return FleetCoordinator(
         str(fleet_dir), machines, fault_plan=fault_plan,
-        policy=_OutsideRecorder(confirm_with, fault_plan=fault_plan))
+        policy=_OutsideRecorder(confirm_with))
 
 
 def _verdicts(coordinator, aggregate):
     """Verdicts with the inside and the outside finding identities."""
-    outside = coordinator.policy.outside
+    outside = coordinator.settings.policy.outside
     return {v.machine: (v.verdict, v.confirmed_by, v.finding_ids,
                         outside[v.machine].finding_ids
                         if v.machine in outside else None)
@@ -77,7 +79,7 @@ def _verdicts(coordinator, aggregate):
 
 def _outside_complete(coordinator):
     return all(outcome.outside_report.is_complete
-               for outcome in coordinator.policy.outside.values())
+               for outcome in coordinator.settings.policy.outside.values())
 
 
 def _errors(aggregate):
@@ -149,7 +151,7 @@ class TestChaosSweep:
         assert plan.fired_count() == 1
         assert not _errors(epoch)
         assert len(epoch.infected_machines()) == len(FAMILIES)
-        assert coordinator.policy.outside["victim-02"].confirmed
+        assert coordinator.settings.policy.outside["victim-02"].confirmed
 
     def test_transient_death_recovers_on_retry(self, tmp_path):
         plan = FaultPlan(seed=9, specs=(
@@ -169,6 +171,64 @@ class TestChaosSweep:
                          if v.machine == "victim-00")
         assert recovered.verdict == "infected"
         assert recovered.confirmed_by == "ris"
+
+
+class TestConfirmationUnderTheScanPlan:
+    """A confirmation runs under the coordinator's own fault plan, given
+    once, whichever outside view the policy picks."""
+
+    @staticmethod
+    def _pair():
+        machines = []
+        for index, family in enumerate((None, HackerDefender)):
+            machine = Machine(f"client-{index:02d}", disk_mb=256,
+                              max_records=8192)
+            machine.boot()
+            if family is not None:
+                family().install(machine)
+            machines.append(machine)
+        return machines
+
+    def test_network_boot_death_reaches_a_plain_policy(self, tmp_path):
+        plan = FaultPlan(seed=9, specs=(
+            FaultSpec(SITE_RIS_TRANSPORT, mode="always",
+                      kinds=("machine_death",), mean_delay_s=0.0,
+                      scopes=("client-01",)),))
+        coordinator = FleetCoordinator(str(tmp_path), self._pair(),
+                                       fault_plan=plan,
+                                       policy=EscalationPolicy("ris"))
+        errors = _errors(coordinator.run_epoch())
+        assert list(errors) == ["client-01"]
+        assert errors["client-01"].startswith("MachineUnavailable: ")
+
+    def test_vmscan_draws_like_winpe(self, tmp_path):
+        # Latency only: every enumeration on client-01 hangs a little,
+        # and nothing about the verdict changes.
+        def hanging():
+            return FaultPlan(seed=9, specs=(
+                FaultSpec(SITE_WINAPI_ENUM, mode="always", kinds=("hang",),
+                          scopes=("client-01",)),))
+
+        def epoch(name, policy, plan):
+            coordinator = FleetCoordinator(str(tmp_path / name),
+                                           self._pair(), fault_plan=plan,
+                                           policy=policy)
+            return {v.machine: (v.verdict, v.findings, v.confirmed_by)
+                    for v in coordinator.run_epoch().verdicts}
+
+        fired = {}
+        for method in ("off", "winpe", "vmscan"):
+            plan = hanging()
+            policy = (EscalationPolicy(escalate=False) if method == "off"
+                      else EscalationPolicy(method))
+            verdicts = epoch(method, policy, plan)
+            fired[method] = plan.fired_count()
+        # The outside scan takes its inside (lie) snapshots again, under
+        # the plan, for both confirmation methods.
+        assert fired["vmscan"] == fired["winpe"] > fired["off"] > 0
+        assert verdicts == epoch("fault-free", EscalationPolicy("vmscan"),
+                                 None)
+        assert verdicts["client-01"] == ("infected", 5, "vmscan")
 
 
 class TestChaosDeltaInterplay:

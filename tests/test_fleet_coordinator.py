@@ -182,6 +182,19 @@ class TestEpochLifecycle:
         with open(coordinator.queue.path, encoding="utf-8") as handle:
             assert handle.read() == ""
 
+    def test_retention_without_console_index(self, tmp_path):
+        # Retention is the coordinator's own journal rewrite, with or
+        # without the console's index.
+        coordinator = FleetCoordinator(
+            str(tmp_path), build_fleet(size=2, infected=()),
+            compact_every=1, retain_epochs=1, console_index=False)
+        coordinator.run(3)
+        epochs = {record["epoch"]
+                  for record in read_journal(coordinator.epochs_path)
+                  if record.get("epoch") is not None}
+        assert epochs == {3}
+        assert coordinator.history == load_history(coordinator.epochs_path)
+
     def test_fleet_status_reflects_open_epoch(self, tmp_path):
         machines = build_fleet(size=3, infected=())
         coordinator = FleetCoordinator(str(tmp_path), machines, workers=1)

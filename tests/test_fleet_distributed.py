@@ -19,15 +19,18 @@ import pytest
 import repro.fleet.agent as agent_mod
 import repro.fleet.coordinator as coordinator_mod
 from repro.__main__ import main
+from repro.core.noise import NoiseFilter
 from repro.errors import TransientIoError
+from repro.faults.plan import SITE_WINAPI_ENUM, FaultPlan, FaultSpec
 from repro.fleet import (EscalationPolicy, FleetCoordinator, fleet_status,
                          load_history)
 from repro.fleet.controller import AGENT_DEAD
-from repro.ghostware import Aphex, HackerDefender
+from repro.ghostware import Aphex, HackerDefender, LowLevelInterferenceGhost
 from repro.machine import Machine
 from repro.telemetry.journal_io import read_journal
 from repro.telemetry.metrics import global_metrics
-from repro.workloads import FleetProfile, FleetWorkload, InfectionWave
+from repro.workloads import (FleetProfile, FleetWorkload, InfectionWave,
+                             SamplingPolicy)
 from repro.workloads.scenarios import build_home_pc
 
 pytestmark = pytest.mark.skipif(
@@ -223,6 +226,111 @@ class TestQuarantine:
         assert all(error.startswith("circuit open") for __, error in bad[3:])
         assert all(verdict == "clean" for __, machine, verdict, __ in single
                    if machine != "m-bad")
+
+
+PARITY_ROSTER = [f"client-{index:02d}" for index in range(4)]
+# client-02's ghost blinds the inside scan; only a network boot (RIS)
+# sees it from outside.
+PARITY_GHOSTS = {1: HackerDefender, 2: LowLevelInterferenceGhost}
+
+
+def parity_factory(name):
+    index = int(name.rsplit("-", 1)[1])
+    ghost_cls = PARITY_GHOSTS.get(index)
+    return build_home_pc(name, ghost_cls() if ghost_cls else None,
+                         files=30, seed=3 + index,
+                         with_services=False).machine
+
+
+def churn(machine, epoch):
+    machine.volume.create_file(f"\\Temp\\epoch-{epoch}.txt", b"churn")
+
+
+def churned_factory(epoch):
+    """The parity fleet as it stands in ``epoch``: every machine gains
+    one file per epoch after the first, so each epoch rescans it
+    instead of skipping."""
+    def factory(name):
+        machine = parity_factory(name)
+        for past in range(2, epoch + 1):
+            churn(machine, past)
+        return machine
+    return factory
+
+
+def parity(aggregate, scan_seconds=False):
+    """Per-machine verdict keys and the epoch summary's counts."""
+    verdicts = {
+        v.machine: (v.verdict, v.findings, v.confirmed, v.confirmed_by,
+                    v.error and v.error.split(":")[0], v.sampled,
+                    v.coverage, v.sampling_escalated)
+        + ((v.scan_seconds,) if scan_seconds else ())
+        for v in aggregate.verdicts}
+    summary = aggregate.summary
+    return verdicts, (summary.machines, summary.scanned, summary.skipped,
+                      summary.sampled, summary.sampling_escalations,
+                      summary.escalated, summary.confirmed, summary.errors)
+
+
+class TestScanSettingsParity:
+    """Both worker kinds scan with the coordinator's one settings value:
+    sampling, noise filter and fault plan reach forked agents, so every
+    verdict and every epoch summary is the same in both modes."""
+
+    def run_both(self, tmp_path, epochs, scan_seconds=False, **kwargs):
+        """The same fleet through ``run_epoch`` and forked agents; fresh
+        agents each epoch, so their machines carry that epoch's churn."""
+        machines = [parity_factory(name) for name in PARITY_ROSTER]
+        single = FleetCoordinator(str(tmp_path / "single"), machines,
+                                  workers=2, **kwargs)
+        distributed = FleetCoordinator(str(tmp_path / "dist"),
+                                       PARITY_ROSTER, workers=2, **kwargs)
+        results = []
+        for epoch in range(1, epochs + 1):
+            if epoch > 1:
+                for machine in machines:
+                    churn(machine, epoch)
+            aggregate, = distributed.run_distributed(
+                1, churned_factory(epoch), agents=2)
+            results.append((parity(single.run_epoch(), scan_seconds),
+                            parity(aggregate, scan_seconds)))
+        return results
+
+    def test_sampled_tier_is_sampled_by_agents(self, tmp_path):
+        results = self.run_both(
+            tmp_path, 3, policy=EscalationPolicy(escalate=False),
+            sampling=SamplingPolicy(seed=3, file_rate=0.25))
+        for single, distributed in results:
+            assert distributed == single
+        # The clean machines ride the sample tier after first contact.
+        assert [counts[3] for (__, counts), __ in results] == [0, 3, 3]
+
+    @pytest.mark.parametrize("case", ["noise_filter", "machine_death",
+                                      "default_plan"])
+    def test_one_epoch_matches(self, tmp_path, case):
+        kwargs = {
+            # The operator allow-lists client-02's file, so the network
+            # boot's verdict-bearing report keeps only its service hook.
+            "noise_filter": dict(
+                policy=EscalationPolicy("ris"),
+                noise_filter=NoiseFilter(extra_patterns=(
+                    ("\\windows\\deepghost*", "allow-listed"),))),
+            "machine_death": dict(fault_plan=FaultPlan(seed=5, specs=(
+                FaultSpec(SITE_WINAPI_ENUM, mode="always",
+                          kinds=("machine_death",), mean_delay_s=0.0,
+                          scopes=("client-01",)),))),
+            "default_plan": dict(fault_plan=FaultPlan.default(2026, 0.05)),
+        }[case]
+        # Fault delays are charged to each machine's clock, so equal
+        # scan seconds prove the plan reached the agents.
+        (single, distributed), = self.run_both(
+            tmp_path, 1, scan_seconds=True, **kwargs)
+        assert distributed == single
+        verdicts, __ = single
+        if case == "noise_filter":
+            assert verdicts["client-02"][:4] == ("infected", 1, True, "ris")
+        if case == "machine_death":
+            assert verdicts["client-01"][4] == "MachineUnavailable"
 
 
 class TestDistributedCli:

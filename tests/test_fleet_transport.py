@@ -18,16 +18,16 @@ import time
 import pytest
 
 from repro.clock import SimClock
-from repro.core.noise import NoiseFilter
 from repro.core.reporting import report_to_dict
 from repro.errors import TransportError, TransportTimeout
 from repro.faults.plan import (SITE_FLEET_RECV, SITE_FLEET_SEND, FaultPlan,
                                FaultSpec)
-from repro.fleet import (EscalationPolicy, FleetCoordinator, ScanAgent,
-                         fleet_status, transport)
+from repro.fleet import (FleetCoordinator, ScanAgent, fleet_status,
+                         transport)
 from repro.fleet.controller import (AGENT_DEAD, AGENT_FLAPPING,
                                     ScanController, fold_agent_records)
-from repro.fleet.scanwork import perform_machine_scan, skip_verdict
+from repro.fleet.scanwork import (ScanSettings, perform_machine_scan,
+                                  skip_verdict)
 from repro.ghostware import HackerDefender
 from repro.machine import Machine
 from repro.telemetry.journal_io import read_journal
@@ -210,9 +210,7 @@ def scan_ack(lease_reply, machines):
     lease = lease_reply["lease"]
     name = lease["machine"]
     machine = machines.setdefault(name, build_machine(name))
-    outcome = perform_machine_scan(
-        machine, lease["epoch"], EscalationPolicy(), NoiseFilter(),
-        ("files", "registry"), None)
+    outcome = perform_machine_scan(machine, lease["epoch"], ScanSettings())
     verdict = outcome.verdict(name, lease["epoch"])
     return {"op": "ack", "machine": name, "epoch": lease["epoch"],
             "token": lease["token"], "verdict": verdict.to_dict(),
@@ -326,9 +324,8 @@ class TestSkipOnTheWire:
             self, tmp_path):
         coordinator, controller, secret = start_controller(
             tmp_path, ["m00"])
-        outcome = perform_machine_scan(
-            build_machine("m00"), 1, EscalationPolicy(), NoiseFilter(),
-            ("files", "registry"), None)
+        outcome = perform_machine_scan(build_machine("m00"), 1,
+                                       ScanSettings())
         coordinator.store.put(
             "m00", outcome.report, disk_generation=outcome.disk_generation,
             extra=dict(outcome.extra(1), sampled=True))
@@ -413,7 +410,7 @@ class TestLivenessAndReclaim:
 
     def test_flapping_agent_is_labelled(self, tmp_path):
         coordinator, controller, secret = start_controller(
-            tmp_path, ["m00"], flap_threshold=3)
+            tmp_path, ["m00"])
         try:
             for __ in range(4):
                 channel, hello = dial(controller, secret, "agent-a")
@@ -552,7 +549,8 @@ class TestScanAgentLoop:
         coordinator, controller, secret = start_controller(
             tmp_path / "dist", roster)
         agents = [ScanAgent(controller.address, secret, f"agent-{i}",
-                            factory, worker=i, poll_seconds=0.01)
+                            factory, coordinator.settings, worker=i,
+                            poll_seconds=0.01)
                   for i in range(2)]
         try:
             aggregates = drive_epochs(coordinator, controller, agents)
@@ -574,7 +572,8 @@ class TestScanAgentLoop:
         coordinator, controller, secret = start_controller(
             tmp_path, roster)
         agents = [ScanAgent(controller.address, secret, "agent-0",
-                            factory, poll_seconds=0.01)]
+                            factory, coordinator.settings,
+                            poll_seconds=0.01)]
         try:
             aggregates = drive_epochs(coordinator, controller, agents,
                                       epochs=2)
@@ -597,7 +596,8 @@ class TestScanAgentLoop:
         coordinator, controller, secret = start_controller(
             tmp_path / "chaos", roster)
         agents = [ScanAgent(controller.address, secret, f"agent-{i}",
-                            factory, worker=i, poll_seconds=0.01,
+                            factory, coordinator.settings, worker=i,
+                            poll_seconds=0.01,
                             transport_plan=transport.chaos_plan(
                                 17 + i, rate=0.1),
                             reconnect_base_s=0.01, reconnect_cap_s=0.05)

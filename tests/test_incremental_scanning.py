@@ -417,8 +417,8 @@ class TestDeltaSweep:
                       kinds=("machine_death",), mean_delay_s=0.0,
                       scopes=("client-1",)),))
         coordinator = FleetCoordinator(
-            str(tmp_path), machines,
-            policy=EscalationPolicy("ris", fault_plan=plan))
+            str(tmp_path), machines, fault_plan=plan,
+            policy=EscalationPolicy("ris"))
         delta = coordinator.run_epoch()
         failed = next(v for v in delta.verdicts if v.machine == "client-1")
         assert failed.verdict == "error"

@@ -181,18 +181,18 @@ class TestReplaceJournal:
 
     @staticmethod
     def compact_index(directory):
-        from repro.console.index import JournalIndex
+        from repro.fleet import FleetCoordinator
 
-        path = os.path.join(directory, "epochs.jsonl")
-        for epoch in (1, 2, 3):
-            append_journal(path, {"type": "epoch-start", "epoch": epoch,
-                                  "machines": 1})
-            append_journal(path, {"type": "fleet-machine", "epoch": epoch,
-                                  "machine": "m0", "verdict": "clean"})
-        index = JournalIndex(directory)
-        index.compact(retain_epochs=1)
-        index.close()
-        return path
+        # Epochs-journal retention, run by the coordinator that owns it
+        # (a name-only roster entry journals an error verdict per epoch).
+        # One compaction after the epochs, with no index to rebuild, so
+        # the epochs rewrite is the last replace and only its own
+        # directory fsync can follow it.
+        coordinator = FleetCoordinator(directory, ["m0"], retain_epochs=1,
+                                       console_index=False)
+        coordinator.run(3)
+        coordinator.compact()
+        return coordinator.epochs_path
 
     @pytest.mark.parametrize("compact", ["compact_baselines",
                                          "compact_queue", "compact_index"])

@@ -119,7 +119,8 @@ class TestDetectionAwareness:
         machine, ghost, __ = self._infected()
         outcome = EscalationPolicy().confirm(
             machine, GhostBuster(machine, **DEFENDED).inside_scan(
-                resources=("files", "registry")))
+                resources=("files", "registry")),
+            noise_filter=None, fault_plan=None)
         assert outcome.confirmed
         assert outcome.outside_findings > 0
 
@@ -136,7 +137,9 @@ class TestDetectionAwareness:
         report = GhostBuster(machine, **DEFENDED).inside_scan(
             resources=("files", "registry"))
         assert not report.is_clean
-        outcome = EscalationPolicy().confirm(machine, report)
+        outcome = EscalationPolicy().confirm(machine, report,
+                                             noise_filter=None,
+                                             fault_plan=None)
         assert outcome.confirmed
         recovered = {str(f.entry.identity).casefold()
                      for f in outcome.outside_report.hidden_files()}

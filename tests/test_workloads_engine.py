@@ -29,9 +29,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.costmodel import estimate_scan_seconds
 from repro.errors import CoordinatorKilled, FleetError
-from repro.fleet import EscalationPolicy, FleetCoordinator
+from repro.fleet import FleetCoordinator
 from repro.fleet.aggregator import FleetAggregator, MachineVerdict
-from repro.fleet.scanwork import perform_machine_scan
+from repro.fleet.scanwork import ScanSettings, perform_machine_scan
 from repro.machine import HIVE_FILES, Machine
 from repro.telemetry.journal_io import iter_journal
 from repro.workloads import (FleetProfile, FleetWorkload, InfectionWave,
@@ -256,8 +256,7 @@ class TestSampledScan:
         assert 0.0 < sampled.coverage < 1.0
         assert sampled.sampled_entities < sampled.total_entities
         assert sampled.strata_sampled < sampled.strata_total
-        full = perform_machine_scan(populated, 1, EscalationPolicy(),
-                                    None, ("files", "registry"), None)
+        full = perform_machine_scan(populated, 1, ScanSettings())
         assert sampled.scan_seconds < full.scan_seconds
 
     def test_asep_ghost_always_escalates(self, populated):
