@@ -2,8 +2,8 @@
 
 Unlike the E/A/X benchmarks (which reproduce the *paper's* simulated
 timings), these measure the wall-clock cost of our hot paths — the raw
-MFT parse, the raw hive parse, and the cross-view diff — so regressions
-in the reproduction itself are visible.
+MFT parse, the hooked Win32 file walk, the raw hive parse, and the
+cross-view diff — so regressions in the reproduction itself are visible.
 """
 
 from __future__ import annotations
@@ -11,8 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.diff import cross_view_diff
+from repro.core.scanners.files import high_level_file_scan
 from repro.core.snapshot import FileEntry, ResourceType, ScanSnapshot
 from repro.disk import Disk, DiskGeometry
+from repro.machine import Machine
 from repro.ntfs import MftParser, NtfsVolume, parse_volume
 from repro.registry.hive import Hive
 from repro.registry.hive_parser import clear_hive_cache, parse_hive
@@ -44,6 +46,21 @@ def test_raw_mft_parse_cached(benchmark):
     parse_volume(disk)   # warm the per-(disk, generation) cache
     entries = benchmark(lambda: parse_volume(disk))
     assert len(entries) == 1001
+
+
+def test_win32_file_walk_warm(benchmark):
+    """The FindFirstFile/FindNextFile walk on a machine scanned before:
+    every API call still runs, the listing stats and name rule are warm."""
+    machine = Machine("perf", disk_mb=256, max_records=8192)
+    machine.boot()
+    machine.volume.create_directories("\\data")
+    for index in range(1000):
+        machine.volume.create_file(f"\\data\\file{index:05d}.bin",
+                                   b"x" * 100)
+    high_level_file_scan(machine)   # warm
+    snapshot = benchmark(lambda: high_level_file_scan(machine))
+    assert len(snapshot.entries) == len(list(machine.volume.walk()))
+    assert len(snapshot.entries) > 1000
 
 
 def test_read_file_content_indexed(benchmark):

@@ -95,13 +95,18 @@ def high_level_file_scan(machine: Machine,
                                     scope=machine.name)
         handle, stat = scanner.call("kernel32", "FindFirstFile", directory)
         if order_rng is None:
-            while stat is not None:
-                entries.append(FileEntry(stat.path, stat.name,
-                                         stat.is_directory, stat.size))
-                if stat.is_directory:
-                    walk(stat.path)
-                stat = scanner.call("kernel32", "FindNextFile", handle)
-            scanner.call("kernel32", "FindClose", handle)
+            # A fault inside a child walk unwinds through every open
+            # ancestor handle; close each on the way out, or a retried
+            # walk leaves them in the scanner process for good.
+            try:
+                while stat is not None:
+                    entries.append(FileEntry(stat.path, stat.name,
+                                             stat.is_directory, stat.size))
+                    if stat.is_directory:
+                        walk(stat.path)
+                    stat = scanner.call("kernel32", "FindNextFile", handle)
+            finally:
+                scanner.call("kernel32", "FindClose", handle)
             return
         subdirs: List[str] = []
         while stat is not None:

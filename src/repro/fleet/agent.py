@@ -78,7 +78,6 @@ class ScanAgent:
                  transport_plan: Optional[FaultPlan] = None,
                  reconnect_base_s: float = 0.05,
                  reconnect_cap_s: float = 1.0,
-                 poll_seconds: float = 0.02,
                  kill_after_leases: Optional[int] = None):
         self.address = tuple(address)
         self.secret = secret
@@ -91,7 +90,6 @@ class ScanAgent:
         self.transport_plan = transport_plan
         self.reconnect_base_s = reconnect_base_s
         self.reconnect_cap_s = reconnect_cap_s
-        self.poll_seconds = poll_seconds
         self.kill_after_leases = kill_after_leases
         self._machines: Dict[str, Machine] = {}
         self._channel: Optional[transport.FrameChannel] = None
@@ -187,13 +185,11 @@ class ScanAgent:
                     self._note_lease_taken(reply)
                     self._serve_lease(reply)
                 elif op == "lease-none":
-                    state = reply.get("state")
-                    if state == "shutdown":
+                    if reply.get("state") == "shutdown":
                         self._request({"op": "bye"})
                         break
-                    # drained / waiting / closed: poll until the next
-                    # epoch opens or the controller shuts down.
-                    time.sleep(self.poll_seconds)
+                    # The controller held the request until its hold
+                    # cap passed with nothing to draw: ask again.
                 else:
                     raise TransportError(
                         f"unexpected lease reply: {reply!r}")

@@ -32,6 +32,10 @@ Failure-first design decisions, in order of importance:
   in tests).  :meth:`reap` marks sessions silent past
   ``agent_timeout_seconds`` as ``AGENT_DEAD`` and requeues exactly
   their leases — kill -9 loses a scan in flight, never a machine.
+* **Held lease requests.**  A ``lease`` with nothing to draw is held
+  (a long poll) until work may have appeared, instead of answered
+  ``lease-none`` for the agent to retry on a timer; it is granted only
+  on the session's newest work channel (see :meth:`_handle_lease`).
 * **Flap detection.**  A session that keeps reconnecting is marked
   ``AGENT_FLAPPING`` (the agent-level analogue of the per-machine
   circuit breaker's taxonomy) so operators can tell a crashy agent
@@ -48,6 +52,7 @@ from __future__ import annotations
 import logging
 import socket
 import threading
+import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.reporting import report_from_dict
@@ -72,6 +77,10 @@ FLAP_THRESHOLD = 3
 
 # How often an idle connection thread rechecks that the controller runs.
 RECV_POLL_SECONDS = 0.25
+
+# Longest a lease request is held with nothing to draw before it is
+# answered lease-none (well under the agent's 10 s receive timeout).
+LEASE_HOLD_SECONDS = 1.0
 
 
 def fold_agent_records(records: Iterable[Dict]) -> Dict[str, Dict]:
@@ -112,6 +121,9 @@ class AgentSession:
         self.acks = 0
         self.late_acks = 0
         self.channels: List[transport.FrameChannel] = []
+        # The newest work channel, the only one a lease is granted on;
+        # None once the reaper has closed the session's channels.
+        self.work_channel: Optional[transport.FrameChannel] = None
 
     def snapshot(self) -> Dict:
         return {"agent": self.agent_id, "worker": self.worker,
@@ -164,6 +176,7 @@ class ScanController:
 
     def stop(self) -> None:
         self._running = False
+        self.coordinator._wake_lease_waiters()
         if self._server is not None:
             try:
                 self._server.close()
@@ -180,6 +193,7 @@ class ScanController:
     def begin_shutdown(self) -> None:
         """Tell agents (via lease-none state=shutdown) to say bye."""
         self._shutdown = True
+        self.coordinator._wake_lease_waiters()
 
     def session_snapshots(self) -> Dict[str, Dict]:
         with self.coordinator.lock:
@@ -204,10 +218,12 @@ class ScanController:
                         and self.coordinator.queue.epoch is not None):
                     reclaimed = self.coordinator.queue.requeue(
                         list(session.leases))
+                    self.coordinator._wake_lease_waiters()
                 session.leases.clear()
                 for channel in session.channels:
                     channel.close()
                 session.channels.clear()
+                session.work_channel = None
                 self._journal_agent(session, "dead", reclaimed=reclaimed)
                 global_metrics().incr("fleet.agent.dead")
                 logger.warning("agent %s declared dead; reclaimed %d "
@@ -292,6 +308,7 @@ class ScanController:
                 reply["outstanding"] = [
                     self._lease_reply(lease)
                     for __, lease in sorted(session.leases.items())]
+                session.work_channel = channel
                 self._journal_agent(session,
                                     "reconnect" if rejoin else "hello")
             session.channels.append(channel)
@@ -318,7 +335,7 @@ class ScanController:
             with self.coordinator.lock:
                 session.last_seen = self.liveness_clock.now()
                 try:
-                    reply = self._dispatch(session, message)
+                    reply = self._dispatch(session, channel, message)
                 except Exception as exc:          # pragma: no cover
                     logger.exception("controller handler failed")
                     reply = {"op": "error", "error": str(exc)}
@@ -328,10 +345,11 @@ class ScanController:
 
     # -- op handlers (all called under coordinator.lock) -------------------------
 
-    def _dispatch(self, session: AgentSession, message: Dict) -> Dict:
+    def _dispatch(self, session: AgentSession,
+                  channel: transport.FrameChannel, message: Dict) -> Dict:
         op = message.get("op")
         if op == "lease":
-            return self._handle_lease(session)
+            return self._handle_lease(session, channel)
         if op == "ack":
             return self._handle_ack(session, message)
         if op == "heartbeat":
@@ -340,18 +358,38 @@ class ScanController:
             return self._handle_bye(session)
         return {"op": "error", "error": f"unknown op {op!r}"}
 
-    def _handle_lease(self, session: AgentSession) -> Dict:
-        if self._shutdown:
-            return {"op": "lease-none", "state": "shutdown"}
-        if self.coordinator.aggregator is None:
-            return {"op": "lease-none", "state": "closed"}
-        lease = self.coordinator._lease(session.worker)
-        if lease is None:
-            state = ("drained" if self.coordinator.queue.epoch_drained()
-                     else "waiting")
-            return {"op": "lease-none", "state": state}
-        session.leases[lease.machine] = lease
-        return dict(self._lease_reply(lease), op="lease-ok")
+    def _handle_lease(self, session: AgentSession,
+                      channel: transport.FrameChannel) -> Dict:
+        """Draw a lease; with none to draw, hold the request (long poll).
+
+        A held request waits on the coordinator's ``_work_ready`` (an
+        epoch opens or resumes, the reaper requeues leases, shutdown
+        begins, the controller stops) for at most
+        :data:`LEASE_HOLD_SECONDS`, then answers lease-none and the agent
+        asks again at once.  Leases go only to the session's newest work
+        channel: the hello that replaced this one listed the session's
+        outstanding leases without a lease granted here afterwards.
+        """
+        coordinator = self.coordinator
+        deadline = time.monotonic() + LEASE_HOLD_SECONDS
+        while True:
+            if self._shutdown:
+                return {"op": "lease-none", "state": "shutdown"}
+            if channel is not session.work_channel:
+                return {"op": "lease-none", "state": "replaced"}
+            if coordinator.aggregator is None:
+                state = "closed"
+            else:
+                lease = coordinator._lease(session.worker)
+                if lease is not None:
+                    session.leases[lease.machine] = lease
+                    return dict(self._lease_reply(lease), op="lease-ok")
+                state = ("drained" if coordinator.queue.epoch_drained()
+                         else "waiting")
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._running:
+                return {"op": "lease-none", "state": state}
+            coordinator._work_ready.wait(remaining)
 
     def _lease_reply(self, lease: Lease) -> Dict:
         reply: Dict = {"lease": {

@@ -146,6 +146,9 @@ class FleetCoordinator:
         self._kill_after_acks: Optional[int] = None
         self._acks = 0
         self._drained = threading.Event()  # set by the epoch's last checkpoint
+        # The controller holds lease requests on this while there is
+        # nothing to draw; it is notified when leasable work may appear.
+        self._work_ready = threading.Condition(self.lock)
         self._epochs_run = 0
         # The epoch's sample tier is journaled in the epoch-start record
         # so a resumed coordinator replays the dead one's assignment
@@ -293,7 +296,14 @@ class FleetCoordinator:
             self._journal(start_record)
             metrics.incr("fleet.epoch.started")
         self.aggregator = aggregator
+        self._wake_lease_waiters()
         return aggregator, resuming
+
+    def _wake_lease_waiters(self) -> None:
+        """Release held lease requests to redraw (work may have appeared
+        or the controller is shutting down)."""
+        with self.lock:
+            self._work_ready.notify_all()
 
     def _journaled_sampled(self, epoch: int) -> set:
         """The resumed epoch's journaled sample tier (fixed at open)."""

@@ -13,6 +13,7 @@ case-insensitive for lookup and case-preserving for storage, as on NTFS.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, List, Tuple
 
 from repro.errors import InvalidWin32Name
@@ -29,6 +30,10 @@ RESERVED_DEVICE_NAMES = frozenset(
 INVALID_WIN32_CHARS = frozenset('<>:"/|?*' + "".join(chr(c) for c in range(32)))
 
 SEPARATOR = "\\"
+
+# Bound of the Win32 name-rule memo: room for every distinct name a
+# large fleet workload lists (about 18k), so it pays across epochs.
+WIN32_NAME_MEMO = 1 << 15
 
 
 # --- path algebra -------------------------------------------------------------
@@ -98,6 +103,7 @@ def win32_component_violations(name: str) -> List[str]:
     return violations
 
 
+@functools.lru_cache(maxsize=WIN32_NAME_MEMO)
 def is_valid_win32_component(name: str) -> bool:
     """True when the Win32 layer would accept ``name`` as a path component."""
     return not win32_component_violations(name)

@@ -73,6 +73,9 @@ class NtfsVolume:
         self._next_record = c.FIRST_USER_RECORD
         self._free_clusters: List[int] = []
         self._next_cluster = self._data_start_cluster
+        # FileStat of every record list_directory has returned, dropped
+        # by _flush — every record write goes through it.
+        self._stats: Dict[int, FileStat] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -325,10 +328,17 @@ class NtfsVolume:
         if not record.is_directory:
             raise NotADirectory(path)
         base = path if path != "\\" else ""
+        stats = self._stats
         out = []
         for name, child_no in self._children[record_no].entries():
-            out.append(self._stat_of(self._records[child_no],
-                                     f"{base}\\{name}"))
+            child_path = f"{base}\\{name}"
+            stat = stats.get(child_no)
+            # A directory rename moves every descendant without
+            # flushing it, so a cached stat is only good at its path.
+            if stat is None or stat.path != child_path:
+                stat = stats[child_no] = self._stat_of(
+                    self._records[child_no], child_path)
+            out.append(stat)
         return out
 
     def walk(self, start: str = "\\") -> Iterator[FileStat]:
@@ -567,6 +577,7 @@ class NtfsVolume:
         self._flush(record)
 
     def _flush(self, record: MftRecord) -> None:
+        self._stats.pop(record.record_no, None)
         offset = self.mft_offset + record.record_no * c.MFT_RECORD_SIZE
         self.disk.write_bytes(offset, record.to_bytes())
 

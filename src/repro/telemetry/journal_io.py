@@ -157,11 +157,14 @@ def append_journal(path, record: dict, fsync: bool = False) -> tuple:
     writer killed mid-line; the tail is terminated first, so it stays
     one skipped line instead of fusing with this record into one.
     """
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
     payload = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        # Only the first append into a new directory pays for makedirs.
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(path, flags, 0o666)
     try:
         start = os.lseek(fd, 0, os.SEEK_END)
         data = payload

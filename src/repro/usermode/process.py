@@ -73,7 +73,8 @@ class Process:
         Resolution order is the real one: the process's IAT entry for this
         import, else the module's in-memory code.
         """
-        entry = self.iat.get((module.casefold(), function))
+        key = module.casefold()
+        entry = self.iat.get((key, function)) if self.iat else None
         if entry is not None:
             audit = telemetry_context.current_audit()
             if audit is not None:
@@ -81,7 +82,10 @@ class Process:
                              kind="iat", owner=entry.owner,
                              pid=self.pid, process=self.name)
             return entry.target(self, *args)
-        return self.code_site(module, function).call(self, *args)
+        code = self.modules.get(key)
+        if code is None:
+            raise ApiError(f"{module} is not loaded in {self.name}")
+        return code.site(function).call(self, *args)
 
     # -- IAT manipulation ------------------------------------------------------------
 

@@ -7,6 +7,9 @@ from repro.core.scanners import modules as module_scans
 from repro.core.scanners import processes as process_scans
 from repro.core.scanners import registry as registry_scans
 from repro.core.snapshot import ResourceType
+from repro.errors import RetryExhausted
+from repro.faults import context as faults_context
+from repro.faults.plan import SITE_WINAPI_ENUM, FaultPlan, FaultSpec
 from repro.ghostware import HackerDefender, FuRootkit, Vanquish
 from repro.kernel.crashdump import CrashDump, write_dump
 from repro.machine import RUN_KEY
@@ -36,6 +39,21 @@ class TestFileScanners:
         file_scans.high_level_file_scan(booted)
         assert len([p for p in booted.user_processes()
                     if p.name == "ghostbuster.exe"]) == count
+
+    def test_interrupted_walk_closes_its_handles(self, booted):
+        """A fault in a child walk unwinds through every open ancestor
+        FindFirstFile handle; the retried walks must leave none open."""
+        plan = FaultPlan(11, (FaultSpec(SITE_WINAPI_ENUM, rate=0.05,
+                                        kinds=("status_failure",)),))
+        with faults_context.scoped(plan, scope=booted.name):
+            for __ in range(20):
+                try:
+                    file_scans.high_level_file_scan(booted)
+                except RetryExhausted:
+                    pass
+        assert plan.fired_count(SITE_WINAPI_ENUM) > 0
+        scanner = booted.process_by_name(file_scans.SCANNER_PROCESS_NAME)
+        assert scanner._handles == {}
 
     def test_outside_scan_reads_disk_directly(self, booted):
         HackerDefender().install(booted)

@@ -281,6 +281,98 @@ class TestControllerProtocol:
             controller.stop()
 
 
+class TestHeldLeaseRequests:
+    """With nothing to draw, the controller holds a lease request (the
+    long poll) instead of answering lease-none for the agent to retry."""
+
+    @staticmethod
+    def hold(channel):
+        channel.send({"op": "lease"})
+        with pytest.raises(TransportTimeout):
+            channel.recv(timeout=0.3)     # held, not answered
+
+    def test_request_before_the_epoch_opens_is_granted_when_it_opens(
+            self, tmp_path):
+        coordinator, controller, secret = start_controller(
+            tmp_path, ["m00"])
+        try:
+            channel, __ = dial(controller, secret, "agent-a")
+            self.hold(channel)
+            coordinator._open_or_resume()
+            reply = channel.recv(timeout=5.0)
+            assert reply["op"] == "lease-ok"
+            assert reply["lease"]["machine"] == "m00"
+            channel.close()
+        finally:
+            controller.stop()
+
+    def test_request_held_on_a_replaced_channel_is_not_granted(
+            self, tmp_path):
+        coordinator, controller, secret = start_controller(
+            tmp_path, ["m00"])
+        before = global_metrics().counter("fleet.agent.dead")
+        try:
+            old, __ = dial(controller, secret, "agent-a")
+            self.hold(old)
+            new, hello = dial(controller, secret, "agent-a")
+            assert hello["outstanding"] == []
+            aggregator, __ = coordinator._open_or_resume()
+            refused = old.recv(timeout=5.0)
+            assert refused["op"] == "lease-none"
+            # The lease goes to the channel the agent now listens on...
+            new.send({"op": "lease"})
+            granted = new.recv(timeout=5.0)
+            assert granted["op"] == "lease-ok"
+            new.send(scan_ack(granted, {}))
+            assert new.recv(timeout=5.0)["op"] == "ack-ok"
+            # ...so the epoch drains without the reaper reclaiming it.
+            assert coordinator.queue.epoch_drained()
+            coordinator._finish_epoch(aggregator)
+            assert aggregator.summary.late_acks == 0
+            assert global_metrics().counter("fleet.agent.dead") == before
+            old.close()
+            new.close()
+        finally:
+            controller.stop()
+
+    def test_request_held_by_a_reaped_session_is_not_granted(
+            self, tmp_path):
+        clock = SimClock()
+        coordinator, controller, secret = start_controller(
+            tmp_path, ["m00"], agent_timeout_seconds=5.0,
+            liveness_clock=clock)
+        try:
+            dead, __ = dial(controller, secret, "agent-a")
+            self.hold(dead)
+            clock.advance(10.0)
+            assert controller.reap() == ["agent-a"]
+            coordinator._open_or_resume()
+            time.sleep(0.2)       # the held request has woken by now
+            # A dead session's held request takes nothing: the machine
+            # is still there for a live agent.
+            live, __ = dial(controller, secret, "agent-b", worker=1)
+            live.send({"op": "lease"})
+            reply = live.recv(timeout=5.0)
+            assert reply["op"] == "lease-ok"
+            assert reply["lease"]["machine"] == "m00"
+            live.close()
+        finally:
+            controller.stop()
+
+    def test_begin_shutdown_releases_held_requests(self, tmp_path):
+        __, controller, secret = start_controller(tmp_path, ["m00"])
+        try:
+            channel, __ = dial(controller, secret, "agent-a")
+            self.hold(channel)
+            controller.begin_shutdown()
+            reply = channel.recv(timeout=5.0)
+            assert (reply["op"], reply["state"]) == ("lease-none",
+                                                     "shutdown")
+            channel.close()
+        finally:
+            controller.stop()
+
+
 class TestSkipOnTheWire:
     def test_skip_offer_is_a_generation_and_lands_like_a_local_skip(
             self, tmp_path):
@@ -549,8 +641,7 @@ class TestScanAgentLoop:
         coordinator, controller, secret = start_controller(
             tmp_path / "dist", roster)
         agents = [ScanAgent(controller.address, secret, f"agent-{i}",
-                            factory, coordinator.settings, worker=i,
-                            poll_seconds=0.01)
+                            factory, coordinator.settings, worker=i)
                   for i in range(2)]
         try:
             aggregates = drive_epochs(coordinator, controller, agents)
@@ -572,8 +663,7 @@ class TestScanAgentLoop:
         coordinator, controller, secret = start_controller(
             tmp_path, roster)
         agents = [ScanAgent(controller.address, secret, "agent-0",
-                            factory, coordinator.settings,
-                            poll_seconds=0.01)]
+                            factory, coordinator.settings)]
         try:
             aggregates = drive_epochs(coordinator, controller, agents,
                                       epochs=2)
@@ -597,7 +687,6 @@ class TestScanAgentLoop:
             tmp_path / "chaos", roster)
         agents = [ScanAgent(controller.address, secret, f"agent-{i}",
                             factory, coordinator.settings, worker=i,
-                            poll_seconds=0.01,
                             transport_plan=transport.chaos_plan(
                                 17 + i, rate=0.1),
                             reconnect_base_s=0.01, reconnect_cap_s=0.05)

@@ -141,6 +141,33 @@ class TestPointLookups:
         assert head_digest(path, prefix) != before  # rewrites visible
 
 
+class TestAppendDirectory:
+    """append_journal creates a missing parent directory, and only then:
+    an append into an existing one does not call ``os.makedirs``."""
+
+    def test_append_creates_missing_directory(self, tmp_path):
+        path = str(tmp_path / "a" / "b" / "j.jsonl")
+        assert append_journal(path, {"n": 0}) == (0, 9)
+        assert read_journal(path) == [{"n": 0}]
+
+    def test_append_into_existing_directory_skips_makedirs(
+            self, tmp_path, monkeypatch):
+        path = str(tmp_path / "fleet" / "j.jsonl")
+        append_journal(path, {"n": 0})
+        calls = []
+        real_makedirs = os.makedirs
+
+        def counting_makedirs(*args, **kwargs):
+            calls.append(args)
+            real_makedirs(*args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", counting_makedirs)
+        append_journal(path, {"n": 1})
+        append_journal(str(tmp_path / "fleet" / "other.jsonl"), {"n": 2})
+        assert calls == []
+        assert read_journal(path) == [{"n": 0}, {"n": 1}]
+
+
 class TestGrouped:
     def test_read_grouped_by_type(self, tmp_path):
         path = str(tmp_path / "j.jsonl")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CorruptRecord, FileNotFound
 from repro.ntfs import MftParser, parse_volume
-from repro.ntfs.constants import NAMESPACE_POSIX
+from repro.ntfs.constants import MFT_RECORD_SIZE, NAMESPACE_POSIX
 
 
 class TestNamespaceReconstruction:
@@ -101,3 +101,32 @@ class TestIndependenceFromApiView:
         volume._children.clear()   # sabotage the API-side index
         names = {entry.path for entry in parse_volume(disk)}
         assert "\\real\\file" in names
+
+
+class TestRegionWalkMatchesRecordLoop:
+    def test_batched_walk_equals_per_record_reads(self, volume, disk):
+        """The batched region walk (a parser bound to the disk) and the
+        per-record read loop (an unbound callable) parse one volume
+        identically, free and junk slots included."""
+        volume.create_directories("\\d\\e")
+        record_nos = [volume.create_file(f"\\d\\f{index:02d}",
+                                         b"x" * index * 90).record_no
+                      for index in range(24)]
+        for index in range(0, 24, 3):
+            volume.delete_file(f"\\d\\f{index:02d}")
+        volume.create_file("\\d\\e\\late", b"y" * 2000)  # reuses a slot
+        # A freed slot that was not reused, overwritten with non-FILE bytes.
+        disk.write_bytes(volume.mft_offset + record_nos[0] * MFT_RECORD_SIZE,
+                         b"JUNK" + bytes(MFT_RECORD_SIZE - 4))
+
+        batched = MftParser(disk.read_bytes)
+        looped = MftParser(lambda offset, length:
+                           disk.read_bytes(offset, length))
+        view = batched._region_view()
+        assert view is not None
+        view.release()
+        assert looped._region_view() is None
+        entries = batched.parse()
+        assert entries == looped.parse()
+        assert len(entries) == 19       # d, e, 16 live files, late
+        assert batched.corrupt_skipped == looped.corrupt_skipped == 1

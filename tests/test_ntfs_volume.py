@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.clock import SimClock
 from repro.errors import (DirectoryNotEmpty, FileExists, FileNotFound,
                           InvalidWin32Name, NotADirectory, VolumeError)
 from repro.ntfs import NtfsVolume
@@ -175,3 +176,59 @@ class TestMount:
         remounted = NtfsVolume.mount(disk)
         new_stat = remounted.create_file("\\later", b"")
         assert new_stat.record_no > max(s.record_no for s in stats)
+
+
+def _mutate_write(volume):
+    volume.write_file("\\d\\f", b"longer content")
+
+
+def _mutate_append(volume):
+    volume.append_file("\\d\\f", b"+tail")
+
+
+def _mutate_rename_file(volume):
+    volume.rename("\\d\\f", "\\d\\g")
+
+
+def _mutate_set_times(volume):
+    volume.set_times("\\d\\f", modified_us=123_456_789)
+
+
+def _mutate_write_stream(volume):
+    volume.write_stream("\\d\\f", "ads", b"hidden")
+
+
+def _mutate_reuse_record(volume):
+    volume.delete_file("\\d\\f")
+    volume.create_file("\\d\\f", b"a different file")
+
+
+def _mutate_rename_parent(volume):
+    volume.rename("\\d", "\\e")
+
+
+class TestListingStatCache:
+    """list_directory keeps each listed record's FileStat; a warm
+    listing after any mutation must equal a cold mount's listing."""
+
+    @pytest.mark.parametrize("mutate", [
+        _mutate_write, _mutate_append, _mutate_rename_file,
+        _mutate_set_times, _mutate_write_stream, _mutate_reuse_record,
+        _mutate_rename_parent])
+    def test_warm_listing_matches_cold_mount(self, disk, mutate):
+        clock = SimClock()
+        volume = NtfsVolume.format(disk, max_records=4096, clock=clock)
+        volume.create_directories("\\d\\sub")
+        volume.create_file("\\d\\f", b"abc")
+        volume.create_file("\\d\\sub\\leaf", b"x")
+        warm = list(volume.walk())
+        assert list(volume.walk()) == warm      # served from the cache
+        clock.advance(5.0)
+        mutate(volume)
+        assert list(volume.walk()) == list(NtfsVolume.mount(disk).walk())
+
+    def test_listing_returns_a_new_list_each_call(self, volume):
+        volume.create_file("\\f", b"")
+        first = volume.list_directory("\\")
+        first.clear()
+        assert [s.name for s in volume.list_directory("\\")] == ["f"]

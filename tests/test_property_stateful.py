@@ -5,6 +5,7 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
+from repro.clock import SimClock
 from repro.disk import Disk, DiskGeometry
 from repro.ntfs import NtfsVolume, parse_volume
 from repro.registry.hive import Hive
@@ -70,6 +71,66 @@ def test_remount_preserves_namespace(operations):
     remounted = NtfsVolume.mount(disk)
     cold = {entry.path.casefold() for entry in remounted.walk()}
     assert live == cold
+
+
+tree_paths = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
+                      max_size=3).map(lambda parts: "\\" + "\\".join(parts))
+
+cached_ops = st.lists(
+    st.tuples(st.sampled_from(["create", "nested", "mkdir", "write",
+                               "delete", "rename", "set_times",
+                               "write_stream"]),
+              tree_paths, st.integers(min_value=0, max_value=63),
+              st.binary(max_size=600)),
+    min_size=1, max_size=30)
+
+
+@given(cached_ops)
+@settings(max_examples=100, deadline=None)
+def test_warm_listing_cache_never_serves_a_stale_stat(operations):
+    """list_directory keeps each listed record's FileStat across
+    mutations; walking after every operation keeps that cache warm, and
+    the final walk must still equal a cold mount's, field for field.
+
+    Creates take a drawn path; every other operation targets an entry of
+    the current walk (``pick`` indexes it), so mutations land on listed,
+    cached records.  A rename moves that entry to the drawn path.
+    """
+    clock = SimClock()
+    disk = Disk(DiskGeometry.from_megabytes(64))
+    volume = NtfsVolume.format(disk, max_records=2048, clock=clock)
+    listed = []
+    for op, path, pick, payload in operations:
+        clock.advance(1.0)
+        target = listed[pick % len(listed)] if listed else None
+        try:
+            if op == "create":
+                volume.create_file(path, payload)
+            elif op == "nested":
+                volume.create_directories(path.rsplit("\\", 1)[0] or "\\")
+                volume.create_file(path, payload)
+            elif op == "mkdir":
+                volume.create_directory(path)
+            elif target is None:
+                pass
+            elif op == "write":
+                volume.write_file(target.path, payload)
+            elif op == "delete":
+                if target.is_directory:
+                    volume.delete_directory(target.path, recursive=True)
+                else:
+                    volume.delete_file(target.path)
+            elif op == "rename":
+                volume.rename(target.path, path)
+            elif op == "set_times":
+                volume.set_times(target.path,
+                                 modified_us=len(payload) * 1_000)
+            elif op == "write_stream":
+                volume.write_stream(target.path, "s", payload)
+        except Exception:
+            pass   # illegal op for current state; the cache must not care
+        listed = list(volume.walk())
+    assert list(volume.walk()) == list(NtfsVolume.mount(disk).walk())
 
 
 registry_ops = st.lists(
