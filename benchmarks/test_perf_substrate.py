@@ -8,16 +8,19 @@ cross-view diff — so regressions in the reproduction itself are visible.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.diff import cross_view_diff
-from repro.core.scanners.files import high_level_file_scan
+from repro.core.scanners.files import high_level_file_scan, low_level_file_scan
 from repro.core.snapshot import FileEntry, ResourceType, ScanSnapshot
 from repro.disk import Disk, DiskGeometry
 from repro.machine import Machine
 from repro.ntfs import MftParser, NtfsVolume, parse_volume
 from repro.registry.hive import Hive
 from repro.registry.hive_parser import clear_hive_cache, parse_hive
+from repro.telemetry.metrics import global_metrics
 
 
 def _populated_disk(file_count: int):
@@ -46,6 +49,30 @@ def test_raw_mft_parse_cached(benchmark):
     parse_volume(disk)   # warm the per-(disk, generation) cache
     entries = benchmark(lambda: parse_volume(disk))
     assert len(entries) == 1001
+
+
+def test_raw_file_view_delta_rescan(benchmark):
+    """The raw file scan fleets run every epoch: one file write since the
+    last scan, so the namespace and the file view are patched for the
+    one changed record instead of being rebuilt."""
+    machine = Machine("perf", disk_mb=256, max_records=8192)
+    machine.boot()
+    machine.volume.create_directories("\\data")
+    for index in range(1000):
+        machine.volume.create_file(f"\\data\\file{index:05d}.bin",
+                                   b"x" * 100)
+    warm = low_level_file_scan(machine)
+    sizes = itertools.count(1)
+
+    def one_write():
+        machine.volume.write_file("\\data\\file00500.bin",
+                                  b"y" * (next(sizes) % 200 + 1))
+
+    patched = global_metrics().counter("journal.records_patched")
+    snapshot = benchmark.pedantic(lambda: low_level_file_scan(machine),
+                                  setup=one_write, rounds=50, iterations=1)
+    assert len(snapshot.entries) == len(warm.entries) > 1000
+    assert global_metrics().counter("journal.records_patched") > patched
 
 
 def test_win32_file_walk_warm(benchmark):

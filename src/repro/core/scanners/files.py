@@ -12,7 +12,8 @@ r"""File scanners (Section 2).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Optional
 
 from repro.core import costmodel
 from repro.core.snapshot import FileEntry, ResourceType, ScanSnapshot
@@ -23,7 +24,7 @@ from repro.faults.retry import construct_with_retry
 from repro.machine import Machine
 from repro.ntfs import naming
 from repro.ntfs.constants import MFT_RECORD_SIZE
-from repro.ntfs.mft_parser import MftParser, ParsedFile
+from repro.ntfs.mft_parser import MftParser
 from repro.telemetry import context as telemetry_context
 from repro.telemetry.metrics import global_metrics
 from repro.usermode.process import Process
@@ -32,12 +33,12 @@ SCANNER_PROCESS_NAME = "ghostbuster.exe"
 
 _ENUM_ATTEMPTS = 3
 
-# disk.raw_cache key for derived FileEntry lists + identity indexes:
-# (generation, {flavor: (entries_tuple, identity_index)}).  Like the MFT
-# namespace cache, only the *unfiltered* view is ever stored — reads
-# intercepted by a port filter (A3) must never launder their lie into a
-# cache another consumer trusts.
-_ENTRIES_CACHE_KEY = "file-entries"
+# disk.raw_cache key for the derived file views: {flavor: _FileView},
+# each flavor's last view.  Like the MFT namespace cache, only the
+# *unfiltered* view is ever stored — reads intercepted by a port filter
+# (A3) must never launder their lie into a cache another consumer
+# trusts.
+_VIEWS_CACHE_KEY = "file-entries"
 
 
 def _retry_enumeration(operation: str, run, attempts: int = _ENUM_ATTEMPTS):
@@ -138,17 +139,60 @@ def high_level_file_scan(machine: Machine,
                         entries=entries, taken_at=start, duration=duration)
 
 
-def _entries_from_parsed(parsed: List[ParsedFile],
-                         win32_naming: bool = False) -> List[FileEntry]:
-    entries = []
-    for item in parsed:
-        if item.path.startswith("\\$Orphan"):
+@dataclass(frozen=True)
+class _FileView:
+    """One flavor's FileEntry list and identity index over one namespace.
+
+    ``records`` and ``identities`` run parallel to ``entries`` (record
+    slot order), so a patch rebuilds all of them at C speed and makes
+    new entries for the re-made records only.  Shared between cloned
+    disks through ``raw_cache``: never mutated.
+    """
+
+    namespace: int                       # serial of the parse it derives from
+    records: List[int]
+    identities: List[Hashable]
+    entries: List[FileEntry]
+    index: Dict[Hashable, FileEntry]     # identity → entry, last one wins
+
+
+def _derive_view(namespace, win32_naming: bool,
+                 base: Optional[_FileView] = None) -> _FileView:
+    """Build a view cold, or patch ``base`` (the view of ``namespace``'s
+    base) by re-making only the entries of ``namespace.affected``."""
+    visible = naming.is_win32_visible_path
+    if base is None:
+        records: List[int] = []
+        entries: List[FileEntry] = []
+        for item in namespace.entries:
+            path = item.path
+            if path.startswith("\\$Orphan") \
+                    or (win32_naming and not visible(path)):
+                continue
+            records.append(item.record_no)
+            entries.append(FileEntry(path, item.name, item.is_directory,
+                                     item.size))
+        identities = [entry.identity for entry in entries]
+        return _FileView(namespace.serial, records, identities, entries,
+                         dict(zip(identities, entries)))
+    by_record = dict(zip(base.records, base.entries))
+    identity_of = dict(zip(base.records, base.identities))
+    parsed = namespace.by_record
+    for record_no in namespace.affected:
+        by_record.pop(record_no, None)
+        identity_of.pop(record_no, None)
+        item = parsed.get(record_no)
+        if item is None or item.path.startswith("\\$Orphan") \
+                or (win32_naming and not visible(item.path)):
             continue
-        if win32_naming and not naming.is_win32_visible_path(item.path):
-            continue
-        entries.append(FileEntry(item.path, item.name, item.is_directory,
-                                 item.size))
-    return entries
+        entry = FileEntry(item.path, item.name, item.is_directory, item.size)
+        by_record[record_no] = entry
+        identity_of[record_no] = entry.identity
+    records = sorted(by_record)
+    entries = list(map(by_record.__getitem__, records))
+    identities = list(map(identity_of.__getitem__, records))
+    return _FileView(namespace.serial, records, identities, entries,
+                     dict(zip(identities, entries)))
 
 
 def _cacheable_disk(disk):
@@ -159,34 +203,40 @@ def _cacheable_disk(disk):
     return None
 
 
-def _snapshot_entries(disk, parsed: List[ParsedFile], win32_naming: bool,
-                      parse_generation):
-    """Entries + identity index, shared per (disk, generation, flavor).
+def raw_file_view(source, clock=None, win32_naming: bool = False):
+    """One raw MFT parse as ``(parsed count, entries, identity index)``.
 
-    A fleet sweep re-scans unchanged (often cloned) disks constantly; the
-    FileEntry list and its identity index derive purely from the parsed
-    namespace, so they are cached beside it in ``disk.raw_cache``.
-    ``disk`` is None when the read path is filtered or unbacked — then
-    nothing is consulted or stored.  A store only happens if the
-    generation did not move during the parse (a chaos fault bumping it
-    mid-read means the bytes behind ``parsed`` are suspect).
+    ``source`` is the kernel's disk port (inside the box) or a disk
+    (outside).  The entries derive purely from the parsed namespace, so
+    each flavor's last view is kept in ``disk.raw_cache`` under the
+    serial of the namespace it came from: the same namespace hits, and
+    a namespace patched from that one patches the view, re-making only
+    the entries of the records the patch re-made.  A filtered port or
+    an unbacked source consults and stores nothing.  A store only
+    happens if the generation did not move during the parse (a chaos
+    fault bumping it mid-read means the bytes behind the parse are
+    suspect).
     """
+    filters = getattr(source, "read_filters", None)
+    if filters is None:
+        disk = _cacheable_disk(source)
+    else:
+        disk = None if filters else _cacheable_disk(
+            getattr(source, "disk", None))
+    parse_generation = getattr(disk, "generation", None)
+    parser = construct_with_retry(
+        "mft.bootstrap", lambda: MftParser(source.read_bytes), clock=clock)
+    namespace = parser.namespace()
     flavor = "win32" if win32_naming else "raw"
-    if disk is not None:
-        cached = disk.raw_cache.get(_ENTRIES_CACHE_KEY)
-        if cached is not None and cached[0] == disk.generation:
-            hit = cached[1].get(flavor)
-            if hit is not None:
-                return list(hit[0]), hit[1]
-    entries = _entries_from_parsed(parsed, win32_naming=win32_naming)
-    index = {entry.identity: entry for entry in entries}
-    if disk is not None and disk.generation == parse_generation:
-        cached = disk.raw_cache.get(_ENTRIES_CACHE_KEY)
-        if cached is None or cached[0] != parse_generation:
-            cached = (parse_generation, {})
-            disk.raw_cache[_ENTRIES_CACHE_KEY] = cached
-        cached[1][flavor] = (tuple(entries), index)
-    return entries, index
+    views = {} if disk is None else disk.raw_cache.get(_VIEWS_CACHE_KEY, {})
+    view = views.get(flavor)
+    if view is None or view.namespace != namespace.serial:
+        base = view if view is not None \
+            and view.namespace == namespace.base else None
+        view = _derive_view(namespace, win32_naming, base)
+        if disk is not None and disk.generation == parse_generation:
+            disk.raw_cache[_VIEWS_CACHE_KEY] = {**views, flavor: view}
+    return len(namespace.entries), list(view.entries), view.index
 
 
 def low_level_file_scan(machine: Machine) -> ScanSnapshot:
@@ -199,24 +249,15 @@ def low_level_file_scan(machine: Machine) -> ScanSnapshot:
     with telemetry_context.current_tracer().span(
             "scan.files.low-level", clock=machine.clock,
             machine=machine.name, view="raw-mft") as span:
-        port = machine.kernel.disk_port
-        cache_disk = None if port.read_filters \
-            else _cacheable_disk(getattr(port, "disk", None))
-        parse_generation = getattr(cache_disk, "generation", None)
-        parser = construct_with_retry(
-            "mft.bootstrap", lambda: MftParser(port.read_bytes),
-            clock=machine.clock)
-        parsed = parser.parse()
-        entries, index = _snapshot_entries(cache_disk, parsed,
-                                           win32_naming=False,
-                                           parse_generation=parse_generation)
+        parsed, entries, index = raw_file_view(machine.kernel.disk_port,
+                                               machine.clock)
         # Disk cost follows the in-use MFT footprint (free record slots
         # on a real volume are proportionally rare; our reserved region
         # is not).
         duration = costmodel.charge_low_file_scan(
-            machine, len(parsed), len(parsed) * MFT_RECORD_SIZE)
-        span.set(entries=len(parsed))
-    global_metrics().incr("scan.files.enumerated", len(parsed))
+            machine, parsed, parsed * MFT_RECORD_SIZE)
+        span.set(entries=parsed)
+    global_metrics().incr("scan.files.enumerated", parsed)
     snapshot = ScanSnapshot(ResourceType.FILE, view="raw-mft",
                             entries=entries, taken_at=start,
                             duration=duration)
@@ -236,14 +277,8 @@ def outside_file_scan(disk, clock=None, win32_naming: bool = True,
     start = clock.now() if clock else 0.0
     with telemetry_context.current_tracer().span(
             "scan.files.outside", clock=clock, view=view) as span:
-        cache_disk = _cacheable_disk(disk)
-        parse_generation = getattr(cache_disk, "generation", None)
-        parser = construct_with_retry(
-            "mft.bootstrap", lambda: MftParser(disk.read_bytes), clock=clock)
-        parsed = parser.parse()
-        entries, index = _snapshot_entries(cache_disk, parsed,
-                                           win32_naming=win32_naming,
-                                           parse_generation=parse_generation)
+        __, entries, index = raw_file_view(disk, clock,
+                                           win32_naming=win32_naming)
         span.set(entries=len(entries))
     global_metrics().incr("scan.files.enumerated", len(entries))
     snapshot = ScanSnapshot(ResourceType.FILE, view=view, entries=entries,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 
 class ResourceType(enum.Enum):
@@ -142,30 +142,6 @@ class ScanSnapshot:
         """
         self._identity_cache = (
             (self._entries_version, len(self.entries)), index)
-
-    def apply_delta(self, removed_identities: Sequence[Hashable],
-                    upserted_entries: Sequence) -> "ScanSnapshot":
-        """A new snapshot with the given changes applied incrementally.
-
-        This is the snapshot leg of the incremental scan pipeline: the
-        returned snapshot's identity index is *patched* from this one's
-        — O(changes) dict work — instead of rebuilt entry-by-entry, so
-        delta rescans never pay an O(n) re-index for a handful of
-        touched identities.  The receiver is left untouched (snapshots,
-        like parsed namespaces, may be shared between consumers).
-        """
-        index = dict(self.identities())
-        for identity in removed_identities:
-            index.pop(identity, None)
-        for entry in upserted_entries:
-            index[entry.identity] = entry
-        patched = ScanSnapshot(resource_type=self.resource_type,
-                               view=self.view,
-                               entries=list(index.values()),
-                               taken_at=self.taken_at,
-                               duration=self.duration)
-        patched.adopt_index(index)
-        return patched
 
     def __len__(self) -> int:
         return len(self.entries)

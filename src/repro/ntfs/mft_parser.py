@@ -35,20 +35,23 @@ filter set, so installing/removing a filter also forces a re-parse).
 :class:`~repro.disk.journal.ChangeJournal` before reparsing.  If the
 journal proves complete coverage of the generation span, the dirty
 sectors are mapped to MFT record slots and only those slots are
-re-read; the patched namespace is rebuilt copy-on-write (cloned
+re-read; the patched namespace is built copy-on-write (cloned
 machines share cached namespaces, so the stale object is never
-mutated).  Journal overflow, a generation gap (the fault injector's
-cache-poison bump), a touched boot sector / record 0, any read or
-parse error mid-patch, or an installed read filter all fall back to
-the cold full parse — incremental results are identity-identical to
-cold ones by construction, never best-effort.
+mutated) at a cost that follows the touched records, and it names the
+namespace it was patched from and the records it re-made, so derived
+views can be patched the same way.  Journal overflow, a generation
+gap (the fault injector's cache-poison bump), a touched boot sector /
+record 0, any read or parse error mid-patch, or an installed read
+filter all fall back to the cold full parse — incremental results are
+identity-identical to cold ones by construction, never best-effort.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import (CorruptRecord, DiskError, FileNotFound,
@@ -73,6 +76,10 @@ _NAMESPACE_CACHE_KEY = "mft-namespace"
 # must not make the parser loop over billions of phantom slots.
 _MAX_CAPACITY = 1 << 20
 _PARSE_ATTEMPTS = 3
+# Namespace serials: a derived view names the namespace it was built
+# from by serial, never by reference (a reference would chain every
+# generation's namespace into memory) and never by id() (reusable).
+_SERIALS = itertools.count(1)
 
 
 @dataclass
@@ -84,14 +91,25 @@ class _ParsedNamespace:
     slots were rewritten, and ``children`` (parent record → child record
     numbers, keyed by the raw $FILE_NAME parent reference) lets a
     directory rename cascade its new path to every descendant without
-    re-parsing any of their records.
+    re-parsing any of their records.  ``shared_keys`` holds the keys
+    more than one entry folds to (the first in slot order is the one
+    ``by_key`` serves), so a patch knows when it may not edit a key.
+
+    A patched namespace names its ``base`` (the serial of the namespace
+    it was patched from) and the record slots whose entries it
+    re-made (``affected``); every other entry is the base's object.
+    Never mutated once built: cloned disks share it.
     """
 
     records: Dict[int, MftRecord]
-    entries: List["ParsedFile"]
+    entries: List["ParsedFile"]          # record slot order
     by_key: Dict[str, "ParsedFile"]      # normalize_key(path) → entry
     by_record: Dict[int, "ParsedFile"]   # record_no → entry
     children: Dict[int, set]             # parent record_no → {record_no}
+    shared_keys: frozenset = frozenset()
+    base: Optional[int] = None
+    affected: frozenset = frozenset()
+    serial: int = field(default_factory=lambda: next(_SERIALS))
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,20 +417,28 @@ class MftParser:
 
         Copy-on-write by contract: cloned machines share cached
         namespaces through ``raw_cache``, so the stale object is never
-        mutated — untouched records, entries and paths are reused by
-        reference in a freshly built namespace.
+        mutated.  The new namespace starts from C-speed shallow copies
+        of the stale one's maps; only the affected records' entries,
+        paths and keys, and the child sets of the parents they left or
+        joined, are touched in Python.
         """
         new_records = dict(cached.records)
-        children = {parent: set(kids)
-                    for parent, kids in cached.children.items()}
+        children = dict(cached.children)
+        owned: set = set()           # parents whose child set is our copy
+
+        def own_kids(parent_no: int) -> set:
+            if parent_no not in owned:
+                owned.add(parent_no)
+                children[parent_no] = set(children.get(parent_no, ()))
+            return children[parent_no]
+
         for record_no in sorted(dirty):
             old = cached.records.get(record_no)
             if old is not None and old.file_name is not None:
                 parent_no, __ = c.split_file_reference(
                     old.file_name.parent_reference)
-                kids = children.get(parent_no)
-                if kids is not None:
-                    kids.discard(record_no)
+                if parent_no in children:
+                    own_kids(parent_no).discard(record_no)
             record = self._read_record_strict(record_no)
             if record is None:
                 new_records.pop(record_no, None)
@@ -421,7 +447,7 @@ class MftParser:
             if record.file_name is not None:
                 parent_no, __ = c.split_file_reference(
                     record.file_name.parent_reference)
-                children.setdefault(parent_no, set()).add(record_no)
+                own_kids(parent_no).add(record_no)
         # Affected = dirty slots plus every transitive child: a renamed
         # directory changes the paths of records that were never
         # rewritten.  Moved/new children are dirty in their own right
@@ -434,12 +460,22 @@ class MftParser:
                 continue
             affected.add(record_no)
             stack.extend(children.get(record_no, ()))
+        # Every unaffected record keeps its cached path (none of its
+        # ancestors is affected, or it would be too).  A parent walk
+        # from an affected record stops at its first unaffected
+        # ancestor, which is some affected record's parent: seed those.
+        stale = cached.by_record
         paths: Dict[int, str] = {c.RECORD_ROOT: "\\"}
-        for record_no, entry in cached.by_record.items():
-            if record_no not in affected:
-                paths[record_no] = entry.path
+        for record_no in affected:
+            record = new_records.get(record_no)
+            if record is None or record.file_name is None:
+                continue
+            parent_no, __ = c.split_file_reference(
+                record.file_name.parent_reference)
+            if parent_no not in affected and parent_no in stale:
+                paths[parent_no] = stale[parent_no].path
         path_of = self._path_resolver(new_records, paths)
-        by_record = dict(cached.by_record)
+        by_record = dict(stale)
         for record_no in affected:
             by_record.pop(record_no, None)
         for record_no in sorted(affected):
@@ -449,13 +485,56 @@ class MftParser:
             entry = self._make_entry(record_no, record, path_of)
             if entry is not None:
                 by_record[record_no] = entry
-        entries = [by_record[record_no] for record_no in sorted(by_record)]
-        by_key: Dict[str, ParsedFile] = {}
-        for entry in entries:
-            by_key.setdefault(normalize_key(entry.path), entry)
+        entries = list(map(by_record.__getitem__, sorted(by_record)))
+        by_key, shared_keys = self._patched_keys(cached, affected, by_record)
+        if by_key is None:
+            by_key, shared_keys = self._index_keys(entries)
         return _ParsedNamespace(records=new_records, entries=entries,
                                 by_key=by_key, by_record=by_record,
-                                children=children)
+                                children=children, shared_keys=shared_keys,
+                                base=cached.serial,
+                                affected=frozenset(affected))
+
+    @staticmethod
+    def _patched_keys(cached: _ParsedNamespace, affected: set,
+                      by_record: Dict[int, "ParsedFile"]):
+        """``(by_key, shared_keys)`` edited for the affected records only.
+
+        Returns ``(None, None)`` when an edit could change which entry
+        wins a key (a key more than one entry folds to, before or after
+        the patch); the caller then re-indexes every entry, keeping the
+        cold rule that the first record in slot order wins.  Only raw
+        record writes can create such keys: the volume's directory
+        index refuses case-folded duplicates.
+        """
+        by_key = dict(cached.by_key)
+        for record_no in affected:
+            old = cached.by_record.get(record_no)
+            if old is not None:
+                key = normalize_key(old.path)
+                if key in cached.shared_keys:
+                    return None, None
+                del by_key[key]
+        for record_no in affected:
+            entry = by_record.get(record_no)
+            if entry is not None:
+                key = normalize_key(entry.path)
+                if key in by_key:
+                    return None, None
+                by_key[key] = entry
+        return by_key, cached.shared_keys
+
+    @staticmethod
+    def _index_keys(entries: List["ParsedFile"]):
+        """``(by_key, shared_keys)`` over entries in slot order."""
+        by_key: Dict[str, ParsedFile] = {}
+        shared: set = set()
+        for entry in entries:
+            key = normalize_key(entry.path)
+            # First record in slot order wins, like the linear scan did.
+            if by_key.setdefault(key, entry) is not entry:
+                shared.add(key)
+        return by_key, frozenset(shared)
 
     def _parse_with_retry(self, token: Optional[Tuple]) -> _ParsedNamespace:
         """Build the namespace, healing injected faults by re-parsing.
@@ -506,13 +585,17 @@ class MftParser:
         """
         return list(self._ensure_namespace().entries)
 
+    def namespace(self) -> _ParsedNamespace:
+        """The indexed parse behind :meth:`parse`; shared, never mutate it."""
+        return self._ensure_namespace()
+
     @staticmethod
     def _path_resolver(records: Dict[int, MftRecord],
                        paths: Dict[int, str]) -> Callable[[int], str]:
         """Build a path-of closure over ``records``, memoizing in ``paths``.
 
         Shared by the cold build (seeded with just the root) and the
-        delta patch (seeded with every unaffected entry's known path).
+        delta patch (seeded with the known paths its walks stop at).
         """
 
         def path_of(record_no: int) -> str:
@@ -676,7 +759,6 @@ class MftParser:
         path_of = self._path_resolver(records, paths)
 
         out: List[ParsedFile] = []
-        by_key: Dict[str, ParsedFile] = {}
         by_record: Dict[int, ParsedFile] = {}
         for record_no, record in sorted(records.items()):
             entry = self._make_entry(record_no, record, path_of)
@@ -684,11 +766,11 @@ class MftParser:
                 continue
             out.append(entry)
             by_record[record_no] = entry
-            # First record in slot order wins, like the linear scan did.
-            by_key.setdefault(normalize_key(entry.path), entry)
+        by_key, shared_keys = self._index_keys(out)
         return _ParsedNamespace(records=records, entries=out, by_key=by_key,
                                 by_record=by_record,
-                                children=self._children_index(records))
+                                children=self._children_index(records),
+                                shared_keys=shared_keys)
 
     def find_by_path(self, path: str) -> ParsedFile:
         """Locate one entry by full path (case-insensitive, O(1))."""

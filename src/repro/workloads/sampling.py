@@ -45,8 +45,6 @@ from repro.faults import context as faults_context
 from repro.faults.plan import SITE_WINAPI_ENUM, FaultPlan
 from repro.machine import Machine
 from repro.ntfs.constants import MFT_RECORD_SIZE
-from repro.ntfs.mft_parser import MftParser
-from repro.faults.retry import construct_with_retry
 from repro.telemetry import context as telemetry_context
 from repro.telemetry.metrics import global_metrics
 
@@ -186,17 +184,8 @@ def _sampled_file_diff(machine: Machine, epoch: int,
                        policy: SamplingPolicy
                        ) -> Tuple[List[Finding], Dict]:
     """Cross-view diff restricted to the sampled directory strata."""
-    port = machine.kernel.disk_port
-    cache_disk = None if port.read_filters \
-        else file_scans._cacheable_disk(getattr(port, "disk", None))
-    parse_generation = getattr(cache_disk, "generation", None)
-    parser = construct_with_retry(
-        "mft.bootstrap", lambda: MftParser(port.read_bytes),
-        clock=machine.clock)
-    parsed = parser.parse()
-    truth_entries, __ = file_scans._snapshot_entries(
-        cache_disk, parsed, win32_naming=False,
-        parse_generation=parse_generation)
+    __, truth_entries, __ = file_scans.raw_file_view(
+        machine.kernel.disk_port, machine.clock)
 
     directories: Dict[str, str] = {"\\": "\\"}
     for entry in truth_entries:

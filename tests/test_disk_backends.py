@@ -349,9 +349,13 @@ class TestFilterTokens:
         machine.volume.create_file("\\seen.txt", b"x")
         machine.disk.raw_cache.clear()
         first = low_level_file_scan(machine)
-        cached = machine.disk.raw_cache.get("file-entries")
-        assert cached is not None and cached[0] == machine.disk.generation
+        # The raw view is kept under the serial of the namespace the
+        # disk caches for its current generation.
+        generation, namespace = machine.disk.raw_cache["mft-namespace"]
+        assert generation == machine.disk.generation
+        views = machine.disk.raw_cache.get("file-entries")
+        assert views is not None and views["raw"].namespace == namespace.serial
         second = low_level_file_scan(machine)
         assert [e.identity for e in first.entries] \
             == [e.identity for e in second.entries]
-        assert second.identities() is not None
+        assert second.identities() is first.identities()

@@ -1,8 +1,8 @@
 """Incremental cross-view scanning: journal, cache repair, delta sweeps.
 
 The PR-4 pipeline in one file: the USN-style change journal on the
-disk, record-granular MFT namespace repair, hive bin-level delta
-parsing, snapshot identity-index patching, the persistent baseline
+disk, record-granular MFT namespace repair, the file views patched
+behind it, hive bin-level delta parsing, the persistent baseline
 store, and the delta fleet sweep built on all of them.  The recurring
 assertion everywhere is *identity*: whatever the incremental path
 produces must equal what a cold full parse/scan produces, and whenever
@@ -13,18 +13,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import snapshot as snapshot_module
 from repro.core.baseline import BaselineStore, MachineBaseline
 from repro.core.reporting import report_from_dict, report_to_dict
 from repro.core.risboot import RisServer
+from repro.core.scanners.files import low_level_file_scan
 from repro.core.snapshot import FileEntry, ResourceType, ScanSnapshot
 from repro.disk import ChangeJournal, Disk, DiskGeometry
 from repro.errors import FileExists, FileNotFound, VolumeError
 from repro.ghostware import Aphex
 from repro.machine import Machine
+from repro.ntfs import mft_parser
+from repro.ntfs.constants import MFT_RECORD_SIZE
 from repro.ntfs.mft_parser import MftParser
+from repro.ntfs.records import MftRecord
 from repro.registry import hive_parser
 from repro.registry.hive import Hive
 from repro.telemetry.metrics import global_metrics
+from repro.workloads.fleetgen import FleetProfile, build_profiled_machine
 
 
 def _cold_parse(disk):
@@ -186,6 +192,101 @@ class TestMftDeltaPatch:
         assert _counter("journal.records_patched") == patched_before
 
 
+class TestDuplicateKeyPatch:
+    """Two records whose paths fold to one key: first slot wins, warm or cold.
+
+    The volume's directory index refuses such names, so the second
+    record is written raw, behind the volume's back.
+    """
+
+    def _raw_write(self, volume, disk, slot, record=None):
+        offset = volume.mft_offset + slot * MFT_RECORD_SIZE
+        disk.write_bytes(offset, record.to_bytes() if record is not None
+                         else bytes(MFT_RECORD_SIZE))
+
+    def _assert_lookups_match_cold(self, disk, path):
+        cold = MftParser(lambda offset, length: disk.read_bytes(offset,
+                                                                length))
+        before = _counter("journal.records_patched")
+        assert _warm_parse(disk) == _cold_parse(disk)
+        assert _counter("journal.records_patched") > before
+        for probe in (path, path.upper()):
+            assert MftParser(disk.read_bytes).find_by_path(probe) \
+                == cold.find_by_path(probe)
+
+    def test_patches_keep_the_first_slot_winner(self, volume, disk):
+        volume.create_directories("\\data")
+        volume.create_file("\\data\\twin.bin", b"first")
+        _warm_parse(disk)
+        original = MftParser(disk.read_bytes).find_by_path(
+            "\\data\\twin.bin")
+        twin = MftRecord.from_bytes(disk.read_bytes(
+            volume.mft_offset + original.record_no * MFT_RECORD_SIZE,
+            MFT_RECORD_SIZE))
+        slot = original.record_no + 7
+        twin.record_no = slot
+        twin.file_name.name = "TWIN.bin"
+        self._raw_write(volume, disk, slot, twin)         # key now shared
+        self._assert_lookups_match_cold(disk, "\\data\\twin.bin")
+        assert MftParser(disk.read_bytes).find_by_path(
+            "\\data\\TWIN.BIN").record_no == original.record_no
+        volume.write_file("\\data\\twin.bin", b"rewritten")  # shared key
+        self._assert_lookups_match_cold(disk, "\\data\\twin.bin")
+        self._raw_write(volume, disk, slot)               # twin gone
+        self._assert_lookups_match_cold(disk, "\\data\\twin.bin")
+        volume.write_file("\\data\\twin.bin", b"alone again")
+        self._assert_lookups_match_cold(disk, "\\data\\twin.bin")
+
+
+class TestDeltaRescanCost:
+    """A delta rescan re-makes only what the journal says changed.
+
+    Counted, not timed: after k file writes, one low-level file scan of
+    a churn-shaped machine (about 320 entries) builds O(k) FileEntry
+    objects and folds O(k) path keys, where a rebuild makes one of each
+    per entry.
+    """
+
+    _PROFILE = FleetProfile(name="churn", size=1, seed=4,
+                            file_count=(240, 340),
+                            virtual_files=(80_000, 200_000),
+                            registry_kb=(40, 80), churn_files=(2, 5),
+                            churn_registry=(0, 1), disk_mb=64,
+                            max_records=1024)
+
+    @pytest.mark.parametrize("writes", [1, 3])
+    def test_delta_rescan_work_follows_the_writes(self, writes,
+                                                  monkeypatch):
+        machine = build_profiled_machine(self._PROFILE, "churn-000")
+        warm = low_level_file_scan(machine)
+        assert len(warm.entries) > 300
+        for index in range(writes):
+            machine.volume.create_file(f"\\Temp\\delta-{index}.log",
+                                       b"d" * 64)
+        made = {"entries": 0, "keys": 0}
+        entry_init = snapshot_module.FileEntry.__init__
+        fold = mft_parser.normalize_key
+
+        def counting_init(self, *args, **kwargs):
+            made["entries"] += 1
+            entry_init(self, *args, **kwargs)
+
+        def counting_fold(path):
+            made["keys"] += 1
+            return fold(path)
+
+        monkeypatch.setattr(snapshot_module.FileEntry, "__init__",
+                            counting_init)
+        monkeypatch.setattr(mft_parser, "normalize_key", counting_fold)
+        patched = _counter("journal.records_patched")
+        rescan = low_level_file_scan(machine)
+        monkeypatch.undo()
+        assert _counter("journal.records_patched") > patched
+        assert len(rescan.entries) == len(warm.entries) + writes
+        assert made["entries"] <= 2 * writes
+        assert made["keys"] <= 2 * writes
+
+
 # -- volume rename ------------------------------------------------------------
 
 class TestVolumeRename:
@@ -311,27 +412,6 @@ class TestSnapshotIdentities:
         snapshot.identities()
         snapshot.entries.append(self._entry("\\b"))
         assert "\\b" in snapshot.identities()
-
-    def test_apply_delta_matches_rebuild(self):
-        entries = [self._entry(f"\\f{i}") for i in range(10)]
-        snapshot = ScanSnapshot(ResourceType.FILE, "raw-mft",
-                                entries=entries)
-        patched = snapshot.apply_delta(
-            removed_identities=["\\f3", "\\f7"],
-            upserted_entries=[self._entry("\\f5"), self._entry("\\new")])
-        expected = {e.identity for e in entries
-                    if e.identity not in ("\\f3", "\\f7")} | {"\\new"}
-        assert set(patched.identities()) == expected
-        # The receiver is untouched.
-        assert "\\f3" in snapshot.identities()
-        assert len(snapshot) == 10
-
-    def test_apply_delta_preseeds_index_cache(self):
-        snapshot = ScanSnapshot(ResourceType.FILE, "raw-mft",
-                                entries=[self._entry("\\a")])
-        patched = snapshot.apply_delta([], [self._entry("\\b")])
-        cached_fingerprint, cached_index = patched._identity_cache
-        assert patched.identities() is cached_index
 
 
 # -- report round-trip and baseline store -------------------------------------

@@ -6,39 +6,47 @@ renames, deletes and ADS edits, a namespace repaired through the change
 journal must be element-identical to a from-scratch raw parse — and the
 same for hive trees rebuilt bin-by-bin.  The overflow variant runs the
 same sequences through a deliberately tiny journal so the wrap/fallback
-path gets the same hammering as the happy path.
+path gets the same hammering as the happy path.  The views derived from
+a patched namespace (path lookups, the raw and Win32 file views) are
+held to the same standard, in order, on a disk and on its clone.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from hypothesis import given, settings, strategies as st
 
+from repro.core.scanners.files import outside_file_scan
 from repro.disk import ChangeJournal, Disk, DiskGeometry
-from repro.errors import VolumeError
+from repro.errors import FileNotFound, VolumeError
 from repro.ntfs import NtfsVolume
-from repro.ntfs.mft_parser import MftParser
+from repro.ntfs.mft_parser import _NAMESPACE_CACHE_KEY, MftParser
 from repro.registry import hive_parser
 from repro.registry.hive import Hive
 
 _SLOTS = 8          # file name pool: ops address files by slot index
 _DIRS = ("\\docs", "\\docs\\deep", "\\logs")
 
-file_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("create"), st.integers(0, _SLOTS - 1),
-                  st.integers(0, 2)),              # (op, slot, dir index)
-        st.tuples(st.just("write"), st.integers(0, _SLOTS - 1),
-                  st.integers(1, 3000)),           # (op, slot, new size)
-        st.tuples(st.just("delete"), st.integers(0, _SLOTS - 1),
-                  st.just(0)),
-        st.tuples(st.just("rename"), st.integers(0, _SLOTS - 1),
-                  st.integers(0, 2)),              # move to dir index
-        st.tuples(st.just("ads"), st.integers(0, _SLOTS - 1),
-                  st.integers(1, 64)),             # (op, slot, ads size)
-        st.tuples(st.just("movedir"), st.integers(0, 1),
-                  st.just(0)),                     # rename \docs\deep
-    ),
-    min_size=1, max_size=12)
+file_op = st.one_of(
+    st.tuples(st.just("create"), st.integers(0, _SLOTS - 1),
+              st.integers(0, 2)),              # (op, slot, dir index)
+    st.tuples(st.just("write"), st.integers(0, _SLOTS - 1),
+              st.integers(1, 3000)),           # (op, slot, new size)
+    st.tuples(st.just("delete"), st.integers(0, _SLOTS - 1),
+              st.just(0)),
+    st.tuples(st.just("rename"), st.integers(0, _SLOTS - 1),
+              st.integers(0, 2)),              # move to dir index
+    st.tuples(st.just("ads"), st.integers(0, _SLOTS - 1),
+              st.integers(1, 64)),             # (op, slot, ads size)
+    st.tuples(st.just("movedir"), st.integers(0, 1),
+              st.just(0)),                     # rename \docs\deep
+)
+file_ops = st.lists(file_op, min_size=1, max_size=12)
+# (op, derive the file views after it?): skipping the views lets the
+# namespace be patched more than once between two view derivations.
+viewed_ops = st.lists(st.tuples(file_op, st.booleans()),
+                      min_size=1, max_size=12)
 
 
 def _fresh_volume():
@@ -130,6 +138,97 @@ def test_overflowing_journal_still_correct(ops):
     for op, slot, arg in ops:
         mutator.apply(op, slot, arg)
     assert _warm(disk) == _cold(disk)
+
+
+class _Unbound:
+    """A disk behind a bare reader: no generation, cache or journal, so
+    every parse and view through it is cold."""
+
+    def __init__(self, disk):
+        self._disk = disk
+
+    def read_bytes(self, offset, length):
+        return self._disk.read_bytes(offset, length)
+
+
+def _file_views(source):
+    return [outside_file_scan(source, win32_naming=flag)
+            for flag in (False, True)]
+
+
+def _lookup(parser, path):
+    try:
+        return parser.find_by_path(path)
+    except FileNotFound:
+        return None
+
+
+def _assert_matches_cold(disk, seen, views=True):
+    """The warm (patched) side of ``disk`` equals a cold parse, in order.
+
+    ``seen`` collects every path parsed so far, so a path that has gone
+    must be gone from the warm lookups too.
+    """
+    warm_parser = MftParser(disk.read_bytes)
+    cold_parser = MftParser(_Unbound(disk).read_bytes)
+    cold = cold_parser.parse()
+    assert warm_parser.parse() == cold
+    seen.update(entry.path for entry in cold)
+    for entry_path in seen:
+        for path in (entry_path, entry_path.swapcase()):
+            assert _lookup(warm_parser, path) == _lookup(cold_parser, path)
+    if not views:
+        return
+    for warm, fresh in zip(_file_views(disk), _file_views(_Unbound(disk))):
+        assert warm.entries == fresh.entries
+        assert list(warm.identities().items()) \
+            == list(fresh.identities().items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(viewed_ops)
+def test_patched_views_equal_cold_ones_in_order(ops):
+    disk, volume = _fresh_volume()
+    mutator = _Mutator(volume)
+    seen = set()
+    _assert_matches_cold(disk, seen)              # warm namespace + views
+    for (op, slot, arg), views in ops:
+        mutator.apply(op, slot, arg)
+        _assert_matches_cold(disk, seen, views)
+    _assert_matches_cold(disk, seen)
+
+
+def _contents(namespace, views):
+    """A deep copy of a cached namespace and its views."""
+    return (list(namespace.entries), list(namespace.by_key.items()),
+            list(namespace.by_record.items()), dict(namespace.records),
+            {parent: set(kids) for parent, kids in namespace.children.items()},
+            {flavor: (list(view.records), list(view.identities),
+                      list(view.entries), list(view.index.items()))
+             for flavor, view in views.items()})
+
+
+@settings(max_examples=20, deadline=None)
+@given(file_ops, file_ops)
+def test_clones_patch_their_own_views(ops, clone_ops):
+    disk, volume = _fresh_volume()
+    mutator = _Mutator(volume)
+    seen, clone_seen = set(), set()
+    _assert_matches_cold(disk, seen)
+    clone = disk.clone()
+    twin = _Mutator(NtfsVolume.mount(clone))
+    namespace = disk.raw_cache[_NAMESPACE_CACHE_KEY][1]
+    views = disk.raw_cache["file-entries"]
+    shared = _contents(namespace, views)
+    for mine, theirs in zip_longest(ops, clone_ops):
+        if mine is not None:
+            mutator.apply(*mine)
+            _assert_matches_cold(disk, seen)
+        if theirs is not None:
+            twin.apply(*theirs)
+            _assert_matches_cold(clone, clone_seen)
+    # What both disks shared at clone time is exactly as it was.
+    assert _contents(namespace, views) == shared
 
 
 # -- hive bin-level delta ------------------------------------------------------
