@@ -44,7 +44,7 @@ from repro.core import GhostBuster                          # noqa: E402
 from repro.core.baseline import BaselineStore               # noqa: E402
 from repro.disk import Disk, DiskGeometry                   # noqa: E402
 from repro.faults import context as faults_context          # noqa: E402
-from repro.faults.plan import FaultPlan                     # noqa: E402
+from repro.faults.plan import SITE_DISK_READ, FaultPlan     # noqa: E402
 from repro.fleet import (AGENT_DEAD, EscalationPolicy,      # noqa: E402
                          FleetCoordinator, fleet_status,
                          fleet_storage_stats, load_history)
@@ -53,6 +53,7 @@ from repro.ghostware import (AdsGhost, FuRootkit,           # noqa: E402
                              HackerDefender)
 from repro.machine import HIVE_FILES, Machine               # noqa: E402
 from repro.ntfs import MftParser, NtfsVolume                # noqa: E402
+from repro.ntfs.constants import MFT_RECORD_SIZE            # noqa: E402
 from repro.registry import hive_parser                      # noqa: E402
 from repro.telemetry import Telemetry                       # noqa: E402
 from repro.telemetry.metrics import (NullMetrics,           # noqa: E402
@@ -281,6 +282,7 @@ def bench_chaos_sweep(fleet_size: int, workers: int,
         cloned_fleet(golden, fleet_size), workers, fault_plan=plan)
     return {
         "faults_fired": plan.fired_count(),
+        "disk_read_faults": plan.fired_count(SITE_DISK_READ),
         "fault_sites": sorted({f.site for f in plan.fired()}),
         "sequence_digest": plan.sequence_digest(),
         "infected": chaotic.infected_machines(),
@@ -440,21 +442,36 @@ def bench_fleet_escalation(file_count: int, strains: int) -> dict:
     }
 
 
+def per_slot_reader(volume):
+    """A bare read callable over ``volume``'s disk that serves the MFT
+    region request as one ``read_bytes`` per 1,024-byte slot, the reads
+    the parser's retired per-slot walk issued; other reads pass
+    through."""
+    disk = volume.disk
+
+    def read(offset: int, length: int) -> bytes:
+        if offset != volume.mft_offset or length <= MFT_RECORD_SIZE:
+            return disk.read_bytes(offset, length)
+        return b"".join(disk.read_bytes(at, MFT_RECORD_SIZE)
+                        for at in range(offset, offset + length,
+                                        MFT_RECORD_SIZE))
+    return read
+
+
 def bench_cold_parse_zero_copy(file_count: int) -> dict:
-    """Batched zero-copy cold parse vs the per-record read loop.
+    """Batched zero-copy cold parse vs a per-slot read strawman.
 
     Two machines are built identically at Machine defaults (65536 MFT
-    record slots), one on each backend.  The legacy arm parses the
-    sparse twin through a bare read callable, which the parser cannot
-    resolve to a disk, so it issues one ``read_bytes`` round-trip per
-    record slot.  That loop is still production: the parser falls back
-    to it whenever a read filter or fault injector is attached, so the
-    "namespace identical" gate is the only check that the batched
-    region walk equals it.  The zero-copy arm parses the flat twin
-    through the disk itself: one batched region view,
-    ``struct.unpack_from`` all the way down.  Both arms finish with cold
-    parses of every registry hive, so the figure is the full truth
-    re-derivation a cache miss pays.
+    record slots), one on each backend.  The per-slot arm parses the
+    sparse twin through :func:`per_slot_reader`, a bare callable that
+    serves the parser's one region request as one ``read_bytes``
+    round-trip per record slot — what the parser's retired per-slot
+    walk issued.  The zero-copy arm parses the flat twin through the
+    disk itself: one batched region view, ``struct.unpack_from`` all
+    the way down.  The "namespace identical" gate checks that both
+    arms parse one namespace.  Both arms finish with cold parses of
+    every registry hive, so the figure is the full truth re-derivation
+    a cache miss pays.
     """
     machines = {}
     for backend in ("sparse", "flat"):
@@ -466,8 +483,7 @@ def bench_cold_parse_zero_copy(file_count: int) -> dict:
     legacy_disk, zero_disk = machines["sparse"].disk, machines["flat"].disk
 
     def parser(legacy: bool) -> MftParser:
-        return (MftParser(lambda offset, length:
-                          legacy_disk.read_bytes(offset, length))
+        return (MftParser(per_slot_reader(machines["sparse"].volume))
                 if legacy else MftParser(zero_disk.read_bytes))
 
     def cold_derivation(legacy: bool) -> None:
@@ -636,6 +652,7 @@ def bench_fleet_soak(epochs: int, fleet_size: int) -> dict:
         checkpoint = checkpoint_on_disk(coordinator, aggregate)
     return {"summaries": summaries,
             "faults_fired": plan.fired_count(),
+            "disk_read_faults": plan.fired_count(SITE_DISK_READ),
             "fault_sites": len({f.site for f in plan.fired()}),
             "checkpoint_failures": checkpoint}
 
@@ -1089,7 +1106,9 @@ EXPERIMENTS = (
         gates=(("chaos sweep recall unchanged", "recall_unchanged"),
                ("chaos sweep zero errors", lambda r: not r["errors"]),
                ("chaos sweep faults actually fired",
-                lambda r: r["faults_fired"] > 0))),
+                lambda r: r["faults_fired"] > 0),
+               ("chaos sweep faults fired at disk.read",
+                lambda r: r["disk_read_faults"] > 0))),
     Experiment(
         "fleet_soak", bench_fleet_soak,
         smoke=None, full=dict(epochs=3, fleet_size=50),
@@ -1099,7 +1118,9 @@ EXPERIMENTS = (
                ("fleet soak checkpoint read back from disk",
                 lambda r: not r["checkpoint_failures"]),
                ("fleet soak faults actually fired",
-                lambda r: r["faults_fired"] > 0)),
+                lambda r: r["faults_fired"] > 0),
+               ("fleet soak faults fired at disk.read",
+                lambda r: r["disk_read_faults"] > 0)),
         flag="--fleet-soak"),
     Experiment(
         "distributed_soak", bench_distributed_soak,

@@ -19,7 +19,6 @@ DKOM-hidden processes (FU), at both the inside and outside levels.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import replace as dc_replace
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -97,26 +96,6 @@ class GhostBuster:
 
     # -- resilience plumbing ------------------------------------------------------
 
-    @contextmanager
-    def _fault_scope(self):
-        """Activate this tool's fault plan around a scan, if one is set.
-
-        The plan is scoped to the machine's name (its own deterministic
-        draw streams) with backoff charged to the machine's clock, and a
-        disk-read injector is attached for the duration.
-        """
-        if self.fault_plan is None:
-            yield
-            return
-        self.fault_plan.attach(self.machine)
-        try:
-            with faults_context.scoped(self.fault_plan,
-                                       scope=self.machine.name,
-                                       clock=self.machine.clock):
-                yield
-        finally:
-            FaultPlan.detach(self.machine)
-
     def _run_layer(self, report: DetectionReport, layer: str,
                    fn: Callable[[DetectionReport], None]) -> None:
         """Run one scan layer; degrade instead of aborting the whole scan.
@@ -167,7 +146,8 @@ class GhostBuster:
                     "ghostbuster.inside_scan", clock=self.machine.clock,
                     machine=self.machine.name,
                     resources=",".join(sorted(wanted))):
-                with self._fault_scope():
+                with faults_context.machine_scope(self.fault_plan,
+                                                  self.machine):
                     previous = None
                     for __ in range(self.stabilize_rounds):
                         round_report = self._scan_round(wanted)
@@ -388,7 +368,8 @@ class GhostBuster:
                     "ghostbuster.outside_scan", clock=self.machine.clock,
                     machine=self.machine.name,
                     resources=",".join(sorted(wanted))):
-                with self._fault_scope():
+                with faults_context.machine_scope(self.fault_plan,
+                                                  self.machine):
                     self._outside_scan_body(wanted, report, background_gap,
                                             win32_naming, reboot_after)
         return report

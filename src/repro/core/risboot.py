@@ -106,7 +106,7 @@ class RisServer:
                                        clock=machine.clock,
                                        machine=machine.name):
                 # The client contacts the RIS server before anything else.
-                with ghostbuster._fault_scope():
+                with faults_context.machine_scope(self.fault_plan, machine):
                     _transport(machine)
                 report = ghostbuster.outside_scan(
                     resources=resources, background_gap=background_gap,

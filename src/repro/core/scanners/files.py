@@ -195,14 +195,6 @@ def _derive_view(namespace, win32_naming: bool,
                      dict(zip(identities, entries)))
 
 
-def _cacheable_disk(disk):
-    """The disk, iff it can host shared derived-view cache entries."""
-    if disk is not None and hasattr(disk, "generation") \
-            and hasattr(disk, "raw_cache"):
-        return disk
-    return None
-
-
 def raw_file_view(source, clock=None, win32_naming: bool = False):
     """One raw MFT parse as ``(parsed count, entries, identity index)``.
 
@@ -217,15 +209,10 @@ def raw_file_view(source, clock=None, win32_naming: bool = False):
     fault bumping it mid-read means the bytes behind the parse are
     suspect).
     """
-    filters = getattr(source, "read_filters", None)
-    if filters is None:
-        disk = _cacheable_disk(source)
-    else:
-        disk = None if filters else _cacheable_disk(
-            getattr(source, "disk", None))
-    parse_generation = getattr(disk, "generation", None)
+    parse_generation = getattr(source, "generation", None)
     parser = construct_with_retry(
         "mft.bootstrap", lambda: MftParser(source.read_bytes), clock=clock)
+    disk = parser.shared_disk
     namespace = parser.namespace()
     flavor = "win32" if win32_naming else "raw"
     views = {} if disk is None else disk.raw_cache.get(_VIEWS_CACHE_KEY, {})

@@ -8,8 +8,8 @@ machine name as the draw scope and the machine's clock for delay
 charging — and the sites look it up here via :func:`maybe_inject`.
 
 Two activation levels exist: a per-thread scope (set by
-:func:`scoped`, used by ``GhostBuster`` so every scan draws from its
-machine's own streams) and a process-wide
+:func:`scoped`; :func:`machine_scope` wraps it for one machine's scan,
+so every scan draws from its machine's own streams) and a process-wide
 plan (set by :func:`install_global_plan`, used by the CI chaos job via
 ``REPRO_CHAOS_SEED``).  The thread scope wins.  With neither active the
 fast path is one ``getattr`` plus one global check.
@@ -78,6 +78,25 @@ def scoped(plan: FaultPlan, scope: str = "global", clock=None):
         yield
     finally:
         _tls.scope = previous
+
+
+@contextmanager
+def machine_scope(plan: Optional[FaultPlan], machine):
+    """Run one machine's scan under ``plan``; a no-op when it is None.
+
+    The plan is scoped to the machine's name (its own deterministic
+    draw streams) with delays charged to the machine's clock, and a
+    disk-read injector is attached to its disk for the duration.
+    """
+    if plan is None:
+        yield
+        return
+    plan.attach(machine)
+    try:
+        with scoped(plan, scope=machine.name, clock=machine.clock):
+            yield
+    finally:
+        plan.detach(machine)
 
 
 def maybe_inject(site: str, clock=None, scope: Optional[str] = None):

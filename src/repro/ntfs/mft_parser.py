@@ -12,17 +12,26 @@ Two access paths matter:
 * **inside-the-box** — called with the kernel's raw-device port, which an
   *advanced* ghostware strain can intercept (ablation A3).
 
+**One read path.**  Every cold parse reads the whole MFT region in one
+request and walks it in place, keying each record by the slot it sits
+in (never by the number its own header claims).  A disk, or a kernel
+port with no read filters, serves the request as one zero-copy view; a
+filtered port or an unbound callable serves it as one ``read_bytes``
+call.  Read filters and the disk fault injector therefore act on the
+same region request production issues, and ``NtfsVolume.mount`` takes
+its records from the same walk.
+
 Performance: the parser parses the MFT region **once** into an indexed
-namespace (``normalize_key(path) → ParsedFile`` plus ``record_no →
+namespace (``normalize_key(path) → ParsedFile`` plus ``slot →
 MftRecord``), so ``find_by_path`` / ``read_file_content`` /
 ``read_stream_content`` are O(1) lookups after the first parse instead
-of a full re-parse per call.  When the ``read_bytes`` callable is bound
-to a :class:`~repro.disk.Disk` (or to an unfiltered kernel disk port),
-the parsed namespace is additionally cached *on the disk* keyed by its
-write-generation counter, so repeated scans of an unchanged disk — e.g.
-one raw ASEP scan per hive file, or a whole fleet epoch over cloned
-images — skip the parse entirely.  Any disk write bumps the generation
-and forces a fresh raw parse.
+of a full re-parse per call.  When the source is a
+:class:`~repro.disk.Disk` or an unfiltered kernel disk port
+(:attr:`MftParser.shared_disk`), the parsed namespace is additionally
+cached *on the disk* keyed by its write-generation counter, so repeated
+scans of an unchanged disk — e.g. one raw ASEP scan per hive file, or a
+whole fleet epoch over cloned images — skip the parse entirely.  Any
+disk write bumps the generation and forces a fresh raw parse.
 
 A3 interference semantics are preserved: every byte still flows through
 the supplied ``read_bytes`` callable, and a port with *any* read filter
@@ -52,7 +61,7 @@ import itertools
 import struct
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (CorruptRecord, DiskError, FileNotFound,
                           PermanentCorruption, RetryExhausted,
@@ -86,14 +95,15 @@ _SERIALS = itertools.count(1)
 class _ParsedNamespace:
     """One full raw parse, indexed for O(1) lookups.
 
-    ``by_record`` and ``children`` exist for the delta-patch path:
-    ``by_record`` lets a patch replace exactly the entries whose record
-    slots were rewritten, and ``children`` (parent record → child record
-    numbers, keyed by the raw $FILE_NAME parent reference) lets a
-    directory rename cascade its new path to every descendant without
-    re-parsing any of their records.  ``shared_keys`` holds the keys
-    more than one entry folds to (the first in slot order is the one
-    ``by_key`` serves), so a patch knows when it may not edit a key.
+    Every map is keyed by record slot.  ``by_record`` and ``children``
+    exist for the delta-patch path: ``by_record`` lets a patch replace
+    exactly the entries whose record slots were rewritten, and
+    ``children`` (parent record → child record numbers, keyed by the
+    raw $FILE_NAME parent reference) lets a directory rename cascade
+    its new path to every descendant without re-parsing any of their
+    records.  ``shared_keys`` holds the keys more than one entry folds
+    to (the first in slot order is the one ``by_key`` serves), so a
+    patch knows when it may not edit a key.
 
     A patched namespace names its ``base`` (the serial of the namespace
     it was patched from) and the record slots whose entries it
@@ -101,11 +111,11 @@ class _ParsedNamespace:
     Never mutated once built: cloned disks share it.
     """
 
-    records: Dict[int, MftRecord]
+    records: Dict[int, MftRecord]        # slot → record
     entries: List["ParsedFile"]          # record slot order
     by_key: Dict[str, "ParsedFile"]      # normalize_key(path) → entry
-    by_record: Dict[int, "ParsedFile"]   # record_no → entry
-    children: Dict[int, set]             # parent record_no → {record_no}
+    by_record: Dict[int, "ParsedFile"]   # slot → entry
+    children: Dict[int, set]             # parent slot → {slot}
     shared_keys: frozenset = frozenset()
     base: Optional[int] = None
     affected: frozenset = frozenset()
@@ -199,40 +209,80 @@ class MftParser:
         """Number of record slots the MFT region reserves."""
         return self._capacity
 
-    def read_record(self, record_no: int) -> Optional[MftRecord]:
-        """Parse one record slot; None when unallocated/corrupt/not-in-use.
+    def records(self) -> Dict[int, MftRecord]:
+        """Every in-use record of the MFT region, keyed by its slot.
 
-        Free (never-written) slots read back as zeros and are simply
-        absent; a slot whose magic is present but whose body fails to
-        parse counts toward ``corrupt_skipped`` so the self-healing loop
-        knows the namespace it just built is missing entries.
+        The parser's one record reader: the whole region in one read
+        request, walked in place.  A disk, or a port with no read
+        filters, serves it as one ``Disk.read_view`` (zero-copy; with a
+        fault injector attached the view is routed through
+        ``read_bytes``, so the injector draws once for the request).  A
+        filtered port or an unbound callable serves it as one
+        ``read_bytes`` call, so a filter sees every byte the parse uses.
+
+        Free (all-zero-magic) slots are absent; a nonzero non-FILE magic
+        or a body that fails to decode (any :class:`CorruptRecord`)
+        counts toward ``corrupt_skipped``, and so do the slots a corrupt
+        record 0 claims past the disk's end, which are not read (an
+        unbound callable has no known end and is asked for the whole
+        region); not-in-use records are dropped.  A record is keyed by
+        the slot it sits in, as the delta patch keys its re-reads, so a
+        header claiming another slot's number evicts nothing.  Decoded
+        afresh on every call: a mounting volume mutates its records.
         """
-        if record_no < 0 or record_no >= self._capacity:
-            return None
+        slots = self._capacity
+        geometry = getattr(self._disk_source, "geometry", None)
+        if geometry is not None:
+            slots = min(slots, max(0, (geometry.size_bytes - self._mft_offset)
+                                   // c.MFT_RECORD_SIZE))
+        self.corrupt_skipped = self._capacity - slots
+        records: Dict[int, MftRecord] = {}
+        if slots == 0:
+            return records
+        from_buffer = MftRecord.from_buffer
+        record_size = c.MFT_RECORD_SIZE
+        in_use = c.FLAG_IN_USE
+        disk = self.shared_disk
+        length = slots * record_size
+        view = (disk.read_view(self._mft_offset, length) if disk is not None
+                else memoryview(self._read(self._mft_offset, length)))
         try:
-            blob = self._read(
-                self._mft_offset + record_no * c.MFT_RECORD_SIZE,
-                c.MFT_RECORD_SIZE)
-        except DiskError:
-            self.corrupt_skipped += 1
-            return None
-        if blob[0:4] != c.RECORD_MAGIC:
-            if any(blob[0:4]):
-                self.corrupt_skipped += 1
-            return None
-        try:
-            record = MftRecord.from_bytes(blob)
-        except CorruptRecord:
-            self.corrupt_skipped += 1
-            return None
-        return record if record.in_use else None
-
-    def iter_records(self) -> Iterator[MftRecord]:
-        """Every in-use record in the MFT region, in slot order."""
-        for record_no in range(self._capacity):
-            record = self.read_record(record_no)
-            if record is not None:
-                yield record
+            # The slot-magic column as one contiguous buffer (a strided
+            # tobytes gather, C speed): live slots are then located with
+            # bytes.find and counted with array.count instead of a
+            # 65536-iteration Python loop — free slots are the common
+            # case and never reach the interpreter.
+            heads = view.cast("I")[::_HEAD_STRIDE]
+            try:
+                packed = heads.tobytes()
+            finally:
+                heads.release()
+            head_values = array("I")
+            head_values.frombytes(packed)
+            nonzero = len(head_values) - head_values.count(0)
+            live = 0
+            corrupt = 0
+            position = packed.find(c.RECORD_MAGIC)
+            while position != -1:
+                if position & 3 == 0:     # u32-aligned: a real slot head
+                    slot = position >> 2
+                    live += 1
+                    try:
+                        record = from_buffer(view, slot * record_size)
+                    except CorruptRecord:
+                        corrupt += 1
+                    else:
+                        if record.flags & in_use:
+                            records[slot] = record
+                position = packed.find(c.RECORD_MAGIC, position + 1)
+        finally:
+            try:
+                view.release()
+            except BufferError:  # a sub-view outlived us; harmless
+                pass
+        # Nonzero heads that are not FILE magic are skipped slots.
+        self.corrupt_skipped += (nonzero - live) + corrupt
+        return records
 
     # -- caching ------------------------------------------------------------------
 
@@ -279,6 +329,20 @@ class MftParser:
             return None if self._port_source is None else (None, filters)
         return (self._disk_source.generation, filters)
 
+    @property
+    def shared_disk(self):
+        """The disk whose ``raw_cache`` this parser may read and fill.
+
+        A disk, or a kernel port with no read filters over one; None for
+        a filtered port (an A3 filter's view must never reach another
+        reader) and for an unbound callable.  Re-evaluated on every
+        access: a filter can be installed after the parser is built.
+        """
+        port = self._port_source
+        if port is not None and port.read_filters:
+            return None
+        return self._disk_source
+
     def _ensure_namespace(self) -> _ParsedNamespace:
         """Parse once; revalidate against the source on every access."""
         token = self._cache_token()
@@ -286,44 +350,30 @@ class MftParser:
                                             or token == self._namespace_token):
             self._hits.add()
             return self._namespace
-        # The shared per-disk cache only ever holds the unfiltered view.
-        shareable = (self._disk_source is not None and token is not None
-                     and token[1] == ())
+        disk = self.shared_disk
         cache_entry = None
-        if shareable:
-            cache_entry = self._disk_source.raw_cache.get(_NAMESPACE_CACHE_KEY)
+        if disk is not None:
+            cache_entry = disk.raw_cache.get(_NAMESPACE_CACHE_KEY)
             if cache_entry is not None and cache_entry[0] == token[0]:
                 self._namespace, self._namespace_token = cache_entry[1], token
                 self._hits.add()
                 return cache_entry[1]
         self._misses.add()
         namespace = None
-        if shareable:
-            namespace = self._patched_from_stale(cache_entry, token[0])
+        if cache_entry is not None and cache_entry[0] < token[0]:
+            # The cache entry is the only patch base: a shareable
+            # parser's own namespace is always one it read from or
+            # stored in that entry, so the entry is never older.
+            namespace = self._try_patch(cache_entry[1], cache_entry[0],
+                                        token[0])
         if namespace is None:
             namespace = self._parse_with_retry(token)
         self._namespace, self._namespace_token = namespace, token
-        if shareable:
-            self._disk_source.raw_cache[_NAMESPACE_CACHE_KEY] = (
-                token[0], namespace)
+        if disk is not None:
+            disk.raw_cache[_NAMESPACE_CACHE_KEY] = (token[0], namespace)
         return namespace
 
     # -- incremental repair ---------------------------------------------------
-
-    def _patched_from_stale(self, cache_entry,
-                            target_generation: int
-                            ) -> Optional[_ParsedNamespace]:
-        """Pick the freshest stale unfiltered namespace and try to patch it."""
-        stale_generation, stale = (cache_entry if cache_entry is not None
-                                   else (None, None))
-        own = self._namespace_token
-        if (self._namespace is not None and own is not None
-                and own[1] == () and isinstance(own[0], int)
-                and (stale_generation is None or own[0] > stale_generation)):
-            stale_generation, stale = own[0], self._namespace
-        if stale is None or stale_generation >= target_generation:
-            return None
-        return self._try_patch(stale, stale_generation, target_generation)
 
     def _try_patch(self, cached: _ParsedNamespace, cached_generation: int,
                    target_generation: int) -> Optional[_ParsedNamespace]:
@@ -394,12 +444,14 @@ class MftParser:
         return dirty
 
     def _read_record_strict(self, record_no: int) -> Optional[MftRecord]:
-        """Like :meth:`read_record`, but raises instead of skipping.
+        """Read one dirty slot for the delta patch; raise, never skip.
 
-        The delta patch must not absorb corruption: a slot that fails
-        to parse aborts the whole patch, and the cold path — which owns
-        the best-effort / self-healing semantics — decides what the
-        namespace really looks like.
+        One read per dirty slot: a region read would copy the whole
+        region on clones with overlay sectors.  The delta patch must not
+        absorb corruption: a slot that fails to parse aborts the whole
+        patch, and the cold path — which owns the best-effort /
+        self-healing semantics — decides what the namespace really looks
+        like.
         """
         blob = self._read(self._mft_offset + record_no * c.MFT_RECORD_SIZE,
                           c.MFT_RECORD_SIZE)
@@ -543,14 +595,19 @@ class MftParser:
         not perturb the counters the perf tests pin.  Two healing paths:
         a :class:`TransientIoError` (injected at the ``mft.parse`` site
         or raised by a faulty disk read) retries outright, and a build
-        that silently skipped corrupt records is rebuilt *while a fault
-        plan is active* — the re-read returns clean bytes.  Without
-        chaos, corruption is genuine and the single silent-skip parse
-        stands, preserving the forensic best-effort contract.
+        whose region read was damaged is rebuilt *while a fault plan is
+        active* — the re-read returns clean bytes.  Damage shows as
+        skipped corrupt slots or as a disk generation that moved during
+        the build: a torn read zeroes the tail of the region, which then
+        reads as free slots, but the fault injector bumps the generation
+        on every read it damages.  Without chaos, corruption is genuine
+        and the single silent-skip parse stands, preserving the forensic
+        best-effort contract.
         """
         namespace: Optional[_ParsedNamespace] = None
         last: Optional[BaseException] = None
         for attempt in range(1, _PARSE_ATTEMPTS + 1):
+            generation = getattr(self._disk_source, "generation", None)
             try:
                 faults_context.maybe_inject(SITE_MFT_PARSE)
                 with telemetry_context.current_tracer().span(
@@ -562,7 +619,9 @@ class MftParser:
                 namespace = None
                 global_metrics().incr("faults.retries")
                 continue
-            if (self.corrupt_skipped and attempt < _PARSE_ATTEMPTS
+            damaged = (self.corrupt_skipped or generation
+                       != getattr(self._disk_source, "generation", None))
+            if (damaged and attempt < _PARSE_ATTEMPTS
                     and faults_context.active_plan() is not None):
                 global_metrics().incr("faults.retries")
                 continue
@@ -672,89 +731,8 @@ class MftParser:
             children.setdefault(parent_no, set()).add(record_no)
         return children
 
-    def _region_view(self) -> Optional[memoryview]:
-        """One zero-copy view over the whole MFT region, when admissible.
-
-        The batched walk must be observably identical to the per-record
-        read loop, so it only engages when nothing can see or alter the
-        individual reads: reads bound to a real disk (or an unfiltered
-        port over one), no read filters installed, and no fault injector
-        attached — injected damage is shaped per read request, so chaos
-        runs keep issuing the legacy per-record reads.
-        """
-        disk = self._disk_source
-        if disk is None or getattr(disk, "fault_injector", None) is not None:
-            return None
-        port = self._port_source
-        if port is not None and port.read_filters:
-            return None
-        read_view = getattr(disk, "read_view", None)
-        if read_view is None or self._capacity <= 0:
-            return None
-        try:
-            return read_view(self._mft_offset,
-                             self._capacity * c.MFT_RECORD_SIZE)
-        except DiskError:
-            return None
-
-    def _records_from_view(self, view: memoryview) -> Dict[int, MftRecord]:
-        """Walk every record slot of one batched region view in place.
-
-        Per-slot behaviour matches :meth:`read_record` exactly: free
-        (all-zero-magic) slots are absent, nonzero non-FILE magic and
-        :class:`CorruptRecord` bodies count toward ``corrupt_skipped``,
-        :class:`PermanentCorruption` propagates, and not-in-use records
-        are dropped.
-        """
-        records: Dict[int, MftRecord] = {}
-        from_buffer = MftRecord.from_buffer
-        record_size = c.MFT_RECORD_SIZE
-        in_use = c.FLAG_IN_USE
-        # The slot-magic column as one contiguous buffer (a strided
-        # tobytes gather, C speed): live slots are then located with
-        # bytes.find and counted with array.count instead of a 65536-
-        # iteration Python loop — free slots are the common case and
-        # never reach the interpreter.
-        heads = view.cast("I")[::_HEAD_STRIDE]
-        try:
-            packed = heads.tobytes()
-        finally:
-            heads.release()
-        head_values = array("I")
-        head_values.frombytes(packed)
-        nonzero = len(head_values) - head_values.count(0)
-        live = 0
-        corrupt = 0
-        position = packed.find(c.RECORD_MAGIC)
-        while position != -1:
-            if position & 3 == 0:     # u32-aligned: a real slot head
-                live += 1
-                try:
-                    record = from_buffer(view, (position >> 2) * record_size)
-                except CorruptRecord:
-                    corrupt += 1
-                else:
-                    if record.flags & in_use:
-                        records[record.record_no] = record
-            position = packed.find(c.RECORD_MAGIC, position + 1)
-        # Nonzero heads that are not FILE magic are skipped slots, same
-        # as the per-record loop's bad-magic accounting.
-        self.corrupt_skipped += (nonzero - live) + corrupt
-        return records
-
     def _build_namespace(self) -> _ParsedNamespace:
-        self.corrupt_skipped = 0
-        view = self._region_view()
-        if view is not None:
-            try:
-                records = self._records_from_view(view)
-            finally:
-                try:
-                    view.release()
-                except BufferError:  # a sub-view outlived us; harmless
-                    pass
-        else:
-            records = {r.record_no: r for r in self.iter_records()}
+        records = self.records()
         paths: Dict[int, str] = {c.RECORD_ROOT: "\\"}
         path_of = self._path_resolver(records, paths)
 

@@ -115,7 +115,10 @@ class NtfsVolume:
         """Rebuild a volume object from a previously formatted disk.
 
         This is how a clean OS (WinPE) attaches the suspect drive: the
-        namespace is reconstructed purely from the on-disk MFT bytes.
+        namespace is reconstructed purely from the on-disk MFT bytes,
+        through the raw parser's one region walk.  Records are keyed by
+        the slot they sit in; a header claiming another slot's number is
+        rewritten to its slot when the volume next flushes the record.
         """
         from repro.ntfs.mft_parser import MftParser  # cycle-free at runtime
 
@@ -123,28 +126,26 @@ class NtfsVolume:
         max_records = parser.mft_capacity()
         volume = cls(disk, max_records, clock)
         highest_cluster = volume._data_start_cluster - 1
-        for record in parser.iter_records():
-            volume._records[record.record_no] = record
-            if record.record_no >= c.FIRST_USER_RECORD:
-                volume._next_record = max(volume._next_record,
-                                          record.record_no + 1)
+        for slot, record in parser.records().items():
+            record.record_no = slot
+            volume._records[slot] = record
+            if slot >= c.FIRST_USER_RECORD:
+                volume._next_record = max(volume._next_record, slot + 1)
             if record.is_directory:
-                volume._children.setdefault(record.record_no,
-                                            DirectoryIndex())
+                volume._children.setdefault(slot, DirectoryIndex())
             if record.data is not None and not record.data.resident:
                 for start, count in record.data.runs:
                     highest_cluster = max(highest_cluster, start + count - 1)
-        for record in volume._records.values():
-            if record.record_no in (c.RECORD_MFT, c.RECORD_ROOT):
+        for slot, record in volume._records.items():
+            if slot in (c.RECORD_MFT, c.RECORD_ROOT):
                 continue
             if record.file_name is None:
                 continue
             parent_no, __ = c.split_file_reference(
                 record.file_name.parent_reference)
             volume._children.setdefault(
-                parent_no, DirectoryIndex()).add(record.file_name.name,
-                                                 record.record_no)
-            volume._parents[record.record_no] = parent_no
+                parent_no, DirectoryIndex()).add(record.file_name.name, slot)
+            volume._parents[slot] = parent_no
         volume._next_cluster = highest_cluster + 1
         return volume
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -136,20 +135,6 @@ class SampledScan:
         return not self.report.is_clean
 
 
-@contextmanager
-def _fault_scope(machine: Machine, fault_plan: Optional[FaultPlan]):
-    if fault_plan is None:
-        yield
-        return
-    fault_plan.attach(machine)
-    try:
-        with faults_context.scoped(fault_plan, scope=machine.name,
-                                   clock=machine.clock):
-            yield
-    finally:
-        FaultPlan.detach(machine)
-
-
 def _list_directory(machine: Machine, scanner, directory: str
                     ) -> List[FileEntry]:
     """One *non-recursive* hooked Win32 listing of one directory.
@@ -246,7 +231,7 @@ def perform_sampled_scan(machine: Machine, epoch: int,
     with telemetry_context.current_tracer().span(
             "fleet.scan.sampled", clock=span_clock or machine.clock,
             machine=machine.name, epoch=epoch):
-        with _fault_scope(machine, fault_plan):
+        with faults_context.machine_scope(fault_plan, machine):
             if "files" in resources:
                 file_findings, stats = _sampled_file_diff(machine, epoch,
                                                           policy)

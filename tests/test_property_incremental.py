@@ -8,7 +8,9 @@ same for hive trees rebuilt bin-by-bin.  The overflow variant runs the
 same sequences through a deliberately tiny journal so the wrap/fallback
 path gets the same hammering as the happy path.  The views derived from
 a patched namespace (path lookups, the raw and Win32 file views) are
-held to the same standard, in order, on a disk and on its clone.
+held to the same standard, in order, on a disk and on its clone.  The
+"forge" op raw-writes a FILE record whose header claims another slot's
+number: cold and patched parses both key records by slot.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from repro.core.scanners.files import outside_file_scan
 from repro.disk import ChangeJournal, Disk, DiskGeometry
 from repro.errors import FileNotFound, VolumeError
 from repro.ntfs import NtfsVolume
+from repro.ntfs import constants as c
 from repro.ntfs.mft_parser import _NAMESPACE_CACHE_KEY, MftParser
+from repro.ntfs.records import FileName, MftRecord
 from repro.registry import hive_parser
 from repro.registry.hive import Hive
 
@@ -41,6 +45,8 @@ file_op = st.one_of(
               st.integers(1, 64)),             # (op, slot, ads size)
     st.tuples(st.just("movedir"), st.integers(0, 1),
               st.just(0)),                     # rename \docs\deep
+    st.tuples(st.just("forge"), st.integers(0, _SLOTS - 1),
+              st.integers(0, _SLOTS - 1)),     # (op, slot, claimed slot)
 )
 file_ops = st.lists(file_op, min_size=1, max_size=12)
 # (op, derive the file views after it?): skipping the views lets the
@@ -102,6 +108,21 @@ class _Mutator:
             for slot, path in self.paths.items():
                 if path.startswith(source + "\\"):
                     self.paths[slot] = target + path[len(source):]
+        elif op == "forge":
+            # Into a free slot the volume never allocates, under \docs,
+            # claiming a live file's record number (or the root's); the
+            # name may collide with a live file's.
+            claimed = (self.volume.stat(self.paths[arg]).record_no
+                       if arg in self.paths else c.RECORD_ROOT)
+            parent = self.volume.stat("\\docs").record_no
+            record = MftRecord(
+                record_no=claimed, flags=c.FLAG_IN_USE,
+                file_name=FileName(c.make_file_reference(parent, 1),
+                                   f"slot-{slot}.bin"))
+            forged = self.volume.max_records - 1 - slot
+            self.volume.disk.write_bytes(
+                self.volume.mft_offset + forged * c.MFT_RECORD_SIZE,
+                record.to_bytes())
 
 
 def _warm(disk):
