@@ -35,7 +35,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Tuple, Union
-from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
@@ -130,20 +129,31 @@ def golden_machine(file_count: int) -> Machine:
     return machine
 
 
-def clone_factory(golden: Machine, count: int, infected=None):
+def private_copy(disk: Disk) -> Disk:
+    """A full private copy of ``disk``: a fresh disk holding every
+    written sector, sharing no copy-on-write base."""
+    copy = Disk(disk.geometry)
+    for index, data in disk.written_sectors():
+        copy.write_sector(index, data)
+    return copy
+
+
+def clone_factory(golden: Machine, count: int, infected=None,
+                  image=Disk.clone):
     """A by-name factory of booted ``golden`` clones, and its roster.
 
-    ``fleet-NN`` is clone NN, with HackerDefender if NN is ``infected``
-    (default: three, spread out).  The distributed arms ship names and
-    each forked agent rebuilds the clone the single-process arm holds
-    (``fork`` shares the golden image copy-on-write, so clones are cheap).
+    ``fleet-NN`` is clone NN, imaged by ``image(golden.disk)``, with
+    HackerDefender if NN is ``infected`` (default: three, spread out).
+    The distributed arms ship names and each forked agent rebuilds the
+    clone the single-process arm holds (``fork`` shares the golden image
+    copy-on-write, so clones are cheap).
     """
     if infected is None:
         infected = range(0, count, max(1, count // 3))[:3]
     infected = frozenset(infected)
 
     def factory(name):
-        machine = Machine(name, disk=golden.disk.clone(), max_records=8192)
+        machine = Machine(name, disk=image(golden.disk), max_records=8192)
         machine.boot()
         if int(name.rsplit("-", 1)[1]) in infected:
             HackerDefender().install(machine)
@@ -152,8 +162,9 @@ def clone_factory(golden: Machine, count: int, infected=None):
     return factory, [f"fleet-{index:02d}" for index in range(count)]
 
 
-def cloned_fleet(golden: Machine, count: int, infected=None) -> list:
-    factory, roster = clone_factory(golden, count, infected)
+def cloned_fleet(golden: Machine, count: int, infected=None,
+                 image=Disk.clone) -> list:
+    factory, roster = clone_factory(golden, count, infected, image)
     return [factory(name) for name in roster]
 
 
@@ -461,33 +472,27 @@ def per_slot_reader(volume):
 def bench_cold_parse_zero_copy(file_count: int) -> dict:
     """Batched zero-copy cold parse vs a per-slot read strawman.
 
-    Two machines are built identically at Machine defaults (65536 MFT
-    record slots), one on each backend.  The per-slot arm parses the
-    sparse twin through :func:`per_slot_reader`, a bare callable that
-    serves the parser's one region request as one ``read_bytes``
-    round-trip per record slot — what the parser's retired per-slot
-    walk issued.  The zero-copy arm parses the flat twin through the
-    disk itself: one batched region view, ``struct.unpack_from`` all
-    the way down.  The "namespace identical" gate checks that both
-    arms parse one namespace.  Both arms finish with cold parses of
-    every registry hive, so the figure is the full truth re-derivation
-    a cache miss pays.
+    One machine is built at Machine defaults (65536 MFT record slots).
+    The per-slot arm parses it through :func:`per_slot_reader`, a bare
+    callable that serves the parser's one region request as one
+    ``read_bytes`` round-trip per record slot — what the parser's
+    retired per-slot walk issued.  The zero-copy arm parses it through
+    the disk itself: one batched region view, ``struct.unpack_from`` all
+    the way down.  The "namespace identical" gate checks that both arms
+    parse one namespace.  Both arms finish with cold parses of every
+    registry hive, so the figure is the full truth re-derivation a cache
+    miss pays.
     """
-    machines = {}
-    for backend in ("sparse", "flat"):
-        machines[backend] = Machine(
-            "zc-" + backend,
-            disk=Disk(DiskGeometry.from_megabytes(512), backend=backend))
-        populate_machine(machines[backend], file_count=file_count,
-                         registry_scale=200, seed=7)
-    legacy_disk, zero_disk = machines["sparse"].disk, machines["flat"].disk
+    machine = Machine("zc", disk_mb=512)
+    populate_machine(machine, file_count=file_count, registry_scale=200,
+                     seed=7)
 
     def parser(legacy: bool) -> MftParser:
-        return (MftParser(per_slot_reader(machines["sparse"].volume))
-                if legacy else MftParser(zero_disk.read_bytes))
+        return MftParser(per_slot_reader(machine.volume) if legacy
+                         else machine.disk.read_bytes)
 
     def cold_derivation(legacy: bool) -> None:
-        clear_caches(legacy_disk if legacy else zero_disk)
+        clear_caches(machine.disk)
         cold = parser(legacy)
         cold.parse()
         for hive_file in HIVE_FILES.values():
@@ -500,54 +505,44 @@ def bench_cold_parse_zero_copy(file_count: int) -> dict:
     namespace_identical = (
         sorted(parser(True).parse(), key=lambda item: item.record_no)
         == sorted(parser(False).parse(), key=lambda item: item.record_no))
-    for machine in machines.values():
-        machine.boot()
-        HackerDefender().install(machine)
     return {
-        "mft_slots": machines["flat"].volume.max_records,
+        "mft_slots": machine.volume.max_records,
         "legacy_cold_s": legacy_s,
         "zero_copy_cold_s": zero_s,
         "speedup": legacy_s / zero_s,
         "namespace_identical": namespace_identical,
-        "reports_identical": (
-            finding_identities(GhostBuster(machines["sparse"]).detect())
-            == finding_identities(GhostBuster(machines["flat"]).detect())),
     }
 
 
 def bench_memory_ceiling(fleet_size: int, file_count: int) -> dict:
     """Machines-per-GB: COW fleet vs deep-copied clones, same verdicts.
 
-    Both fleets are imaged from identically built goldens (one per
-    backend) and diverge the same two clean clones with private writes.
-    On the flat backend every clone shares one sealed golden extent and
-    pays only its divergence; on the sparse backend every clone
-    deep-copies the sector dict.  One coordinator epoch over each fleet
-    must convict the same machines on the same evidence.
+    Both fleets are imaged from one golden and diverge the same two
+    clean clones with private writes.  Every COW clone shares the sealed
+    golden extent and pays only its divergence; every deep-copied clone
+    is a :func:`private_copy` of the golden disk.  One coordinator epoch
+    over each fleet must convict the same machines on the same evidence.
     """
-    def provision(backend: str):
-        golden = Machine("ceil-" + backend,
-                         disk=Disk(DiskGeometry.from_megabytes(512),
-                                   backend=backend),
-                         max_records=8192)
-        # A content-heavy golden image and modest hives: every clone's
-        # unavoidable divergence is its registry remount, so the density
-        # a COW fleet can reach is golden footprint over hive churn.
-        populate_machine(golden, file_count=file_count,
-                         registry_scale=20, seed=7)
-        for index in range(file_count):
-            golden.volume.create_file(
-                f"\\Program Files\\image{index:04d}.bin",
-                bytes([index % 251]) * 4096)
-        fleet = cloned_fleet(golden, fleet_size)
+    golden = Machine("ceil", disk_mb=512, max_records=8192)
+    # A content-heavy golden image and modest hives: every clone's
+    # unavoidable divergence is its registry remount, so the density a
+    # COW fleet can reach is golden footprint over hive churn.
+    populate_machine(golden, file_count=file_count, registry_scale=20,
+                     seed=7)
+    for index in range(file_count):
+        golden.volume.create_file(f"\\Program Files\\image{index:04d}.bin",
+                                  bytes([index % 251]) * 4096)
+
+    def provision(image):
+        fleet = cloned_fleet(golden, fleet_size, image=image)
         for machine in fleet[1:3]:
             machine.volume.create_file(
                 f"\\Temp\\diverge-{machine.name}.bin", b"D" * 4096)
         return fleet
 
-    cow_fleet = provision("flat")
+    cow_fleet = provision(Disk.clone)
     cow = fleet_storage_stats(cow_fleet)
-    deep_fleet = provision("sparse")
+    deep_fleet = provision(private_copy)
     deep = fleet_storage_stats(deep_fleet)
     cow_per_gb = fleet_size / (cow["total_bytes"] / float(1 << 30))
     deep_per_gb = fleet_size / (deep["total_bytes"] / float(1 << 30))
@@ -794,19 +789,16 @@ def replay_trace(trace_path: Path):
 
 
 def bench_trace_replay(fleet_size: int, epochs: int) -> dict:
-    """Record a sweep trace once and replay it on both disk backends.
+    """Record a sweep trace once and replay it twice.
 
-    A trace is the operator's one-command reproduction of a sweep, so a
-    replay must convict the same machines and write a byte-identical
-    epochs journal whichever backend it runs on.
+    A trace is the operator's one-command reproduction of a sweep, so
+    every replay must convict the same machines and write a
+    byte-identical epochs journal.
     """
     with tempfile.TemporaryDirectory(prefix="gb-bench-") as tdir:
         trace_path = Path(tdir) / "sweep.trace.jsonl"
         recorded = record_trace(trace_path, fleet_size, epochs)
-        runs = [recorded]
-        for backend in ("flat", "sparse"):
-            with mock.patch.dict(os.environ, REPRO_DISK_BACKEND=backend):
-                runs.append(replay_trace(trace_path))
+        runs = [recorded] + [replay_trace(trace_path) for __ in range(2)]
     return {
         "trace_digest": recorded.trace_digest,
         "trace_digests_identical":
@@ -900,8 +892,7 @@ def bench_stealth_campaign(fleet_size: int, epochs: int,
                            workers: int) -> dict:
     """The headline curve: precision/recall per stealth level, two arms.
 
-    Also re-runs the defended ``high`` arm twice and once on the other
-    disk backend to gate campaign determinism.
+    Also re-runs the defended ``high`` arm to gate campaign determinism.
     """
     def arm(level, defended=True):
         return _campaign_run(fleet_size, level, epochs, defended, workers)
@@ -911,10 +902,6 @@ def bench_stealth_campaign(fleet_size: int, epochs: int,
              for level in ("off", "low", "medium", "high", "maximum")]
     by_level = {point["level"]: point for point in curve}
     rerun = arm("high")
-    other = ("sparse" if (os.environ.get("REPRO_DISK_BACKEND") or "flat")
-             == "flat" else "flat")
-    with mock.patch.dict(os.environ, REPRO_DISK_BACKEND=other):
-        cross = arm("high")
     reference = by_level["high"]["defended"]["verdict_maps"]
     for point in curve:   # the maps did their job; keep the JSON small
         for side in ("naive", "defended"):
@@ -936,8 +923,6 @@ def bench_stealth_campaign(fleet_size: int, epochs: int,
             for level in ("high", "maximum")),
         "determinism": {
             "runs_identical": reference == rerun["verdict_maps"],
-            "backends_identical": reference == cross["verdict_maps"],
-            "other_backend": other,
         },
     }
 
@@ -1021,8 +1006,7 @@ EXPERIMENTS = (
         "cold_parse_zero_copy", bench_cold_parse_zero_copy,
         smoke=dict(file_count=120), full=dict(file_count=1000),
         gates=(("zero-copy parse namespace identical",
-                "namespace_identical"),
-               ("zero-copy parse reports identical", "reports_identical")),
+                "namespace_identical"),),
         floors=(("cold zero-copy parse >= 5x",
                  lambda r: r["speedup"] >= 5),)),
     Experiment(
@@ -1074,7 +1058,7 @@ EXPERIMENTS = (
         full=dict(fleet_size=20, epochs=2),
         gates=(("trace replay verdicts element-identical",
                 "verdicts_identical"),
-               ("trace replay journals byte-identical across backends",
+               ("trace replay journals byte-identical across replays",
                 "journal_digests_identical"),
                ("trace replay digests identical", "trace_digests_identical"),
                ("trace replay infection detected and identical",
@@ -1094,9 +1078,7 @@ EXPERIMENTS = (
                ("stealth campaign alerts deduped across rotated "
                 "identities", "campaign_alerts_deduped"),
                ("stealth campaigns deterministic across runs",
-                lambda r: r["determinism"]["runs_identical"]),
-               ("stealth campaigns deterministic across disk backends",
-                lambda r: r["determinism"]["backends_identical"])),
+                lambda r: r["determinism"]["runs_identical"]),),
         flag="--stealth-campaign",
         render=lambda r: render_stealth_curve({"stealth_campaign": r})),
     Experiment(

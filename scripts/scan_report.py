@@ -163,11 +163,8 @@ def render_stealth_curve(payload: dict) -> str:
             + (f"{probe:>6.2f}" if probe is not None else f"{'n/a':>6}"))
     determinism = stealth.get("determinism", {})
     if determinism:
-        lines.append(
-            f"determinism: reruns identical "
-            f"{determinism.get('runs_identical')}, "
-            f"{determinism.get('other_backend', 'other')} backend "
-            f"identical {determinism.get('backends_identical')}")
+        lines.append(f"determinism: reruns identical "
+                     f"{determinism.get('runs_identical')}")
     return "\n".join(lines)
 
 

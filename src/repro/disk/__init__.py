@@ -6,11 +6,9 @@ reads it directly, below every hookable software layer.
 """
 
 from repro.disk.geometry import DiskGeometry
-from repro.disk.backends import (FlatExtentBackend, SparseDictBackend,
-                                 StorageStats, make_backend)
+from repro.disk.backends import FlatExtentBackend, StorageStats
 from repro.disk.disk import Disk
 from repro.disk.journal import ChangeJournal, JournalRecord
 
 __all__ = ["DiskGeometry", "Disk", "ChangeJournal", "JournalRecord",
-           "SparseDictBackend", "FlatExtentBackend", "StorageStats",
-           "make_backend"]
+           "FlatExtentBackend", "StorageStats"]

@@ -1,18 +1,15 @@
-"""Pluggable disk storage backends.
+"""The disk's byte store: one flat extent with zero-copy views.
 
-Two implementations sit behind :class:`repro.disk.disk.Disk`:
+:class:`FlatExtentBackend` is the only store behind
+:class:`repro.disk.disk.Disk`: one contiguous extent (a ``bytearray``,
+spilling to an anonymous mmap-backed temp file past
+:data:`DEFAULT_SPILL_BYTES`) that grows to the highest written offset.
+Byte-range reads are single slices, and
+:meth:`FlatExtentBackend.read_view` exposes the underlying buffer as a
+**zero-copy** :class:`memoryview` so batch parsers walk disk structures
+without materializing intermediate ``bytes``.
 
-* :class:`SparseDictBackend` — the original dict-of-sectors store.  Pays
-  per written sector, ideal for tiny fixtures with huge nominal
-  geometries, but every byte-range read joins per-sector copies.
-* :class:`FlatExtentBackend` — one contiguous extent (a ``bytearray``,
-  spilling to an anonymous mmap-backed temp file past a threshold) that
-  grows to the highest written offset.  Byte-range reads are single
-  slices, and :meth:`FlatExtentBackend.read_view` exposes the underlying
-  buffer as a **zero-copy** :class:`memoryview` so batch parsers walk
-  disk structures without materializing intermediate ``bytes``.
-
-The flat backend is also where copy-on-write cloning lives: the first
+Copy-on-write cloning lives here too: the first
 :meth:`~FlatExtentBackend.clone` *seals* the extent into an immutable
 shared base, and both the original and every clone switch to overlay
 mode — a dict of privately rewritten sectors over the read-only base.
@@ -26,10 +23,10 @@ shadow it) and never resize a buffer with exported views (growth copies
 into a fresh buffer instead), so stale views remain safely readable —
 they are just no longer the disk's current content.
 
-Backends hold bytes only.  Bounds checks, the generation counter, the
-change journal and the fault-injector hook all stay in ``Disk``; backend
-behaviour is byte-for-byte identical across implementations (property
-tested in ``tests/test_disk_backends.py``).
+The store holds bytes only.  Bounds checks, the generation counter, the
+change journal and the fault-injector hook all stay in ``Disk``.
+``tests/test_disk_backends.py`` keeps a dict-of-sectors reference model
+and property-tests ``Disk`` against it, clones included.
 """
 
 from __future__ import annotations
@@ -45,9 +42,8 @@ except ImportError:          # pragma: no cover - mmap is stdlib everywhere
 
 from repro.disk.geometry import DiskGeometry
 
-# Extent bytes past which the flat backend spills from a heap bytearray
-# to an unlinked mmap-backed temp file (overridable per backend and via
-# REPRO_DISK_SPILL_BYTES).
+# Extent bytes past which the extent spills from a heap bytearray to an
+# unlinked mmap-backed temp file.
 DEFAULT_SPILL_BYTES = 64 * 1024 * 1024
 _MIN_EXTENT = 1 << 16
 
@@ -68,63 +64,6 @@ class StorageStats(NamedTuple):
     @property
     def total_bytes(self) -> int:
         return self.shared_bytes + self.private_bytes
-
-
-class SparseDictBackend:
-    """Dict-of-sectors storage; absent sectors read as zeros."""
-
-    name = "sparse"
-
-    def __init__(self, geometry: DiskGeometry):
-        self._geometry = geometry
-        self._sectors: Dict[int, bytes] = {}
-
-    def read_sector(self, index: int) -> bytes:
-        return self._sectors.get(index,
-                                 b"\x00" * self._geometry.sector_size)
-
-    def write_sector(self, index: int, data: bytes) -> None:
-        self._sectors[index] = bytes(data)
-
-    def read_range(self, offset: int, length: int) -> bytes:
-        sector_size = self._geometry.sector_size
-        first = offset // sector_size
-        last = (offset + length - 1) // sector_size
-        get = self._sectors.get
-        zero = b"\x00" * sector_size
-        blob = b"".join([get(i, zero) for i in range(first, last + 1)])
-        start = offset - first * sector_size
-        return blob[start:start + length]
-
-    def read_view(self, offset: int, length: int) -> memoryview:
-        # No contiguous buffer exists; the "view" is a one-off copy.
-        return memoryview(self.read_range(offset, length))
-
-    def write_range(self, offset: int, data: bytes) -> None:
-        sector_size = self._geometry.sector_size
-        length = len(data)
-        first = offset // sector_size
-        last = (offset + length - 1) // sector_size
-        blob = bytearray(b"".join(self.read_sector(i)
-                                  for i in range(first, last + 1)))
-        start = offset - first * sector_size
-        blob[start:start + length] = data
-        for pos, index in enumerate(range(first, last + 1)):
-            self._sectors[index] = bytes(
-                blob[pos * sector_size:(pos + 1) * sector_size])
-
-    def written_sectors(self) -> Iterator[Tuple[int, bytes]]:
-        for index in sorted(self._sectors):
-            yield index, self._sectors[index]
-
-    def storage_stats(self) -> StorageStats:
-        return StorageStats(
-            0, len(self._sectors) * self._geometry.sector_size)
-
-    def clone(self) -> "SparseDictBackend":
-        copy = SparseDictBackend(self._geometry)
-        copy._sectors = dict(self._sectors)
-        return copy
 
 
 class _SpillFile:
@@ -190,15 +129,8 @@ class FlatExtentBackend:
     the overlay over the immutable base.
     """
 
-    name = "flat"
-
-    def __init__(self, geometry: DiskGeometry,
-                 spill_bytes: Optional[int] = None):
+    def __init__(self, geometry: DiskGeometry):
         self._geometry = geometry
-        if spill_bytes is None:
-            spill_bytes = int(os.environ.get("REPRO_DISK_SPILL_BYTES",
-                                             DEFAULT_SPILL_BYTES))
-        self._spill_bytes = spill_bytes
         self._buf = bytearray()
         self._extent = 0
         self._written: set = set()
@@ -221,7 +153,7 @@ class FlatExtentBackend:
         target = max(end, self._extent * 2, _MIN_EXTENT)
         target = min(self._geometry.size_bytes,
                      -(-target // sector_size) * sector_size)
-        if _mmap is not None and target > self._spill_bytes:
+        if _mmap is not None and target > DEFAULT_SPILL_BYTES:
             spill = self._spill or _SpillFile()
             grown = spill.map(target)
             grown[0:self._extent] = self._buf[0:self._extent]
@@ -382,29 +314,10 @@ class FlatExtentBackend:
             self._written = set()
             self._retired_maps = []
             self._spill = None
-        copy = FlatExtentBackend(self._geometry,
-                                 spill_bytes=self._spill_bytes)
+        copy = FlatExtentBackend(self._geometry)
         copy._base = self._base
         copy._overlay = dict(self._overlay)
         copy._overlay_low = self._overlay_low
         copy._overlay_high = self._overlay_high
         return copy
 
-
-BACKENDS = {
-    SparseDictBackend.name: SparseDictBackend,
-    FlatExtentBackend.name: FlatExtentBackend,
-}
-
-DEFAULT_BACKEND = FlatExtentBackend.name
-
-
-def make_backend(name: Optional[str], geometry: DiskGeometry):
-    """Instantiate a backend by name (None → env / default selection)."""
-    if name is None:
-        name = os.environ.get("REPRO_DISK_BACKEND", DEFAULT_BACKEND)
-    factory = BACKENDS.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown disk backend {name!r} (have {sorted(BACKENDS)})")
-    return factory(geometry)

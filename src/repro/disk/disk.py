@@ -6,17 +6,16 @@ hook points: code holding a :class:`Disk` reference reads ground truth.
 Interceptable *raw device* access inside a potentially infected OS is
 modelled one layer up, by :class:`repro.kernel.kernel.DiskPort`.
 
-Byte storage itself is pluggable (see :mod:`repro.disk.backends`): the
-sparse dict-of-sectors backend suits tiny fixtures with huge nominal
-geometries; the flat extent backend serves contiguous zero-copy
-``memoryview`` reads and copy-on-write clones for fleet imaging.
+The bytes live in one flat extent (see :mod:`repro.disk.backends`),
+which serves contiguous zero-copy ``memoryview`` reads and
+copy-on-write clones for fleet imaging.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple, Union
+from typing import Dict, Iterator, Tuple
 
-from repro.disk.backends import StorageStats, make_backend
+from repro.disk.backends import FlatExtentBackend, StorageStats
 from repro.disk.geometry import DiskGeometry
 from repro.disk.journal import ChangeJournal
 from repro.errors import DiskError
@@ -36,18 +35,11 @@ class Disk:
     a consumer holding a stale cached view can repair just the derived
     state those sectors back — or learn that the journal wrapped and a
     full rebuild is owed (see :mod:`repro.disk.journal`).
-
-    ``backend`` selects the storage implementation by name (``"sparse"``
-    or ``"flat"``), by instance, or — when ``None`` — from the
-    ``REPRO_DISK_BACKEND`` environment variable (default ``"flat"``).
     """
 
-    def __init__(self, geometry: DiskGeometry,
-                 backend: Union[str, None, object] = None):
+    def __init__(self, geometry: DiskGeometry):
         self.geometry = geometry
-        if backend is None or isinstance(backend, str):
-            backend = make_backend(backend, geometry)
-        self._backend = backend
+        self._backend = FlatExtentBackend(geometry)
         self.generation: int = 0
         self.raw_cache: Dict[str, tuple] = {}
         self.journal = ChangeJournal()
@@ -55,10 +47,6 @@ class Disk:
         # byte-level read flows through it (transient errors, torn
         # sectors, slow reads).  None — the default — costs one check.
         self.fault_injector = None
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
 
     # -- sector-level interface -------------------------------------------
 
@@ -102,8 +90,8 @@ class Disk:
         """Read a byte range as a memoryview — zero-copy where possible.
 
         The view reflects disk content *as of this call* and is only
-        guaranteed current until the next write; backends never mutate a
-        buffer under an exported view, so stale views stay readable.
+        guaranteed current until the next write; the extent never mutates
+        a buffer under an exported view, so stale views stay readable.
         With a fault injector attached the read is routed through
         :meth:`read_bytes` so injected damage is byte-identical on both
         paths.
@@ -155,15 +143,16 @@ class Disk:
     def clone(self) -> "Disk":
         """Copy the disk (used to snapshot a VM's virtual drive).
 
-        On the flat backend this is copy-on-write: the clone and the
-        original share one sealed base extent and each pays only for the
-        sectors it rewrites.  The clone inherits the generation counter
-        and the current cache entries: a fleet of machines imaged from
-        one golden disk shares the golden parse until any clone diverges
-        (its own writes bump its own generation, which invalidates its
-        inherited entries).
+        This is copy-on-write: the clone and the original share one
+        sealed base extent and each pays only for the sectors it
+        rewrites.  The clone inherits the generation counter and the
+        current cache entries: a fleet of machines imaged from one golden
+        disk shares the golden parse until any clone diverges (its own
+        writes bump its own generation, which invalidates its inherited
+        entries).
         """
-        copy = Disk(self.geometry, backend=self._backend.clone())
+        copy = Disk(self.geometry)
+        copy._backend = self._backend.clone()
         copy.generation = self.generation
         copy.raw_cache = dict(self.raw_cache)
         copy.journal = self.journal.clone()

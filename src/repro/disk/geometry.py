@@ -11,8 +11,9 @@ SECTOR_SIZE = 512
 class DiskGeometry:
     """Immutable description of a virtual disk's shape.
 
-    ``sector_count`` bounds the addressable space; storage is sparse, so a
-    large nominal geometry costs nothing until sectors are written.
+    ``sector_count`` bounds the addressable space; storage grows to the
+    highest written offset, so a large nominal geometry costs nothing
+    until sectors are written.
     """
 
     sector_count: int

@@ -3,9 +3,9 @@
 The RIS-style deployments the paper sweeps (Section 5) start every
 client from one golden disk image.  :func:`clone_fleet` materializes
 that: each machine boots a :meth:`~repro.disk.disk.Disk.clone` of the
-golden disk, which on the flat backend is copy-on-write — the whole
-fleet shares a single sealed base extent and each clone pays only for
-the sectors it diverges (its own registry churn, an infection, ...).
+golden disk, which is copy-on-write — the whole fleet shares a single
+sealed base extent and each clone pays only for the sectors it diverges
+(its own registry churn, an infection, ...).
 
 :func:`fleet_storage_stats` is the accounting counterpart: summing
 ``disk.used_bytes()`` across a COW fleet would multiply the shared base

@@ -24,6 +24,8 @@ from repro.winapi.services import TYPE_SERVICE
 EXE_PATH = "\\Windows\\deepghost.exe"
 SERVICE_NAME = "DeepGhost"
 TOKEN = "deepghost"
+# Bytes of a filtered read lowercased at a time by the MFT scrub.
+_SEARCH_WINDOW = 1 << 16
 
 
 class LowLevelInterferenceGhost(Ghostware):
@@ -70,30 +72,46 @@ class LowLevelInterferenceGhost(Ghostware):
         self._scrub_hive_reads(machine)
 
     def _scrub_mft_reads(self, machine: Machine) -> None:
+        """Zero every record slot of a read that names our token.
+
+        A slot (clamped to the read window, from the MFT's start on)
+        is zeroed when its bytes hold the UTF-16 token in any ASCII
+        case; a match straddling two slots zeroes neither.  The read is
+        searched without a per-slot loop and copied only when a slot must
+        be zeroed.
+        """
         volume = machine.volume
         mft_start = volume.mft_offset
         mft_end = mft_start + volume.max_records * MFT_RECORD_SIZE
         needle = TOKEN.encode("utf-16-le")
-        needle_upper = TOKEN.capitalize().encode("utf-16-le")
+        overlap = len(needle) - 1
+
+        def matches(data: bytes):
+            """Start offsets of the token in any ASCII case.  Lowercased
+            a window at a time, so no region-sized copy is made."""
+            for base in range(0, len(data), _SEARCH_WINDOW):
+                window = data[base:base + _SEARCH_WINDOW + overlap].lower()
+                at = window.find(needle)
+                while 0 <= at < _SEARCH_WINDOW:
+                    yield base + at
+                    at = window.find(needle, at + 1)
 
         def scrub(offset: int, length: int, data: bytes) -> bytes:
             if offset >= mft_end or offset + length <= mft_start:
                 return data
-            view = bytearray(data)
-            # Walk record-aligned slices overlapping the MFT region.
-            first_record = max(0, (offset - mft_start) // MFT_RECORD_SIZE)
-            last_record = (offset + length - 1 - mft_start) \
-                // MFT_RECORD_SIZE
-            for record_no in range(first_record, last_record + 1):
-                record_offset = mft_start + record_no * MFT_RECORD_SIZE
-                lo = max(record_offset, offset)
-                hi = min(record_offset + MFT_RECORD_SIZE, offset + length)
-                if lo >= hi:
+            scrubbed = None
+            for start in matches(data):
+                slot = (offset + start - mft_start) // MFT_RECORD_SIZE
+                if slot < 0 or slot != (offset + start + overlap
+                                        - mft_start) // MFT_RECORD_SIZE:
                     continue
-                chunk = bytes(view[lo - offset:hi - offset])
-                if needle in chunk.lower() or needle_upper in chunk:
-                    view[lo - offset:hi - offset] = b"\x00" * (hi - lo)
-            return bytes(view)
+                lo = max(mft_start + slot * MFT_RECORD_SIZE - offset, 0)
+                hi = min(mft_start + (slot + 1) * MFT_RECORD_SIZE - offset,
+                         length)
+                if scrubbed is None:
+                    scrubbed = bytearray(data)
+                scrubbed[lo:hi] = bytes(hi - lo)
+            return data if scrubbed is None else scrubbed
 
         scrub.audit_owner = self.name
         machine.kernel.disk_port.read_filters.append(scrub)

@@ -119,6 +119,10 @@ class NtfsVolume:
         through the raw parser's one region walk.  Records are keyed by
         the slot they sit in; a header claiming another slot's number is
         rewritten to its slot when the volume next flushes the record.
+        Two in-use records naming one entry (a raw write can make them)
+        resolve as the raw parser's key index does: the first in slot
+        order holds the name, and the later one stays in use on disk but
+        out of the API namespace.
         """
         from repro.ntfs.mft_parser import MftParser  # cycle-free at runtime
 
@@ -143,8 +147,12 @@ class NtfsVolume:
                 continue
             parent_no, __ = c.split_file_reference(
                 record.file_name.parent_reference)
-            volume._children.setdefault(
-                parent_no, DirectoryIndex()).add(record.file_name.name, slot)
+            try:
+                volume._children.setdefault(
+                    parent_no, DirectoryIndex()).add(record.file_name.name,
+                                                     slot)
+            except FileExists:
+                continue
             volume._parents[slot] = parent_no
         volume._next_cluster = highest_cluster + 1
         return volume

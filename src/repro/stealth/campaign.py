@@ -25,7 +25,7 @@ Event actions
 
 All randomness is drawn from streams keyed on
 ``{seed}:{purpose}:{strain}:{machine}:{epoch}``, so event lists are
-order-independent and identical across runs and disk backends.
+order-independent and identical across runs.
 """
 
 from __future__ import annotations

@@ -36,23 +36,24 @@ from repro.telemetry.tracer import (NULL_TRACER, NullTracer, Span, Tracer)
 
 
 class Telemetry:
-    """One scan's observability bundle: tracer + metrics + audit log."""
+    """One scan's observability bundle: tracer + audit log.
 
-    def __init__(self, tracer=None, metrics=None, audit=None):
+    Counters are process-wide, in :func:`global_metrics`.
+    """
+
+    def __init__(self, tracer=None, audit=None):
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else global_metrics()
         self.audit = audit
 
     @classmethod
     def disabled(cls) -> "Telemetry":
-        """The default: no-op tracer, global metrics, no audit log."""
+        """The default: no-op tracer, no audit log."""
         return cls()
 
     @classmethod
-    def enabled(cls, clock=None, metrics=None) -> "Telemetry":
-        """Full observability: real tracer, audit log, (global) metrics."""
-        return cls(tracer=Tracer(clock=clock), metrics=metrics,
-                   audit=AuditLog())
+    def enabled(cls, clock=None) -> "Telemetry":
+        """Full observability: real tracer and audit log."""
+        return cls(tracer=Tracer(clock=clock), audit=AuditLog())
 
     @property
     def is_enabled(self) -> bool:

@@ -43,15 +43,6 @@ def current_audit():
     return None if ctx is None else ctx.audit
 
 
-def current_metrics():
-    """The active bundle's metrics registry, or the global one."""
-    ctx = getattr(_tls, "ctx", None)
-    if ctx is None:
-        from repro.telemetry.metrics import global_metrics
-        return global_metrics()
-    return ctx.metrics
-
-
 @contextmanager
 def activated(ctx):
     """Make ``ctx`` the thread's telemetry for the duration (re-entrant)."""

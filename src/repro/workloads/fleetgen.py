@@ -11,9 +11,9 @@ epoch, spread rate).
 Everything is derived from per-stream ``random.Random(f"{seed}:...")``
 generators — never the global ``random`` module, never dict order — so
 the same profile reproduces byte-identical disks and the same epoch
-schedule in every process, on every disk backend.  That determinism is
-what the sweep-trace record/replay layer (:mod:`repro.workloads.traces`)
-and the seed-stability regression tests build on.
+schedule in every process.  That determinism is what the sweep-trace
+record/replay layer (:mod:`repro.workloads.traces`) and the
+seed-stability regression tests build on.
 """
 
 from __future__ import annotations

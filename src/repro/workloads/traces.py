@@ -1,4 +1,4 @@
-"""Sweep trace record/replay: identical workloads across PRs and backends.
+"""Sweep trace record/replay: identical workloads across PRs and runs.
 
 Perf numbers are only comparable when the workload is literally the
 same, so a :data:`trace <TRACE_VERSION>` is a JSONL journal (written
@@ -21,8 +21,7 @@ the same seed), applies each epoch's recorded events verbatim, and runs
 the same :class:`~repro.fleet.coordinator.FleetCoordinator` epochs.
 With no ambient chaos plan, two replays of one trace produce
 element-identical verdicts *and* byte-identical ``epochs.jsonl``
-journals — across disk backends too, since nothing here touches the
-extent layout.  (Under a process-wide chaos plan the per-site fault
+journals.  (Under a process-wide chaos plan the per-site fault
 streams keep their draw positions across runs in the same process, so
 only the semantic verdict keys are comparable — same caveat as the
 coordinator's resume guarantee.)

@@ -1,10 +1,14 @@
-"""Storage-backend equivalence, COW cloning, and filter-token tests.
+"""The disk's byte store against its reference model, COW cloning, and
+filter-token tests.
 
-The flat extent backend must be observably identical to the sparse dict
-backend through the whole ``Disk`` contract — reads, views, generations,
-journal records, written-sector enumeration — including across clones
-and under chaos.  The property test drives both backends with the same
-randomized operation sequence and compares everything the API exposes.
+``Disk`` keeps its bytes in one flat extent (zero-copy views,
+copy-on-write clones, mmap spill).  :class:`SectorModel` below is the
+obviously correct store it must match: a dict of sectors, absent ones
+zero.  The property test drives ``Disk`` lineages — clones included,
+each write landing on one member — and the model with the same random
+operations, and compares everything the API exposes: reads, views,
+written-sector enumeration, the full image, and the generation and
+journal records the applied writes imply.
 """
 
 import mmap
@@ -13,14 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GhostBuster
 from repro.core.scanners.files import low_level_file_scan
-from repro.disk import Disk, DiskGeometry, FlatExtentBackend
+from repro.disk import Disk, DiskGeometry, JournalRecord, backends
 from repro.errors import DiskError
 from repro.faults.injectors import DiskFaultInjector
 from repro.faults.plan import SITE_DISK_READ, FaultPlan, FaultSpec
 from repro.fleet import clone_fleet, fleet_storage_stats
-from repro.ghostware import HackerDefender
 from repro.kernel.kernel import FilterStack
 from repro.machine import Machine
 from repro.ntfs.mft_parser import MftParser
@@ -28,17 +30,74 @@ from repro.workloads import populate_machine
 
 _GEOM = DiskGeometry.from_megabytes(1)
 _MAX = _GEOM.size_bytes
+_SECTOR = _GEOM.sector_size
+_LINEAGE = 4
 
-_op_write = st.tuples(st.just("write"), st.integers(0, _MAX - 2049),
-                      st.binary(min_size=1, max_size=2048))
-_op_sector = st.tuples(st.just("sector"),
+
+class SectorModel:
+    """Reference store: a dict of sectors, absent sectors read as zeros.
+
+    It also logs the journal record each applied write implies, so the
+    expected generation is the number of records.
+    """
+
+    def __init__(self):
+        self.sectors = {}
+        self.records = []
+
+    def clone(self):
+        copy = SectorModel()
+        copy.sectors = dict(self.sectors)
+        copy.records = list(self.records)
+        return copy
+
+    def _log(self, first, count, kind):
+        self.records.append(
+            JournalRecord(len(self.records) + 1, first, count, kind))
+
+    def read_bytes(self, offset, length):
+        first = offset // _SECTOR
+        last = (offset + length - 1) // _SECTOR
+        zero = bytes(_SECTOR)
+        blob = b"".join(self.sectors.get(index, zero)
+                        for index in range(first, last + 1))
+        start = offset - first * _SECTOR
+        return blob[start:start + length]
+
+    def write_sector(self, index, data):
+        self.sectors[index] = data
+        self._log(index, 1, "sector")
+
+    def write_bytes(self, offset, data):
+        if not data:
+            return
+        first = offset // _SECTOR
+        last = (offset + len(data) - 1) // _SECTOR
+        blob = bytearray(self.read_bytes(first * _SECTOR,
+                                         (last - first + 1) * _SECTOR))
+        start = offset - first * _SECTOR
+        blob[start:start + len(data)] = data
+        for position, index in enumerate(range(first, last + 1)):
+            self.sectors[index] = bytes(
+                blob[position * _SECTOR:(position + 1) * _SECTOR])
+        self._log(first, last - first + 1, "bytes")
+
+    def written_sectors(self):
+        return sorted(self.sectors.items())
+
+
+_member = st.integers(0, _LINEAGE - 1)
+_op_write = st.tuples(st.just("write"), _member,
+                      st.integers(0, _MAX - 2049),
+                      st.binary(min_size=0, max_size=2048))
+_op_sector = st.tuples(st.just("sector"), _member,
                        st.integers(0, _GEOM.sector_count - 1),
                        st.integers(0, 255))
 _op_read = st.tuples(st.just("read"), st.integers(0, _MAX - 4097),
                      st.integers(0, 4096))
 _op_view = st.tuples(st.just("view"), st.integers(0, _MAX - 4097),
                      st.integers(0, 4096))
-_op_clone = st.tuples(st.just("clone"))
+_op_clone = st.tuples(st.just("clone"), _member)
 
 _op_sequences = st.lists(
     st.one_of(_op_write, _op_sector, _op_read, _op_view, _op_clone),
@@ -46,59 +105,56 @@ _op_sequences = st.lists(
 
 
 class TestBackendEquivalence:
-    """Same op sequence on both backends ⇒ same observable behaviour."""
+    """Same op sequence on ``Disk`` and the model ⇒ same observables."""
 
     @settings(max_examples=40, deadline=None)
     @given(_op_sequences)
     def test_op_sequences_equivalent(self, ops):
-        lineages = [[Disk(_GEOM, backend="sparse")],
-                    [Disk(_GEOM, backend="flat")]]
+        # (disk, model) pairs: the original and up to three COW clones,
+        # each cloned from any earlier member (siblings share a sealed
+        # base, chains stack overlays).  A write lands on one member
+        # only, so every read also checks the others stayed isolated.
+        lineage = [(Disk(_GEOM), SectorModel())]
         for op in ops:
             kind = op[0]
             if kind == "clone":
-                # COW lineage: every clone must stay pairwise equivalent
-                # while later ops keep mutating ancestors AND clones.
-                if len(lineages[0]) < 3:
-                    for lineage in lineages:
-                        lineage.append(lineage[-1].clone())
-                continue
-            for sparse, flat in zip(*lineages):
-                if kind == "write":
-                    sparse.write_bytes(op[1], op[2])
-                    flat.write_bytes(op[1], op[2])
-                elif kind == "sector":
-                    data = bytes([op[2]]) * _GEOM.sector_size
-                    sparse.write_sector(op[1], data)
-                    flat.write_sector(op[1], data)
-                elif kind == "read":
-                    assert sparse.read_bytes(op[1], op[2]) \
-                        == flat.read_bytes(op[1], op[2])
-                else:
-                    assert bytes(sparse.read_view(op[1], op[2])) \
-                        == bytes(flat.read_view(op[1], op[2]))
-        for sparse, flat in zip(*lineages):
-            assert sparse.generation == flat.generation
-            assert list(sparse.written_sectors()) \
-                == list(flat.written_sectors())
-            window = (0, sparse.generation)
-            assert sparse.journal.records_since(*window) \
-                == flat.journal.records_since(*window)
-            assert sparse.read_bytes(0, _MAX) == flat.read_bytes(0, _MAX)
+                if len(lineage) < _LINEAGE:
+                    disk, model = lineage[op[1] % len(lineage)]
+                    lineage.append((disk.clone(), model.clone()))
+            elif kind == "write":
+                for target in lineage[op[1] % len(lineage)]:
+                    target.write_bytes(op[2], op[3])
+            elif kind == "sector":
+                data = bytes([op[3]]) * _SECTOR
+                for target in lineage[op[1] % len(lineage)]:
+                    target.write_sector(op[2], data)
+            else:
+                for disk, model in lineage:
+                    read = (disk.read_bytes(op[1], op[2]) if kind == "read"
+                            else bytes(disk.read_view(op[1], op[2])))
+                    assert read == model.read_bytes(op[1], op[2])
+        for disk, model in lineage:
+            assert disk.generation == len(model.records)
+            assert disk.journal.records_since(0, disk.generation) \
+                == model.records
+            assert list(disk.written_sectors()) == model.written_sectors()
+            assert disk.read_bytes(0, _MAX) == model.read_bytes(0, _MAX)
 
-    @pytest.mark.parametrize("backend", ["sparse", "flat"])
-    def test_bounds_errors_identical(self, backend):
-        disk = Disk(_GEOM, backend=backend)
-        with pytest.raises(DiskError, match="negative read length"):
-            disk.read_bytes(0, -1)
-        with pytest.raises(DiskError, match="outside disk"):
-            disk.read_bytes(_MAX - 10, 11)
-        with pytest.raises(DiskError, match="outside disk"):
-            disk.read_view(_MAX, 1)
-        assert disk.read_bytes(10, 0) == b""
-        assert bytes(disk.read_view(10, 0)) == b""
+    def test_bounds_errors_identical(self):
+        # Bounds are Disk's own: the extent's plain and COW-overlay
+        # modes fail alike.
+        for disk in (Disk(_GEOM), Disk(_GEOM).clone()):
+            with pytest.raises(DiskError, match="negative read length"):
+                disk.read_bytes(0, -1)
+            with pytest.raises(DiskError, match="outside disk"):
+                disk.read_bytes(_MAX - 10, 11)
+            with pytest.raises(DiskError, match="outside disk"):
+                disk.read_view(_MAX, 1)
+            assert disk.read_bytes(10, 0) == b""
+            assert bytes(disk.read_view(10, 0)) == b""
 
     def test_view_reflects_content_at_call_time(self):
-        disk = Disk(_GEOM, backend="flat")
+        disk = Disk(_GEOM)
         disk.write_bytes(0, b"A" * 1024)
         view = disk.read_view(0, 1024)
         assert bytes(view) == b"A" * 1024
@@ -109,31 +165,13 @@ class TestBackendEquivalence:
         bytes(view)  # must not raise
         assert disk.read_bytes(_MAX - 4096, 4096) == b"B" * 4096
 
-    def test_detection_reports_identical_across_backends(self):
-        identities = {}
-        for backend in ("sparse", "flat"):
-            machine = Machine("det-" + backend,
-                              disk=Disk(DiskGeometry.from_megabytes(64),
-                                        backend=backend),
-                              max_records=2048)
-            machine.boot()
-            populate_machine(machine, file_count=40, registry_scale=30,
-                             seed=9)
-            HackerDefender().install(machine)
-            report = GhostBuster(machine).detect()
-            identities[backend] = sorted(
-                (f.resource_type.value, str(f.entry.identity))
-                for f in report.findings if not f.is_noise)
-        assert identities["sparse"] == identities["flat"]
-        assert identities["flat"]   # the infection was actually found
-
 
 class TestChaosInterplay:
-    """Injected damage is byte-identical on both backends & read paths."""
+    """Injected damage is byte-identical on both read paths."""
 
     @staticmethod
-    def _chaos_disk(backend):
-        disk = Disk(_GEOM, backend=backend)
+    def _chaos_disk():
+        disk = Disk(_GEOM)
         disk.write_bytes(0, bytes(range(256)) * 256)
         plan = FaultPlan(13, (FaultSpec(SITE_DISK_READ, mode="rate",
                                         rate=0.5,
@@ -141,43 +179,30 @@ class TestChaosInterplay:
         disk.fault_injector = DiskFaultInjector(plan, disk)
         return disk
 
-    def test_same_seed_damage_identical(self):
-        outcomes = []
-        for backend, use_view in (("sparse", False), ("flat", True)):
-            disk = self._chaos_disk(backend)
-            reads = []
-            for step in range(48):
-                offset = (step * 331) % (60 * 1024)
-                if use_view:
-                    reads.append(bytes(disk.read_view(offset, 160)))
-                else:
-                    reads.append(disk.read_bytes(offset, 160))
-            outcomes.append((reads, disk.generation))
-            # Damage was injected into the returned bytes only; the
-            # stored image underneath is pristine.
-            disk.fault_injector = None
-            assert disk.read_bytes(0, 65536) == bytes(range(256)) * 256
-        assert outcomes[0] == outcomes[1]
-
     def test_view_path_draws_match_bytes_path(self):
-        # On ONE backend, the same plan seed must damage read_view
-        # exactly like read_bytes: the injector routes both through the
-        # same filter, one draw per call.
+        # The same plan seed must damage read_view exactly like
+        # read_bytes: the injector routes both through the same filter,
+        # one draw per call.
         traces = []
         for use_view in (False, True):
-            disk = self._chaos_disk("flat")
+            disk = self._chaos_disk()
             read = ((lambda o, n: bytes(disk.read_view(o, n))) if use_view
                     else disk.read_bytes)
             traces.append([read(step * 613 % 50000, 96)
                            for step in range(32)])
+            # Damage was injected into the returned bytes only; the
+            # stored image underneath is pristine.
+            disk.fault_injector = None
+            assert disk.read_bytes(0, 65536) == bytes(range(256)) * 256
         assert traces[0] == traces[1]
 
 
 class TestFlatBackendStorage:
-    def test_spills_to_mmap_and_preserves_content(self):
+    def test_spills_to_mmap_and_preserves_content(self, monkeypatch):
+        monkeypatch.setattr(backends, "DEFAULT_SPILL_BYTES", 128 * 1024)
         geometry = DiskGeometry.from_megabytes(2)
-        backend = FlatExtentBackend(geometry, spill_bytes=128 * 1024)
-        disk = Disk(geometry, backend=backend)
+        disk = Disk(geometry)
+        backend = disk._backend
         head = bytes(range(256)) * 16
         disk.write_bytes(0, head)
         assert isinstance(backend._buf, bytearray)
@@ -202,10 +227,7 @@ class TestFlatBackendStorage:
         assert clone.read_bytes(0, 512) == b"Q" * 512
 
     def test_cow_accounting_and_fleet_stats(self):
-        golden = Machine("golden",
-                         disk=Disk(DiskGeometry.from_megabytes(64),
-                                   backend="flat"),
-                         max_records=2048)
+        golden = Machine("golden", disk_mb=64, max_records=2048)
         golden.boot()
         populate_machine(golden, file_count=30, registry_scale=20, seed=5)
         fleet = clone_fleet(golden, 4)
@@ -238,12 +260,11 @@ class TestFlatBackendStorage:
         assert golden.disk.read_bytes(0, 4096) == probe
 
     def test_fleet_stats_without_cow_count_everything_private(self):
-        golden = Machine("golden-s",
-                         disk=Disk(DiskGeometry.from_megabytes(64),
-                                   backend="sparse"),
-                         max_records=1024)
-        golden.boot()
-        fleet = clone_fleet(golden, 2)
+        # Independently formatted machines: no clone, so no shared base.
+        fleet = [Machine(f"plain-{index}", disk_mb=64, max_records=1024)
+                 for index in range(2)]
+        for machine in fleet:
+            machine.boot()
         totals = fleet_storage_stats(fleet)
         assert totals["shared_bases"] == 0
         assert totals["shared_bytes"] == 0

@@ -12,6 +12,7 @@ from repro.faults.injectors import DiskFaultInjector
 from repro.faults.plan import SITE_DISK_READ, FaultPlan, FaultSpec
 from repro.ghostware import HackerDefender
 from repro.kernel.kernel import DiskPort
+from repro.machine import Machine
 from repro.ntfs import MftParser, NtfsVolume, parse_volume
 from repro.ntfs import constants as c
 from repro.ntfs.constants import MFT_RECORD_SIZE, NAMESPACE_POSIX
@@ -141,6 +142,14 @@ def forge(disk, volume, slot: int, claimed: int, name: str,
                                           name))
     disk.write_bytes(volume.mft_offset + slot * MFT_RECORD_SIZE,
                      record.to_bytes())
+
+
+def file_findings(machine):
+    """The file findings' paths of a cold inside scan of ``machine``."""
+    machine.disk.raw_cache.clear()
+    report = GhostBuster(machine).inside_scan()
+    return sorted(finding.entry.path for finding in report.findings
+                  if hasattr(finding.entry, "path"))
 
 
 def sources(disk):
@@ -293,20 +302,15 @@ class TestSlotKeying:
         assert mounted.stat("\\evil.txt").record_no == victim + 1
         assert mounted.stat("\\a.txt").record_no == victim
 
-    def test_decoy_headers_do_not_erase_hidden_files(self):
-        """Three decoys in free slots each claim one of Hacker Defender's
-        hidden files' record numbers under a visible sibling's name; a
-        cold inside scan still finds all three hidden files."""
+    @staticmethod
+    def decoyed_machine():
+        """Hacker Defender's home PC with three decoys in free slots, each
+        claiming one hidden file's record number under a visible
+        sibling's name; returns the machine and a cold inside scan's
+        file findings from before the decoys."""
         machine = build_home_pc("client-01", HackerDefender(), files=30,
                                 seed=4).machine
-
-        def file_findings():
-            machine.disk.raw_cache.clear()
-            report = GhostBuster(machine).inside_scan()
-            return sorted(finding.entry.path for finding in report.findings
-                          if hasattr(finding.entry, "path"))
-
-        hidden = file_findings()
+        hidden = file_findings(machine)
         assert len(hidden) == 3
         parsed = {entry.path: entry for entry in parse_volume(machine.disk)}
         parent = parsed[hidden[0]].parent_record
@@ -317,4 +321,24 @@ class TestSlotKeying:
         for index, (path, sibling) in enumerate(zip(hidden, siblings)):
             forge(machine.disk, volume, volume.max_records - 1 - index,
                   parsed[path].record_no, sibling, parent)
-        assert file_findings() == hidden
+        return machine, hidden
+
+    def test_decoy_headers_do_not_erase_hidden_files(self):
+        """A cold inside scan still finds all three hidden files."""
+        machine, hidden = self.decoyed_machine()
+        assert file_findings(machine) == hidden
+
+    def test_mount_keeps_the_first_slot_under_a_contested_name(self):
+        """Each decoy names a visible sibling's entry a second time.
+        Mounting the disk, and imaging a machine from it, keep the
+        first record in slot order under the name — the record the raw
+        parser's key index serves — instead of raising FileExists."""
+        machine, __ = self.decoyed_machine()
+        disk = machine.disk
+        mounted = NtfsVolume.mount(disk.clone())
+        parser = MftParser(disk.read_bytes)
+        walked = list(mounted.walk())
+        assert walked
+        for stat in walked:
+            assert parser.find_by_path(stat.path).record_no == stat.record_no
+        Machine("again", disk=disk.clone()).boot()

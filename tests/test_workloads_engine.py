@@ -4,7 +4,7 @@ Covers the PR-9 acceptance surface:
 
 * seed-stability — the same :class:`FleetProfile` reproduces
   byte-identical disks (hives included — they live on the disk) across
-  runs and across both ``REPRO_DISK_BACKEND`` values;
+  runs;
 * cold-start LPT — never-scanned machines dispatch longest-first from
   the cost-model estimate instead of alphabetically;
 * sampled scanning — tier assignment, strata choice, honest costs,
@@ -125,22 +125,11 @@ class TestFleetGen:
 class TestSeedStability:
     """Satellite: byte-identical populations for the same seed."""
 
-    @pytest.mark.parametrize("backend", ["sparse", "flat"])
-    def test_same_seed_same_bytes(self, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_DISK_BACKEND", backend)
+    def test_same_seed_same_bytes(self):
         first = build_profiled_machine(TINY, "tiny-001", boot=False)
         second = build_profiled_machine(TINY, "tiny-001", boot=False)
         assert disk_digest(first) == disk_digest(second)
         assert hive_digests(first) == hive_digests(second)
-
-    def test_same_seed_same_bytes_across_backends(self, monkeypatch):
-        digests = {}
-        for backend in ("sparse", "flat"):
-            monkeypatch.setenv("REPRO_DISK_BACKEND", backend)
-            machine = build_profiled_machine(TINY, "tiny-002", boot=False)
-            digests[backend] = (disk_digest(machine),
-                                hive_digests(machine))
-        assert digests["sparse"] == digests["flat"]
 
     def test_different_machines_differ(self):
         first = build_profiled_machine(TINY, "tiny-000", boot=False)
