@@ -560,33 +560,6 @@ def bench_memory_ceiling(fleet_size: int, file_count: int) -> dict:
     }
 
 
-def bench_index_overhead(fleet_size: int, file_count: int,
-                         workers: int) -> dict:
-    """Write-time index maintenance cost on the steady fleet epoch.
-
-    Two identical fleets (hooks on / hooks off) run a seed and a warm-up
-    epoch; then their steady epochs, the service's recurring cost, are
-    timed in :func:`paired_ratio` pairs, whose median also resists the
-    rare epochs where the index flushes its batched sidecar lines.  The
-    hooks fold one in-memory entry per journal record and must stay
-    within 5%, or the console stops being free to leave enabled.
-    """
-    golden = golden_machine(file_count)
-    with temp_coordinator(cloned_fleet(golden, fleet_size),
-                          workers=workers, console_index=False) as off, \
-            temp_coordinator(cloned_fleet(golden, fleet_size),
-                             workers=workers, console_index=True) as on:
-        for __ in range(2):       # seed epoch, then one warm-up each
-            off.run_epoch()
-            on.run_epoch()
-        ratio, with_s, without_s = paired_ratio(
-            lambda: clocked(on.run_epoch)[1],
-            lambda: clocked(off.run_epoch)[1], pairs=11)
-    return {"steady_without_index_s": without_s,
-            "steady_with_index_s": with_s,
-            "overhead_pct": round((ratio - 1.0) * 100.0, 2)}
-
-
 def bench_distributed_sweep(fleet_size: int, file_count: int,
                             agents: int) -> dict:
     """Forked scan agents vs the same coordinator's in-process threads.
@@ -1016,12 +989,6 @@ EXPERIMENTS = (
         gates=(("memory ceiling verdicts identical", "verdicts_identical"),),
         floors=(("memory ceiling >= 4x machines per GB",
                  lambda r: r["density_ratio"] >= 4),)),
-    Experiment(
-        "index_overhead", bench_index_overhead,
-        smoke=dict(fleet_size=10, file_count=120, workers=2),
-        full=dict(fleet_size=50, file_count=120, workers=8),
-        floors=(("index maintenance overhead <= 5%",
-                 lambda r: r["overhead_pct"] <= 5.0),)),
     Experiment(
         "distributed_sweep", bench_distributed_sweep,
         smoke=dict(fleet_size=4, file_count=120, agents=2),

@@ -4,14 +4,16 @@
 End-to-end through the actual CLI surfaces, not the Python API:
 
 1. ``python -m repro sweep --epochs N --fleet-dir D`` builds a real
-   fleet directory (journals, queue WAL, baselines, sidecar index);
+   fleet directory (the epochs journal, queue WAL and baselines);
 2. ``python -m repro serve`` boots the console as a subprocess on an
    ephemeral port;
 3. every HTTP endpoint is fetched and asserted — status code AND the
    shape of the response (the JSON keys an operator's tooling would
    script against), including the 401s a missing/bad token must earn;
-4. ``python -m repro fleet-status --json`` must report
-   index-vs-replay agreement over the same directory.
+4. one more CLI sweep epoch runs while the console is up: the served
+   ``/api/status`` (the console's live index, tailing the journals)
+   must then equal a cold ``python -m repro fleet-status --json``, and
+   the fleet directory must hold the three journals and nothing else.
 
 Run:  PYTHONPATH=src python scripts/console_smoke.py [--epochs 2]
 """
@@ -166,16 +168,28 @@ def main() -> int:
               status == 200 and "fleet console" in body and name in body)
         status, body = fetch(f"{base}/machine/{name}")
         check("machine HTML renders", status == 200 and name in body)
+
+        sweep = cli("sweep", "--epochs", "1", "--escalate", "winpe",
+                    "--fleet-dir", fleet_dir, "--json")
+        check("one more sweep epoch exits 0", sweep.returncode == 0,
+              sweep.stderr[-300:])
+        status, live = fetch(f"{base}/api/status")
+        fstatus = cli("fleet-status", "--fleet-dir", fleet_dir, "--json")
+        cold = json.loads(fstatus.stdout) if fstatus.returncode == 0 else {}
+        for document in (live, cold):
+            document.pop("fleet_dir", None)
+        check("served status after the epoch equals a cold fleet-status",
+              status == 200 and fstatus.returncode == 0 and live == cold
+              and live.get("epochs_completed") == args.epochs + 1,
+              f"live {json.dumps(live)} cold {json.dumps(cold)}")
     finally:
         process.terminate()
         process.wait(timeout=10)
 
-    fstatus = cli("fleet-status", "--fleet-dir", fleet_dir, "--json")
-    agreement = json.loads(fstatus.stdout).get("index_replay_agreement",
-                                               {})
-    check("fleet-status index agrees with replay",
-          fstatus.returncode == 0 and agreement.get("agree") is True,
-          json.dumps(agreement))
+    files = sorted(os.listdir(fleet_dir))
+    check("fleet directory holds the three journals only",
+          files == ["baselines.jsonl", "epochs.jsonl", "queue.jsonl"],
+          ", ".join(files))
 
     if FAILURES:
         print(f"FAILED: {FAILURES}", file=sys.stderr)

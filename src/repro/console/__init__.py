@@ -6,11 +6,11 @@ The fleet's durable state is three append-only JSONL journals —
 write-optimized: until this subsystem, every read replayed the world.
 The console adds the read path:
 
-* :class:`~repro.console.index.JournalIndex` — append-only sidecar
-  indexes (per-machine offset maps, epoch extents, event log, queue
-  state snapshot) maintained incrementally, with torn-tail tolerance, a
-  ``rebuild()`` path, and a retention/compaction policy, so point
-  lookups are O(changes) instead of O(history);
+* :class:`~repro.console.index.JournalIndex` — one in-memory fold of
+  the three journals (per-machine offset maps, epoch extents, alert
+  log, queue state), replayed once at open and then tailed, so point
+  lookups seek one record instead of replaying history; it never
+  writes a file;
 * :class:`~repro.console.server.ConsoleServer` — a zero-dependency
   read-only HTTP service (stdlib ``http.server``, token auth) serving
   live epoch progress, per-machine drill-down, outbreak timelines, a
@@ -19,12 +19,10 @@ The console adds the read path:
   server-side from the same index queries.
 """
 
-from repro.console.index import (INDEX_DIR, JournalIndex,
-                                 fleet_status_from_index)
+from repro.console.index import JournalIndex
 from repro.console.server import (ConsoleAuthError, ConsoleServer,
                                   generate_token)
 
 __all__ = [
-    "INDEX_DIR", "ConsoleAuthError", "ConsoleServer", "JournalIndex",
-    "fleet_status_from_index", "generate_token",
+    "ConsoleAuthError", "ConsoleServer", "JournalIndex", "generate_token",
 ]

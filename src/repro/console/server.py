@@ -2,10 +2,11 @@
 
 Zero dependencies beyond the stdlib (``http.server``), by design: the
 console must run on the same minimal hosts the scanner does.  The
-server is strictly read-only with one exception — each request folds
-freshly-journaled bytes into the :class:`~repro.console.index
-.JournalIndex` (an ``update()`` behind a lock), so an operator watching
-a live fleet sees epochs progress in real time.
+server is strictly read-only: it writes nothing under the fleet
+directory.  Each request folds freshly journaled bytes into its
+in-memory :class:`~repro.console.index.JournalIndex` (an ``update()``
+behind a lock), so an operator watching a live fleet sees epochs
+progress in real time.
 
 Every route except ``/healthz`` requires the bearer token, passed as
 ``Authorization: Bearer <token>`` or ``?token=<token>``; a missing or
@@ -17,7 +18,7 @@ disk don't.
 Routes::
 
     /healthz                 liveness (unauthenticated)
-    /api/status              fleet_status document, from the index
+    /api/status              the fleet status document
     /api/machines            machine -> latest verdict entry
     /api/machines/<name>     drill-down: verdict history, stored report
                              confidence / degraded layers, escalation
@@ -104,8 +105,8 @@ def machine_drilldown(index: JournalIndex, machine: str) -> Optional[Dict]:
             "provenance": baseline_record.get("extra", {}),
         }
     elif baseline_entry is not None:
-        # Entry survived but the journal bytes moved (compaction race):
-        # return the thin entry rather than nothing.
+        # The store was compacted since the index last folded it: return
+        # the thin entry rather than nothing.
         baseline = dict(baseline_entry)
     return {"machine": machine, "history": history,
             "latest": latest, "baseline": baseline}
@@ -120,11 +121,10 @@ class ConsoleServer:
     """
 
     def __init__(self, fleet_dir: str, token: Optional[str] = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 index: Optional[JournalIndex] = None):
+                 host: str = "127.0.0.1", port: int = 0):
         self.fleet_dir = fleet_dir
         self.token = token if token is not None else generate_token()
-        self.index = index if index is not None else JournalIndex(fleet_dir)
+        self.index = JournalIndex(fleet_dir)
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         server = self

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 try:
     import mmap as _mmap
@@ -213,31 +213,51 @@ class FlatExtentBackend:
             if last > self._overlay_high:
                 self._overlay_high = last
 
-    def _overlay_in(self, first: int, last: int) -> bool:
+    def _overlay_indices(self, first: int, last: int) -> List[int]:
+        """The overlay sectors in ``[first, last]``, ascending."""
         if not self._overlay or last < self._overlay_low \
                 or first > self._overlay_high:
-            return False
+            return []
         if len(self._overlay) > last - first + 1:
-            return any(index in self._overlay
-                       for index in range(first, last + 1))
-        return any(first <= index <= last for index in self._overlay)
+            return [index for index in range(first, last + 1)
+                    if index in self._overlay]
+        return sorted(index for index in self._overlay
+                      if first <= index <= last)
+
+    def _composed(self, offset: int, length: int) -> Optional[bytes]:
+        """``[offset, offset + length)`` of the overlay over the base, or
+        None when no overlay sector falls in it.
+
+        The result is the range's only copy: base views and overlay
+        sectors are joined straight into one new ``bytes``.
+        """
+        sector_size = self._geometry.sector_size
+        end = offset + length
+        indices = self._overlay_indices(offset // sector_size,
+                                        (end - 1) // sector_size)
+        if not indices:
+            return None
+        pieces = []
+        position = offset
+        for index in indices:
+            sector = index * sector_size
+            if sector > position:
+                pieces.append(self._base.read_view(position,
+                                                   sector - position))
+            stop = min(end, sector + sector_size)
+            pieces.append(memoryview(self._overlay[index])[
+                max(0, position - sector):stop - sector])
+            position = stop
+        if position < end:
+            pieces.append(self._base.read_view(position, end - position))
+        return b"".join(pieces)
 
     def read_range(self, offset: int, length: int) -> bytes:
         end = offset + length
         if self._base is not None:
-            sector_size = self._geometry.sector_size
-            first = offset // sector_size
-            last = (end - 1) // sector_size
-            if not self._overlay_in(first, last):
-                return self._base.read_range(offset, length)
-            blob = bytearray(self._base.read_range(
-                first * sector_size, (last - first + 1) * sector_size))
-            for index, data in self._overlay.items():
-                if first <= index <= last:
-                    position = (index - first) * sector_size
-                    blob[position:position + sector_size] = data
-            start = offset - first * sector_size
-            return bytes(blob[start:start + length])
+            composed = self._composed(offset, length)
+            return (composed if composed is not None
+                    else self._base.read_range(offset, length))
         if end <= self._extent:
             return bytes(self._buf[offset:end])
         if offset >= self._extent:
@@ -248,12 +268,9 @@ class FlatExtentBackend:
     def read_view(self, offset: int, length: int) -> memoryview:
         end = offset + length
         if self._base is not None:
-            sector_size = self._geometry.sector_size
-            first = offset // sector_size
-            last = (end - 1) // sector_size
-            if not self._overlay_in(first, last):
-                return self._base.read_view(offset, length)
-            return memoryview(self.read_range(offset, length))
+            composed = self._composed(offset, length)
+            return (memoryview(composed) if composed is not None
+                    else self._base.read_view(offset, length))
         # Materialize through the requested end so the view is one real
         # slice of the extent (zero fill is identical content; growth is
         # still capped by the geometry, which Disk bounds-checked).

@@ -84,13 +84,9 @@ LEASE_HOLD_SECONDS = 1.0
 
 
 def fold_agent_records(records: Iterable[Dict]) -> Dict[str, Dict]:
-    """Latest per-agent liveness from ``fleet-agent`` journal records.
-
-    Shared by :func:`repro.fleet.coordinator.fleet_status` (full journal
-    replay) and the console's :class:`~repro.console.index.JournalIndex`
-    (incremental ingestion) so both answers are structurally identical
-    — the ``fleet-status --json`` cross-check depends on it.
-    """
+    """Latest per-agent liveness from ``fleet-agent`` journal records
+    (other record types are skipped); the ``agents`` part of
+    :func:`repro.fleet.fleet_status`."""
     agents: Dict[str, Dict] = {}
     for record in records:
         if record.get("type") != "fleet-agent":

@@ -65,7 +65,7 @@ from repro.faults.retry import CircuitBreaker
 from repro.fleet.aggregator import (DEFAULT_OUTBREAK_THRESHOLD,
                                     CampaignTracker, FleetAggregator,
                                     MachineVerdict)
-from repro.fleet.controller import ScanController, fold_agent_records
+from repro.fleet.controller import ScanController
 from repro.fleet.policy import EscalationPolicy
 from repro.fleet.queue import Lease, WorkQueue
 from repro.fleet.scanwork import (ScanSettings, perform_machine_scan,
@@ -155,10 +155,9 @@ class FleetCoordinator:
         # instead of recomputing it against drifted history.
         self._sampled_tier: set = set()
         self.retain_epochs = max(0, int(retain_epochs))
-        # The operator console's sidecar index, fed at journal-write
-        # time so point lookups never replay this journal.  Optional:
-        # the journals alone remain the system of record, and a console
-        # can always rebuild() from them.
+        # The operator console's in-memory index, fed at journal-write
+        # time so it never re-reads this journal.  Optional: it writes
+        # nothing, and any console can open its own from the journals.
         self.index = None
         if console_index:
             from repro.console.index import JournalIndex
@@ -364,8 +363,7 @@ class FleetCoordinator:
             metrics.incr("fleet.journal.compacted_records",
                          max(0, before - after))
         if self.index is not None:
-            # The rewrites changed those journals' heads; update()
-            # notices and rebuilds.
+            # update() refolds just the journals these rewrites changed.
             self.index.update()
 
     def run(self, epochs: int,
@@ -672,38 +670,11 @@ class FleetCoordinator:
 def fleet_status(fleet_dir: str) -> Dict:
     """What the fleet directory says, from disk alone.
 
-    Safe to call with no coordinator running (and on a directory a
-    coordinator just died in): it replays the queue WAL and the epochs
-    journal without writing anything.
+    Safe to call with no coordinator running, mid-epoch, and on a
+    directory a coordinator just died in: it is one cold
+    :class:`~repro.console.index.JournalIndex` fold of the journals,
+    and it writes nothing.
     """
-    queue_path = os.path.join(fleet_dir, "queue.jsonl")
-    status: Dict = {"fleet_dir": fleet_dir,
-                    "open_epoch": None, "pending": 0, "leased": 0,
-                    "acked": 0, "epochs_completed": 0,
-                    "last_summary": None, "outbreaks": [],
-                    "campaigns": []}
-    if os.path.exists(queue_path):
-        queue = WorkQueue(fleet_dir)
-        status["open_epoch"] = queue.epoch
-        status["pending"] = queue.pending_count()
-        status["leased"] = len(queue.leased_machines())
-        status["acked"] = len(queue.acked_machines())
-        status["pending_machines"] = queue.pending_machines()
-        status["leased_machines"] = sorted(queue.leased_machines())
-    epochs_path = os.path.join(fleet_dir, EPOCHS_FILE)
-    agent_records: List[Dict] = []
-    for line in iter_journal(epochs_path, on_torn=lambda *_: None):
-        record = line.record
-        if record.get("type") == "epoch-end":
-            status["epochs_completed"] += 1
-            status["last_summary"] = record
-        elif record.get("type") == "fleet-outbreak":
-            status["outbreaks"].append(record)
-        elif record.get("type") == "fleet-campaign":
-            status["campaigns"].append(record)
-        elif record.get("type") == "fleet-agent":
-            agent_records.append(record)
-    # Same fold the console index uses, so `repro fleet-status --json`
-    # and `/api/status` agree structurally on agent liveness.
-    status["agents"] = fold_agent_records(agent_records)
-    return status
+    from repro.console.index import JournalIndex
+
+    return JournalIndex(fleet_dir).status()

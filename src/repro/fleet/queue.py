@@ -36,7 +36,6 @@ of the fleet.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import os
@@ -74,8 +73,7 @@ class QueueState:
 
     :class:`WorkQueue` replays and appends through it (under its lock,
     stamping records on its clock); the console's
-    :class:`~repro.console.index.JournalIndex` folds the WAL into one
-    incrementally and caches :meth:`to_dict` in its ``state.json``.
+    :class:`~repro.console.index.JournalIndex` tails the WAL into one.
     Records an older writer left behind still fold: a ``lease``
     record's deadline is ignored, an ``expire`` requeues like a
     ``requeue``, and a deadline extension is skipped like any unknown
@@ -151,42 +149,6 @@ class QueueState:
         return sorted(machine for queue in self.pending.values()
                       for machine in queue)
 
-    def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "machines": list(self.machines),
-                "shards": dict(self.shards),
-                "pending": {str(shard): list(queue) for shard, queue
-                            in self.pending.items() if queue},
-                "leases": {name: dataclasses.asdict(lease)
-                           for name, lease in self.leases.items()},
-                "acked": self.acked, "token": self.token, "at": self.at}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "QueueState":
-        state = cls()
-        if payload.get("epoch") is not None:
-            state.epoch = int(payload["epoch"])
-        state.machines = list(payload.get("machines", []))
-        state.shards = {name: int(shard) for name, shard
-                        in payload.get("shards", {}).items()}
-        state.pending = {int(shard): list(queue) for shard, queue
-                         in payload.get("pending", {}).items()}
-        # An older cache's leases carry only worker, token and a
-        # deadline (ignored); the rest defaults from the epoch.
-        state.leases = {
-            name: Lease(machine=name,
-                        epoch=int(lease.get("epoch", state.epoch or 0)),
-                        worker=int(lease.get("worker", 0)),
-                        token=int(lease.get("token", 0)),
-                        shard=int(lease.get("shard",
-                                            state.shards.get(name, 0))),
-                        stolen=bool(lease.get("stolen", False)))
-            for name, lease in payload.get("leases", {}).items()}
-        state.acked = {name: dict(acked) for name, acked
-                       in payload.get("acked", {}).items()}
-        state.token = int(payload.get("token", 0))
-        state.at = float(payload.get("at", 0.0))
-        return state
-
 
 class WorkQueue:
     """Durable machine queue for one fleet directory.
@@ -225,10 +187,8 @@ class WorkQueue:
 
     # -- WAL ---------------------------------------------------------------------
 
-    # Epoch boundaries are always forced to stable storage: the console
-    # index pins its cursors against the WAL prefix, and a host crash
-    # that tore an epoch-open/epoch-close out from under those pins
-    # would invalidate every byte offset the index recorded after it.
+    # Epoch boundaries are always forced to stable storage; the other
+    # transitions only when the queue is durable.
     _FSYNC_OPS = frozenset({"epoch-open", "epoch-close"})
 
     def _append(self, record: dict) -> None:

@@ -13,9 +13,9 @@ for compaction rewrites.
 Two properties matter beyond "skip bad lines":
 
 * **byte offsets** — each yielded :class:`JournalLine` carries the byte
-  range ``[start, end)`` of its source line, which is what the console's
-  sidecar indexes (:mod:`repro.console.index`) persist so point lookups
-  can ``seek`` straight to a record without replaying the file;
+  range ``[start, end)`` of its source line, which the console's index
+  (:mod:`repro.console.index`) keeps so point lookups can ``seek``
+  straight to a record without replaying the file;
 * **completeness** — a final chunk with no trailing newline is the torn
   tail of a live (or killed) writer.  ``complete_only=True`` refuses to
   yield it *or* advance past it, so an incremental indexer resumes at
@@ -29,7 +29,6 @@ reader always did.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -123,8 +122,8 @@ def read_record_at(path, start: int, end: int) -> Optional[dict]:
     """Fetch one record by the byte range an index stored for it.
 
     Returns ``None`` when the bytes no longer hold an intact record
-    (the file was compacted since the index was built — the caller
-    should rebuild its index).
+    (the file was compacted since the index read it — the caller
+    should refold that journal).
     """
     try:
         with open(path, "rb") as handle:
@@ -213,17 +212,3 @@ def replace_journal(path, lines: Iterable[str]) -> int:
     finally:
         os.close(dir_fd)
     return count
-
-
-def head_digest(path, length: int = 4096) -> str:
-    """A cheap identity for "is this still the same journal?".
-
-    Compaction rewrites a journal in place (temp + ``os.replace``);
-    an index that remembered byte offsets into the old file must
-    notice.  The first ``length`` bytes change on any rewrite that
-    drops or reorders records, and appends never touch them.
-    """
-    if not os.path.exists(path):
-        return ""
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read(length)).hexdigest()

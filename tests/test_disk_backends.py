@@ -259,6 +259,28 @@ class TestFlatBackendStorage:
         assert golden.disk.storage_stats().private_bytes == golden_private
         assert golden.disk.read_bytes(0, 4096) == probe
 
+    def test_overlay_parse_copies_the_mft_region_once(self):
+        """A COW clone that wrote into its MFT region composes the
+        region read with one copy: base views and overlay sectors are
+        joined into the result."""
+        import tracemalloc
+
+        from repro.ntfs.constants import MFT_RECORD_SIZE
+
+        golden = Machine("golden", disk_mb=64, max_records=8192)
+        golden.boot()
+        golden.shutdown()
+        clone = Machine(disk=golden.disk.clone(), max_records=8192)
+        clone.volume.create_file("\\probe.txt", b"x" * 100)
+        tracemalloc.start()
+        try:
+            parsed = MftParser(clone.disk.read_bytes).parse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8192 * MFT_RECORD_SIZE
+        assert "\\probe.txt" in {entry.path.lower() for entry in parsed}
+
     def test_fleet_stats_without_cow_count_everything_private(self):
         # Independently formatted machines: no clone, so no shared base.
         fleet = [Machine(f"plain-{index}", disk_mb=64, max_records=1024)

@@ -12,6 +12,7 @@ wire carries everything the checkpoint needs.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import pytest
@@ -335,10 +336,20 @@ class TestScanSettingsParity:
 
 class TestDistributedCli:
     def test_sweep_agents_flag_and_status_agree(self, tmp_path, capsys):
+        from repro.console import ConsoleServer
+        from tests.test_console_index import replay_status
+
         fleet_dir = tmp_path / "fleet"
-        rc = main(["sweep", "--epochs", "2", "--agents", "2",
-                   "--fleet-size", "4", "--fleet-dir", str(fleet_dir),
-                   "--json"])
+        # A console that is up before the sweep tails what it journals.
+        server = ConsoleServer(str(fleet_dir), token="t")
+        try:
+            rc = main(["sweep", "--epochs", "2", "--agents", "2",
+                       "--fleet-size", "4", "--fleet-dir", str(fleet_dir),
+                       "--json"])
+            served = json.loads(server.handle_request(
+                "/api/status", authorization="Bearer t")[2])
+        finally:
+            server.httpd.server_close()
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["agents"] == 2
@@ -349,11 +360,14 @@ class TestDistributedCli:
         assert payload["epochs"][1]["skipped"] >= 1
         assert (payload["epochs"][1]["skipped"]
                 + payload["epochs"][1]["scanned"]) == 4
-        # fleet-status --json runs the index-vs-replay cross-check
-        # (exit 1 on any disagreement), which now covers agent liveness.
+        # fleet-status --json is a cold fold of the journals, agent
+        # liveness included: it equals the live console's answer and
+        # the full replay, and neither reader wrote a file.
         rc = main(["fleet-status", "--fleet-dir", str(fleet_dir),
                    "--json"])
         assert rc == 0
         status = json.loads(capsys.readouterr().out)
-        assert status["index_replay_agreement"]["agree"]
+        assert status == served == replay_status(str(fleet_dir))
         assert set(status["agents"]) == {"agent-0", "agent-1"}
+        assert sorted(os.listdir(fleet_dir)) == [
+            "baselines.jsonl", "epochs.jsonl", "queue.jsonl"]

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro.clock import SimClock
-from repro.console.index import JournalIndex, fleet_status_from_index
+from repro.console.index import JournalIndex
 from repro.errors import FleetError, StaleLease
 from repro.fleet.aggregator import FleetAggregator, MachineVerdict
 from repro.fleet.coordinator import fleet_status
@@ -174,51 +174,30 @@ class TestParentFormatQueueData:
     mid-epoch resumes where it stood."""
 
     def test_wal_folds_alike_in_queue_and_index(self, tmp_path):
-        append_wal(tmp_path, PARENT_WAL)
+        from tests.test_console_index import replay_status
+
+        append_wal(tmp_path, PARENT_WAL[:3])
+        index = JournalIndex(str(tmp_path))
+        status = index.status()
+        assert status["leased_machines"] == ["a", "b"]
+        assert status["pending_machines"] == ["c"]
+        # The old writer's leases keep folding the records that follow.
+        append_wal(tmp_path, PARENT_WAL[3:])
+        assert index.update()["queue"] == 3
         queue = WorkQueue(str(tmp_path))
         assert queue.epoch == 3
         assert queue.pending_machines() == ["a", "c"]
         assert queue.leased_machines() == {}
         assert sorted(queue.acked_machines()) == ["b"]
         assert queue.clock.now() == 470.5
-        status = fleet_status_from_index(str(tmp_path))
+        status = fleet_status(str(tmp_path))
         assert status["open_epoch"] == 3
         assert status["pending_machines"] == ["a", "c"]
         assert status["leased_machines"] == []
         assert status["acked"] == 1
-        assert status == fleet_status(str(tmp_path))
+        assert index.status() == status == replay_status(str(tmp_path))
         # The resumed queue's tokens continue after the old writer's.
         assert queue.lease(worker=0).token == 3
-
-    def test_cached_index_state_with_lease_deadlines_loads(self, tmp_path):
-        append_wal(tmp_path, PARENT_WAL[:3])
-        index = JournalIndex(str(tmp_path))
-        index.update()
-        with open(index.state_path, encoding="utf-8") as handle:
-            state = json.load(handle)
-        # The old cache shape: leases carry a deadline, and there is no
-        # roster, token or timestamp.
-        state["queue_state"] = {
-            "epoch": 3, "shards": {"a": 0, "b": 0, "c": 0},
-            "pending": {"0": ["c"]}, "acked": {},
-            "leases": {"a": {"worker": 0, "token": 1, "expires_at": 310.0},
-                       "b": {"worker": 1, "token": 2,
-                             "expires_at": 312.0}}}
-        with open(index.state_path, "w", encoding="utf-8") as handle:
-            json.dump(state, handle)
-        cached = JournalIndex(str(tmp_path))
-        assert cached.update()["rebuilt"] is False    # served from cache
-        status = cached.status()
-        assert status["leased_machines"] == ["a", "b"]
-        assert status["pending_machines"] == ["c"]
-        assert status == fleet_status(str(tmp_path))
-        # The loaded leases keep folding the records that follow.
-        append_wal(tmp_path, PARENT_WAL[3:])
-        assert cached.update()["queue"] == 3
-        status = cached.status()
-        assert status["pending_machines"] == ["a", "c"]
-        assert status["leased_machines"] == []
-        assert status["acked"] == 1
 
 
 class TestFleetScheduler:

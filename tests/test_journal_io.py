@@ -14,9 +14,9 @@ import os
 import pytest
 
 from repro.telemetry.journal_io import (JournalLine, append_journal,
-                                        head_digest, iter_journal,
-                                        read_grouped, read_journal,
-                                        read_record_at, replace_journal)
+                                        iter_journal, read_grouped,
+                                        read_journal, read_record_at,
+                                        replace_journal)
 
 
 def write_lines(path, lines):
@@ -126,19 +126,6 @@ class TestPointLookups:
         write_lines(path, [b'{"n": 9}\n'])  # compacted under the index
         assert read_record_at(path, start, end) is None
         assert read_record_at(str(tmp_path / "gone"), 0, 10) is None
-
-    def test_head_digest_detects_rewrite_ignores_append(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        assert head_digest(path) == ""
-        append_journal(path, {"n": 0})
-        # Pin the prefix length at capture time (as JournalIndex does):
-        # appends only add bytes past it, so they can't perturb it.
-        prefix = os.path.getsize(path)
-        before = head_digest(path, prefix)
-        append_journal(path, {"n": 1})
-        assert head_digest(path, prefix) == before  # appends invisible
-        write_lines(path, [b'{"m": 9}\n'])
-        assert head_digest(path, prefix) != before  # rewrites visible
 
 
 class TestAppendDirectory:
