@@ -10,10 +10,10 @@ The input is a ``repro.fleet`` epochs journal (``epochs.jsonl``:
 ``epoch-start``, ``fleet-machine``, ``fleet-outbreak``,
 ``fleet-campaign``, ``fleet-agent``, ``epoch-end`` records), rendered as
 an epoch-by-epoch report with escalation provenance, outbreak alerts,
-and the cross-epoch campaign timeline.  A ``scripts/bench.py --out``
-JSON (full run or ``--stealth-campaign`` artifact) is also accepted and
-rendered as the per-stealth-level detection columns (docs/adversary.md).
-Any other file is rejected with a non-zero exit.
+and the cross-epoch campaign timeline.  A bench results JSON with a
+``stealth_campaign`` section (the committed ``BENCH_PR10.json``) is
+also accepted and rendered as the per-stealth-level detection columns
+(docs/adversary.md).  Any other file is rejected with a non-zero exit.
 
 ``--demo`` runs one coordinator epoch over a small fleet (one infected
 client, confirmed by a RIS network boot) into ``--out`` (default: a new
@@ -134,11 +134,9 @@ def is_fleet_journal(records: dict) -> bool:
 
 
 def render_stealth_curve(payload: dict) -> str:
-    """Per-stealth-level detection columns from a bench results JSON.
-
-    Accepts a full bench result or a ``--stealth-campaign`` artifact
-    (including the committed ``BENCH_PR10.json``); all carry the curve
-    under ``stealth_campaign``.
+    """Per-stealth-level detection columns from a bench results JSON
+    (the committed ``BENCH_PR10.json``), which carries the curve under
+    ``stealth_campaign``.
     """
     stealth = payload.get("stealth_campaign")
     if not stealth:
@@ -220,7 +218,7 @@ def main(argv=None) -> int:
         import json
         print(render_stealth_curve(json.loads(text)))
         return 0
-    def warn(line_no: int, reason: str) -> None:
+    def warn(line_no: int, reason: str, *_) -> None:
         # A torn line (a writer killed mid-record) costs only itself.
         print(f"{path}:{line_no}: skipping torn line ({reason})",
               file=sys.stderr)

@@ -106,8 +106,13 @@ class JournalIndex:
         self._last.pop(source, None)
         self._torn[source] = 0
 
-    def _torn_line(self, source: str, where, reason: str) -> None:
+    def _torn_line(self, source: str, where, reason: str,
+                   end: Optional[int] = None) -> None:
         self._torn[source] += 1
+        if end is not None:
+            # A terminated line that does not parse: the cursor steps
+            # past it, so the next pass does not count it again.
+            self._cursors[source] = end
         logger.warning("console index: skipped torn %s line %s: %s",
                        source, where, reason)
 
@@ -178,6 +183,9 @@ class JournalIndex:
                 return True
         except OSError:
             return True
+        if source not in self._last:
+            # Only skipped lines folded so far: nothing to read back.
+            return False
         record, start, end = self._last[source]
         return read_record_at(path, start, end) != record
 

@@ -104,7 +104,7 @@ class BaselineStore:
                 continue
             self._baselines[baseline.machine] = baseline
 
-    def _warn_torn(self, line_no: int, reason: str) -> None:
+    def _warn_torn(self, line_no: int, reason: str, *_) -> None:
         logger.warning("skipping torn baseline line %d in %s: %s",
                        line_no, self.path, reason)
 

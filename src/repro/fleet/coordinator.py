@@ -70,7 +70,8 @@ from repro.fleet.policy import EscalationPolicy
 from repro.fleet.queue import Lease, WorkQueue
 from repro.fleet.scanwork import (ScanSettings, perform_machine_scan,
                                   perform_sampled_machine_scan, skip_verdict)
-from repro.fleet.scheduler import FleetScheduler, load_history
+from repro.fleet.scheduler import (FleetHistory, FleetScheduler,
+                                   load_history)
 from repro.fleet import transport
 from repro.machine import Machine
 from repro.telemetry import context as telemetry_context
@@ -345,6 +346,10 @@ class FleetCoordinator:
         if self.retain_epochs:
             cutoff = self.history.last_epoch_no - self.retain_epochs + 1
             before = 0
+            # Folded from the records the rewrite keeps, so a restarted
+            # coordinator, replaying the rewrite, plans from the same
+            # history.
+            history = FleetHistory()
 
             def retained():
                 nonlocal before
@@ -352,12 +357,11 @@ class FleetCoordinator:
                     before += 1
                     epoch = line.record.get("epoch")
                     if epoch is None or int(epoch) >= cutoff:
+                        history.note_record(line.record)
                         yield json.dumps(line.record, sort_keys=True)
 
             after = replace_journal(self.epochs_path, retained())
-            # Replayed from the rewrite, so a restarted coordinator
-            # plans from the same history.
-            self.history = load_history(self.epochs_path)
+            self.history = history
             metrics = global_metrics()
             metrics.incr("fleet.journal.compactions")
             metrics.incr("fleet.journal.compacted_records",
@@ -528,27 +532,6 @@ class FleetCoordinator:
                  "disk_generation": outcome.disk_generation,
                  "scan_seconds": outcome.scan_seconds,
                  "extra": outcome.extra(epoch)})
-
-    # -- trace record / replay ---------------------------------------------------
-
-    @classmethod
-    def record_trace(cls, trace_path: str, profile, fleet_dir: str,
-                     epochs: int, **kwargs):
-        """Run a generated workload and record it as a replayable trace.
-
-        Thin delegation to :func:`repro.workloads.traces.record_sweep`
-        (lazy import: the workloads layer drives this class, so the
-        dependency must point that way).
-        """
-        from repro.workloads.traces import record_sweep
-        return record_sweep(trace_path, profile, fleet_dir, epochs,
-                            **kwargs)
-
-    @classmethod
-    def replay_trace(cls, trace_path: str, fleet_dir: str, **kwargs):
-        """Re-run a recorded trace's exact workload against a fresh fleet."""
-        from repro.workloads.traces import replay_sweep
-        return replay_sweep(trace_path, fleet_dir, **kwargs)
 
     # -- distributed mode --------------------------------------------------------
 

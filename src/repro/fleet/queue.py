@@ -198,7 +198,7 @@ class WorkQueue:
             self.durable or record["op"] in self._FSYNC_OPS))
         self._state.apply(record)
 
-    def _warn_torn(self, line_no: int, reason: str) -> None:
+    def _warn_torn(self, line_no: int, reason: str, *_) -> None:
         logger.warning("skipping torn queue line %d in %s: %s",
                        line_no, self.path, reason)
 

@@ -11,7 +11,7 @@ maximum``:
   :mod:`repro.stealth.campaign`
 
 See ``docs/adversary.md`` for the level table and the measured
-precision/recall-per-level curve (``scripts/bench.py --stealth-campaign``).
+precision/recall-per-level curve (``tests/test_stealth.py``).
 """
 
 from repro.stealth.levels import (ALL_BEHAVIORS, AWARE, CLOAK, COORDINATE,

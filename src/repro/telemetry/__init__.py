@@ -16,11 +16,11 @@ Zero-dependency observability for the whole scan stack:
 
 Everything defaults off: the no-op tracer, a ``None`` audit log, and
 plain counter increments cost almost nothing on uninstrumented paths
-(``scripts/bench.py`` gates the overhead at <= 5 %).  A scan opts in by
-constructing ``Telemetry.enabled()`` and handing it to
-:class:`~repro.core.ghostbuster.GhostBuster`; a whole fleet epoch opts
-in by running :meth:`~repro.fleet.FleetCoordinator.run_epoch` under
-``telemetry.activate()``.
+(tier-1 counts the calls: one per content read, none per MFT record).
+A scan opts in by constructing ``Telemetry.enabled()`` and handing it
+to :class:`~repro.core.ghostbuster.GhostBuster`; a whole fleet epoch
+opts in by running :meth:`~repro.fleet.FleetCoordinator.run_epoch`
+under ``telemetry.activate()``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from repro.telemetry import context
 from repro.telemetry.audit import (AuditLog, FindingAttribution,
                                    InterpositionEvent, NO_INTERPOSITION,
                                    attribute_findings, resource_of)
-from repro.telemetry.metrics import (MetricsRegistry, NullMetrics,
-                                     global_metrics, reset_global_metrics,
+from repro.telemetry.metrics import (MetricsRegistry, global_metrics,
+                                     reset_global_metrics,
                                      set_global_metrics)
 from repro.telemetry.tracer import (NULL_TRACER, NullTracer, Span, Tracer)
 
@@ -73,7 +73,7 @@ class Telemetry:
 __all__ = [
     "Telemetry",
     "Tracer", "NullTracer", "Span", "NULL_TRACER",
-    "MetricsRegistry", "NullMetrics", "global_metrics",
+    "MetricsRegistry", "global_metrics",
     "set_global_metrics", "reset_global_metrics",
     "AuditLog", "InterpositionEvent", "FindingAttribution",
     "attribute_findings", "resource_of", "NO_INTERPOSITION",

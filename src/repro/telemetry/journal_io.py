@@ -24,7 +24,8 @@ Two properties matter beyond "skip bad lines":
 A newline-*terminated* line that fails to parse (a dead writer's
 partial line, which :func:`append_journal` terminates before its next
 append) is skipped with a warning and counted, exactly like every
-reader always did.
+reader always did; ``on_torn`` also gets the offset just past it, so an
+incremental reader's cursor can step over it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class JournalLine:
 
 def iter_journal(path, start: int = 0, *,
                  complete_only: bool = False,
-                 on_torn: Optional[Callable[[int, str], None]] = None
+                 on_torn: Optional[Callable[[int, str, int], None]] = None
                  ) -> Iterator[JournalLine]:
     """Yield :class:`JournalLine` for every intact record in ``path``.
 
@@ -58,8 +59,9 @@ def iter_journal(path, start: int = 0, *,
     callers that remember the last ``end`` they consumed get O(changes)
     incremental reads.  ``complete_only`` withholds a final line that
     has no trailing newline (a possibly-in-flight append).  ``on_torn``
-    is called with ``(line_no, reason)`` for every skipped line; the
-    default logs a warning.  A missing file yields nothing.
+    is called with ``(line_no, reason, end)`` for every skipped line,
+    ``end`` being the byte offset just past it; the default logs a
+    warning.  A missing file yields nothing.
     """
     if not os.path.exists(path):
         return
@@ -87,17 +89,17 @@ def iter_journal(path, start: int = 0, *,
                         raise ValueError("journal records are objects, "
                                          f"got {type(record).__name__}")
                 except (ValueError, UnicodeDecodeError) as exc:
-                    _note_torn(path, line_no, str(exc), on_torn)
+                    _note_torn(path, line_no, str(exc), end, on_torn)
                 else:
                     yield JournalLine(record=record, line_no=line_no,
                                       start=offset, end=end)
             offset = end
 
 
-def _note_torn(path, line_no: int, reason: str,
-               on_torn: Optional[Callable[[int, str], None]]) -> None:
+def _note_torn(path, line_no: int, reason: str, end: int,
+               on_torn: Optional[Callable[[int, str, int], None]]) -> None:
     if on_torn is not None:
-        on_torn(line_no, reason)
+        on_torn(line_no, reason, end)
     else:
         logger.warning("skipping torn journal line %d in %s: %s",
                        line_no, path, reason)

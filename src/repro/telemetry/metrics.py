@@ -17,16 +17,13 @@ Well-known names (see docs/observability.md for the full list):
   ``scan.processes.enumerated`` / ``scan.modules.enumerated``;
 * ``diff.hidden.found`` / ``diff.noise.filtered``;
 * ``audit.interpositions`` — events the audit log recorded.
-
-Benchmarks that need a true uninstrumented baseline swap in a
-:class:`NullMetrics` via :func:`set_global_metrics` and restore after.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 # Seconds-oriented default: sub-millisecond cache hits up to multi-minute
 # outside-the-box scans all land in a meaningful bucket.
@@ -52,16 +49,6 @@ class CounterHandle:
 
     def add(self, amount: float = 1.0) -> None:
         self.value += amount
-
-
-class _NullCounterHandle(CounterHandle):
-    __slots__ = ()
-
-    def add(self, amount: float = 1.0) -> None:
-        return None
-
-
-_NULL_COUNTER = _NullCounterHandle()
 
 
 class MetricsRegistry:
@@ -177,23 +164,6 @@ class MetricsRegistry:
         return "\n".join(lines)
 
 
-class NullMetrics(MetricsRegistry):
-    """A registry that records nothing — the bench's overhead baseline."""
-
-    def incr(self, name: str, amount: float = 1.0) -> None:
-        return None
-
-    def gauge(self, name: str, value: float) -> None:
-        return None
-
-    def observe(self, name: str, value: float,
-                buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        return None
-
-    def counter_handle(self, name: str) -> CounterHandle:
-        return _NULL_COUNTER
-
-
 _global = MetricsRegistry()
 
 
@@ -203,12 +173,12 @@ def global_metrics() -> MetricsRegistry:
 
 
 def set_global_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the global registry (benchmarks only); returns the previous."""
+    """Swap the global registry (test isolation); returns the previous."""
     global _global
     previous, _global = _global, registry
     return previous
 
 
 def reset_global_metrics() -> None:
-    """Zero every global instrument (test/bench isolation)."""
+    """Zero every global instrument (test isolation)."""
     _global.reset()

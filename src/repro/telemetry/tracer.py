@@ -15,7 +15,7 @@ Finished root spans are collected under a lock.
 
 The default tracer everywhere is :data:`NULL_TRACER`, whose ``span()``
 returns a shared no-op handle — uninstrumented hot paths pay one method
-call and nothing else (the CI bench gates this at <= 5 %).
+call and nothing else (tier-1 counts those calls per unit of work).
 
 Exports: :meth:`Tracer.to_jsonl` (one span per line, parent-linked) and
 :meth:`Tracer.render` (a human-readable tree).

@@ -13,16 +13,20 @@ epoch.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core import GhostBuster
 from repro.core.diff import ScanConfidence
 from repro.errors import ReproError
+from repro.faults import context as faults_context
 from repro.faults.plan import (FaultPlan, FaultSpec, SITE_DISK_READ,
                                SITE_MFT_PARSE, SITE_RIS_TRANSPORT,
                                SITE_WINAPI_ENUM)
-from repro.fleet import EscalationPolicy, FleetCoordinator
+from repro.fleet import EscalationPolicy, FleetCoordinator, clone_fleet
 from repro.ghostware import (Aphex, HackerDefender, ProBotSE, Urbin,
                              Vanquish)
 from repro.machine import Machine
+from tests.test_fleet_coordinator import checkpoint_failures, golden_image
 
 FAMILIES = (HackerDefender, Aphex, Urbin, Vanquish, ProBotSE)
 
@@ -110,9 +114,12 @@ class TestChaosSweep:
                     == baseline.infected_machines()), method
             assert len(chaotic.infected_machines()) == len(FAMILIES)
             assert _verdicts(chaos, chaotic) == _verdicts(base, baseline)
-            assert _outside_complete(chaos), method
-            # (c) the chaos was real, and the log proves it
+            assert _outside_complete(base) and _outside_complete(chaos), \
+                method
+            # (c) the chaos was real, reached the raw disk reads the
+            # cross-view diff rests on, and the log proves it
             assert plan.fired_count() > 0
+            assert plan.fired_count(SITE_DISK_READ) > 0, method
             assert plan.sequence_digest() != FaultPlan.default(
                 seed=2026, rate=0.05).sequence_digest()
 
@@ -171,6 +178,33 @@ class TestChaosSweep:
                          if v.machine == "victim-00")
         assert recovered.verdict == "infected"
         assert recovered.confirmed_by == "ris"
+
+
+@pytest.mark.slow
+def test_fifty_machine_soak_loses_nothing(tmp_path):
+    """Three epochs of a 50-machine golden-image fleet under a 5% plan,
+    installed process-wide and on the coordinator, compacting every
+    second epoch: no machine is lost or errors, faults reach the raw
+    disk reads, and the last checkpoint reads back from disk."""
+    infected = (0, 16, 32)
+    fleet = clone_fleet(
+        golden_image(), 50, infected=infected,
+        infect=lambda machine: HackerDefender().install(machine))
+    plan = FaultPlan.default(seed=2026, rate=0.05)
+    coordinator = FleetCoordinator(str(tmp_path), fleet, workers=4,
+                                   fault_plan=plan, compact_every=2)
+    previous = faults_context.install_global_plan(plan)
+    try:
+        epochs = coordinator.run(3)
+    finally:
+        faults_context.install_global_plan(previous)
+    for aggregate in epochs:
+        assert aggregate.summary.machines == len(fleet)
+        assert not _errors(aggregate)
+        assert aggregate.infected_machines() \
+            == [f"fleet-{index:02d}" for index in infected]
+    assert plan.fired_count(SITE_DISK_READ) > 0
+    assert not checkpoint_failures(coordinator, epochs[-1])
 
 
 class TestConfirmationUnderTheScanPlan:
@@ -238,7 +272,7 @@ class TestChaosDeltaInterplay:
     def _delta_epoch(self, tmp_path, label, fault_plan=None):
         """Seed epoch, mutate two machines, delta epoch — all under
         ``fault_plan`` and network-booted; returns the delta epoch's
-        aggregate and verdicts."""
+        aggregate and verdicts, and the fleet."""
         fleet = _fleet()
         coordinator = _coordinator(tmp_path / label, fleet,
                                    fault_plan=fault_plan,
@@ -248,14 +282,19 @@ class TestChaosDeltaInterplay:
         fleet[3].volume.create_file("\\Temp\\delta-drop.bin", b"payload")
         delta = coordinator.run_epoch()
         assert _outside_complete(coordinator)
-        return delta, _verdicts(coordinator, delta)
+        return delta, _verdicts(coordinator, delta), fleet
 
     def test_delta_sweep_under_5pct_faults_matches_fault_free(
             self, tmp_path):
-        reference, expected = self._delta_epoch(tmp_path, "reference")
+        reference, expected, fleet = self._delta_epoch(tmp_path,
+                                                       "reference")
+        # The delta verdicts, outside evidence included, equal a fresh
+        # coordinator's cold epoch over the same machines.
+        cold = _coordinator(tmp_path / "cold", fleet, confirm_with="ris")
+        assert _verdicts(cold, cold.run_epoch()) == expected
         plan = FaultPlan.default(seed=2027, rate=0.05)
-        chaotic, verdicts = self._delta_epoch(tmp_path, "chaotic",
-                                              fault_plan=plan)
+        chaotic, verdicts, __ = self._delta_epoch(tmp_path, "chaotic",
+                                                  fault_plan=plan)
 
         assert not _errors(chaotic)
         assert chaotic.infected_machines() == reference.infected_machines()
@@ -276,12 +315,12 @@ class TestChaosDeltaInterplay:
         # A torn read bumps the disk generation outside the write path;
         # the journal refuses coverage across the gap and the scan must
         # cold-parse — with the verdict identical to the fault-free one.
-        __, expected = self._delta_epoch(tmp_path, "ref-torn")
+        __, expected, __ = self._delta_epoch(tmp_path, "ref-torn")
         plan = FaultPlan(seed=11, specs=(
             FaultSpec(SITE_DISK_READ, mode="one_shot",
                       kinds=("torn_read",), scopes=("victim-00",)),))
-        chaotic, verdicts = self._delta_epoch(tmp_path, "torn",
-                                              fault_plan=plan)
+        chaotic, verdicts, __ = self._delta_epoch(tmp_path, "torn",
+                                                  fault_plan=plan)
 
         assert plan.fired_count() == 1
         assert not _errors(chaotic)
@@ -290,12 +329,12 @@ class TestChaosDeltaInterplay:
     def test_parse_fault_mid_patch_self_heals(self, tmp_path):
         # The plan covers the cold seed epoch, where the full MFT parse
         # runs and draws at mft.parse; the delta epoch only patches.
-        __, expected = self._delta_epoch(tmp_path, "ref-parse")
+        __, expected, __ = self._delta_epoch(tmp_path, "ref-parse")
         plan = FaultPlan(seed=13, specs=(
             FaultSpec(SITE_MFT_PARSE, mode="one_shot",
                       kinds=("transient",), scopes=("victim-03",)),))
-        chaotic, verdicts = self._delta_epoch(tmp_path, "parse",
-                                              fault_plan=plan)
+        chaotic, verdicts, __ = self._delta_epoch(tmp_path, "parse",
+                                                  fault_plan=plan)
 
         assert plan.fired_count() == 1
         assert not _errors(chaotic)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.__main__ import main
 from repro.console import ConsoleServer, JournalIndex
 from repro.fleet import (FleetCoordinator, WorkQueue, fleet_status,
-                         fold_agent_records)
+                         fold_agent_records, load_history)
 from repro.machine import Machine
 from repro.telemetry import journal_io
 from repro.telemetry.journal_io import append_journal, read_journal
@@ -328,6 +328,33 @@ class TestStalenessAndCrashSafety:
         assert history[0]["verdict"] == "infected"
         assert index.baseline_entry("m00")["baseline_id"] == "b1"
 
+    def test_unparseable_line_is_skipped_once(self, tmp_path):
+        """A terminated line that does not parse moves the cursor past
+        it: later passes neither count it again nor lose what follows,
+        also when it is the journal's only line."""
+        fleet_dir = str(tmp_path)
+        epochs_path = os.path.join(fleet_dir, "epochs.jsonl")
+        torn_line = b'{"type": "fleet-mach\n'
+        with open(epochs_path, "wb") as handle:
+            handle.write(torn_line)
+        index = JournalIndex(fleet_dir)
+        record = {"type": "fleet-machine", "epoch": 1, "machine": "m00",
+                  "verdict": "clean"}
+        append_journal(epochs_path, record)
+        with open(epochs_path, "ab") as handle:
+            handle.write(torn_line)
+        torn = []
+        for __ in range(4):
+            index.update()
+            torn.append(index.stats()["torn_skipped"])
+        assert torn == [2, 2, 2, 2]
+        assert index.stats()["cursors"]["epochs"] \
+            == os.path.getsize(epochs_path)
+        append_journal(epochs_path, dict(record, epoch=2))
+        assert index.update()["epochs"] == 1
+        assert len(index.machine_history("m00")) == 2
+        assert index.stats() == JournalIndex(fleet_dir).stats()
+
     def test_rewrite_that_regrows_past_the_cursor_is_refolded(
             self, tmp_path):
         """An emptied WAL that regrew past this console's cursor before
@@ -421,6 +448,28 @@ class TestCompaction:
             coordinator.run_epoch()
             per_epoch.append(reads.count(0))
         assert per_epoch[1:] == [0, 0, 0]
+        assert JournalIndex(fleet_dir).status() == coordinator.index.status()
+
+    def test_retention_folds_history_from_the_kept_records(
+            self, tmp_path, monkeypatch):
+        """A retention rewrite folds the scheduler history from the
+        records it keeps: besides the rewrite's own pass, the only full
+        read of ``epochs.jsonl`` is the index refolding the journal once
+        the rewrite drops records."""
+        fleet_dir = str(tmp_path)
+        machines = build_fleet(size=4, infected=())
+        coordinator = FleetCoordinator(fleet_dir, machines, workers=2,
+                                       compact_every=1, retain_epochs=2)
+        reads = record_reads(monkeypatch, coordinator.epochs_path)
+        per_epoch = []
+        for epoch in range(1, 5):
+            machines[0].volume.create_file(f"\\touch-{epoch}.txt", b"x")
+            del reads[:]
+            coordinator.run_epoch()
+            per_epoch.append(reads.count(0))
+            assert coordinator.history \
+                == load_history(coordinator.epochs_path)
+        assert per_epoch == [1, 1, 2, 2]
         assert JournalIndex(fleet_dir).status() == coordinator.index.status()
 
 

@@ -22,11 +22,13 @@ from repro.disk import Disk, DiskGeometry, JournalRecord, backends
 from repro.errors import DiskError
 from repro.faults.injectors import DiskFaultInjector
 from repro.faults.plan import SITE_DISK_READ, FaultPlan, FaultSpec
-from repro.fleet import clone_fleet, fleet_storage_stats
+from repro.fleet import FleetCoordinator, clone_fleet, fleet_storage_stats
+from repro.ghostware import HackerDefender
 from repro.kernel.kernel import FilterStack
 from repro.machine import Machine
 from repro.ntfs.mft_parser import MftParser
 from repro.workloads import populate_machine
+from tests.test_chaos_e2e import _OutsideRecorder, _outside_complete, _verdicts
 
 _GEOM = DiskGeometry.from_megabytes(1)
 _MAX = _GEOM.size_bytes
@@ -292,6 +294,58 @@ class TestFlatBackendStorage:
         assert totals["shared_bytes"] == 0
         assert totals["total_bytes"] \
             == sum(m.disk.used_bytes() for m in fleet)
+
+    def test_cow_fleet_packs_four_times_the_machines(self, tmp_path):
+        """Machines per byte: a COW fleet against private copies of the
+        same golden image, both diverging the same two clean clones.
+        One RIS epoch over each must convict on the same inside and
+        outside evidence."""
+        golden = Machine("ceil", disk_mb=512, max_records=8192)
+        # Content-heavy image, modest hives: every clone's unavoidable
+        # divergence is its registry remount.
+        populate_machine(golden, file_count=200, registry_scale=20, seed=7)
+        for index in range(200):
+            golden.volume.create_file(
+                f"\\Program Files\\image{index:04d}.bin",
+                bytes([index % 251]) * 4096)
+        size, infected = 16, (0, 5, 10)
+
+        def infect(machine):
+            HackerDefender().install(machine)
+
+        def private_copy(index):
+            disk = Disk(golden.disk.geometry)
+            for sector, data in golden.disk.written_sectors():
+                disk.write_sector(sector, data)
+            machine = Machine(f"fleet-{index:02d}", disk=disk,
+                              max_records=8192)
+            machine.boot()
+            if index in infected:
+                infect(machine)
+            return machine
+
+        fleets = {"cow": clone_fleet(golden, size, infected=infected,
+                                     infect=infect),
+                  "private": [private_copy(index) for index in range(size)]}
+        stats, verdicts = {}, {}
+        for arm, fleet in fleets.items():
+            for machine in fleet[1:3]:
+                machine.volume.create_file(
+                    f"\\Temp\\diverge-{machine.name}.bin", b"D" * 4096)
+            stats[arm] = fleet_storage_stats(fleet)
+            coordinator = FleetCoordinator(
+                str(tmp_path / arm), fleet, policy=_OutsideRecorder("ris"))
+            verdicts[arm] = _verdicts(coordinator, coordinator.run_epoch())
+            assert _outside_complete(coordinator), arm
+        assert stats["cow"]["shared_bases"] == 1
+        assert stats["private"]["shared_bases"] == 0
+        # Same machine count, so machines per byte is a ratio of totals.
+        assert stats["private"]["total_bytes"] \
+            >= 4 * stats["cow"]["total_bytes"]
+        assert verdicts["cow"] == verdicts["private"]
+        assert sorted(name for name, verdict in verdicts["cow"].items()
+                      if verdict[0] == "infected") \
+            == [f"fleet-{index:02d}" for index in infected]
 
     def test_clone_fleet_requires_infect_callable(self):
         golden = Machine("g", disk_mb=64, max_records=512)

@@ -22,11 +22,13 @@ from repro.clock import SimClock
 from repro.core.baseline import BaselineStore
 from repro.errors import CoordinatorKilled, FleetError, StaleLease
 from repro.fleet import (EscalationPolicy, FleetCoordinator, WorkQueue,
-                         fleet_status, load_history)
-from repro.ghostware import Aphex, HackerDefender, LowLevelInterferenceGhost
+                         clone_fleet, fleet_status, load_history)
+from repro.ghostware import (AdsGhost, Aphex, FuRootkit, HackerDefender,
+                             LowLevelInterferenceGhost)
 from repro.machine import Machine
 from repro.telemetry.journal_io import read_journal
 from repro.telemetry.metrics import global_metrics
+from repro.workloads import STRAINS, populate_machine
 from tests.test_fleet_transport import dial, scan_ack, start_controller
 
 
@@ -44,6 +46,35 @@ def build_fleet(size=3, infected=(1,), ghost_cls=HackerDefender):
 def verdict_key(aggregate):
     return {v.machine: (v.verdict, v.findings, v.confirmed, v.confirmed_by)
             for v in aggregate.verdicts}
+
+
+def golden_image(file_count=120):
+    """The golden image clone fleets are imaged from."""
+    golden = Machine("golden", disk_mb=512, max_records=8192)
+    populate_machine(golden, file_count=file_count, registry_scale=200,
+                     seed=7)
+    return golden
+
+
+def checkpoint_failures(coordinator, aggregate):
+    """What of ``aggregate``'s checkpoint does not read back from disk.
+
+    Every non-error verdict must name the baseline a reopened store
+    holds for its machine, and a replay of the epochs journal must give
+    the live coordinator's scheduler history.
+    """
+    store = BaselineStore(coordinator.fleet_dir)
+    failures = []
+    for verdict in aggregate.verdicts:
+        if verdict.verdict == "error":
+            continue
+        stored = getattr(store.get(verdict.machine), "baseline_id", None)
+        if stored != verdict.baseline_id:
+            failures.append(f"{verdict.machine}: verdict names baseline "
+                            f"{verdict.baseline_id}, store holds {stored}")
+    if load_history(coordinator.epochs_path) != coordinator.history:
+        failures.append("epochs.jsonl replays to another history")
+    return failures
 
 
 def machine_records(fleet_dir, epoch):
@@ -109,6 +140,33 @@ class TestEpochLifecycle:
         assert verdict_key(second) == verdict_key(cold)
         assert ({v.machine: v.finding_ids for v in second.verdicts}
                 == {v.machine: v.finding_ids for v in cold.verdicts})
+
+    def test_escalation_precision_over_the_strain_corpus(self, tmp_path):
+        """The outside-the-box tier is reserved for real suspects: over
+        the twelve-strain corpus plus four clean golden-image clones,
+        every escalated machine is infected, and every confirmation
+        names WinPE."""
+        corpus = (*STRAINS.values(), AdsGhost, FuRootkit)
+        assert len(corpus) == 12
+        fleet = clone_fleet(golden_image(), len(corpus) + 4)
+        for machine, ghost_cls in zip(fleet, corpus):
+            ghost = ghost_cls()
+            ghost.install(machine)
+            if isinstance(ghost, FuRootkit):
+                victim = machine.start_process("\\Windows\\explorer.exe",
+                                               name="dkom_victim.exe")
+                ghost.hide_process(machine, victim.pid)
+        infected = {machine.name for machine in fleet[:len(corpus)]}
+        aggregate = FleetCoordinator(
+            str(tmp_path), fleet, workers=2,
+            policy=EscalationPolicy(confirm_with="winpe"),
+            resources=("files", "registry", "processes")).run_epoch()
+        escalated = {v.machine for v in aggregate.verdicts if v.escalated}
+        assert escalated and escalated <= infected   # precision 1.0
+        confirmed = [v for v in aggregate.verdicts if v.confirmed]
+        assert confirmed
+        assert all(v.machine in escalated and v.confirmed_by == "winpe"
+                   for v in confirmed)
 
     @pytest.mark.parametrize("method", ["vmscan", "ris"])
     def test_vmscan_policy_provenance(self, tmp_path, method):

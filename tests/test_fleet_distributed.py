@@ -23,8 +23,8 @@ from repro.__main__ import main
 from repro.core.noise import NoiseFilter
 from repro.errors import TransientIoError
 from repro.faults.plan import SITE_WINAPI_ENUM, FaultPlan, FaultSpec
-from repro.fleet import (EscalationPolicy, FleetCoordinator, fleet_status,
-                         load_history)
+from repro.fleet import (EscalationPolicy, FleetCoordinator, clone_fleet,
+                         fleet_status, load_history)
 from repro.fleet.controller import AGENT_DEAD
 from repro.ghostware import Aphex, HackerDefender, LowLevelInterferenceGhost
 from repro.machine import Machine
@@ -33,6 +33,7 @@ from repro.telemetry.metrics import global_metrics
 from repro.workloads import (FleetProfile, FleetWorkload, InfectionWave,
                              SamplingPolicy)
 from repro.workloads.scenarios import build_home_pc
+from tests.test_fleet_coordinator import checkpoint_failures, golden_image
 
 pytestmark = pytest.mark.skipif(
     sys.platform == "win32", reason="distributed mode forks")
@@ -54,7 +55,8 @@ def roster():
 
 
 def verdict_key(aggregate):
-    return {v.machine: (v.verdict, v.findings, v.confirmed, v.confirmed_by)
+    return {v.machine: (v.verdict, v.findings, v.confirmed, v.confirmed_by,
+                        tuple(sorted(v.finding_ids)))
             for v in aggregate.verdicts}
 
 
@@ -125,6 +127,41 @@ class TestDistributedSweep:
         agents = fleet_status(str(tmp_path))["agents"]
         assert agents["agent-0"]["state"] == AGENT_DEAD
         assert aggregates[0].summary.machines == SIZE
+        assert not checkpoint_failures(coordinator, aggregates[0])
+
+    @pytest.mark.slow
+    def test_fifty_machine_soak_survives_a_killed_agent(self, tmp_path):
+        """Three epochs of a 50-machine golden-image fleet on two
+        agents; agent 0 is SIGKILLed after its third lease.  Every
+        epoch equals an uninterrupted single-process run, and the last
+        checkpoint reads back from disk."""
+        golden = golden_image()
+        infected = {"fleet-00", "fleet-16", "fleet-32"}
+
+        def factory(name):
+            return clone_fleet(golden, 1, name_format=name,
+                               infected=(0,) if name in infected else (),
+                               infect=lambda m: HackerDefender().install(m))[0]
+
+        names = [f"fleet-{index:02d}" for index in range(50)]
+        reference = FleetCoordinator(str(tmp_path / "reference"),
+                                     [factory(name) for name in names],
+                                     workers=4)
+        expected = [verdict_key(aggregate) for aggregate in reference.run(3)]
+        assert all(sorted(name for name, key in epoch.items()
+                          if key[0] == "infected") == sorted(infected)
+                   for epoch in expected)
+        coordinator = FleetCoordinator(str(tmp_path / "fleet"), names,
+                                       workers=2, compact_every=0)
+        aggregates = coordinator.run_distributed(
+            3, factory, agents=2, agent_timeout_seconds=2.0,
+            kill_after_leases={0: 3})
+        keys = [verdict_key(aggregate) for aggregate in aggregates]
+        assert all(set(key) == set(names) for key in keys), "lost machines"
+        assert keys == expected
+        agents = fleet_status(coordinator.fleet_dir)["agents"]
+        assert agents["agent-0"]["state"] == AGENT_DEAD
+        assert not checkpoint_failures(coordinator, aggregates[-1])
 
     def test_transport_chaos_loses_nothing(self, tmp_path, reference_key):
         coordinator = FleetCoordinator(str(tmp_path), roster(), workers=2)

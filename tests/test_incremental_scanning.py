@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import GhostBuster
 from repro.core import snapshot as snapshot_module
 from repro.core.baseline import BaselineStore, MachineBaseline
 from repro.core.reporting import report_from_dict, report_to_dict
@@ -21,7 +22,7 @@ from repro.core.scanners.files import low_level_file_scan
 from repro.core.snapshot import FileEntry, ResourceType, ScanSnapshot
 from repro.disk import ChangeJournal, Disk, DiskGeometry
 from repro.errors import FileExists, FileNotFound, VolumeError
-from repro.ghostware import Aphex
+from repro.ghostware import Aphex, HackerDefender
 from repro.machine import Machine
 from repro.ntfs import mft_parser
 from repro.ntfs.constants import MFT_RECORD_SIZE
@@ -30,7 +31,9 @@ from repro.ntfs.records import MftRecord
 from repro.registry import hive_parser
 from repro.registry.hive import Hive
 from repro.telemetry.metrics import global_metrics
+from repro.workloads import populate_machine
 from repro.workloads.fleetgen import FleetProfile, build_profiled_machine
+from tests.test_chaos_e2e import _identities
 
 
 def _cold_parse(disk):
@@ -285,6 +288,34 @@ class TestDeltaRescanCost:
         assert len(rescan.entries) == len(warm.entries) + writes
         assert made["entries"] <= 2 * writes
         assert made["keys"] <= 2 * writes
+
+
+class TestDeltaDetection:
+    def test_journal_patched_detection_equals_cold(self):
+        """A detection whose caches were repaired through the change
+        journal and the hive bin delta convicts on the same findings as
+        one that parses every structure cold."""
+        machine = Machine("delta", disk_mb=512, max_records=8192)
+        populate_machine(machine, file_count=120, registry_scale=200,
+                         seed=7)
+        machine.boot()
+        HackerDefender().install(machine)
+        machine.registry.create_key("HKLM\\SOFTWARE\\DeltaProbe")
+        GhostBuster(machine).detect()      # every cache warm
+        patched = _counter("journal.records_patched")
+        for round_no in range(3):
+            path = f"\\Temp\\delta{round_no:02d}-new.bin"
+            machine.volume.create_file(path, b"fresh")
+            machine.volume.write_file(path, b"rewritten")
+            machine.volume.write_stream(path, "marker", b"ads")
+            machine.registry.set_value("HKLM\\SOFTWARE\\DeltaProbe",
+                                       "round", str(round_no))
+            warm = GhostBuster(machine).detect()
+        assert _counter("journal.records_patched") > patched
+        machine.disk.raw_cache.clear()
+        hive_parser.clear_hive_cache()
+        cold = GhostBuster(machine).detect()
+        assert _identities(warm) and _identities(warm) == _identities(cold)
 
 
 # -- volume rename ------------------------------------------------------------

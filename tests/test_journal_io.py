@@ -49,7 +49,7 @@ class TestIterJournal:
         with open(path, "ab") as handle:
             handle.write(b'{"n": 2, "payload": "trunc')  # killed mid-write
         torn = []
-        records = read_journal(path, on_torn=lambda no, why:
+        records = read_journal(path, on_torn=lambda no, why, end:
                                torn.append((no, why)))
         assert records == [{"n": 0}, {"n": 1}]
         assert len(torn) == 1 and torn[0][0] == 3
@@ -57,7 +57,7 @@ class TestIterJournal:
         # into it: one skipped line, the new record intact at its range.
         start, end = append_journal(path, {"n": 3})
         torn.clear()
-        records = read_journal(path, on_torn=lambda no, why:
+        records = read_journal(path, on_torn=lambda no, why, end:
                                torn.append((no, why)))
         assert records == [{"n": 0}, {"n": 1}, {"n": 3}]
         assert [no for no, __ in torn] == [3]
@@ -67,7 +67,7 @@ class TestIterJournal:
         path = str(tmp_path / "j.jsonl")
         write_lines(path, [b'{"n": 0}\n', b'{"bad json\n', b'{"n": 2}\n'])
         torn = []
-        records = read_journal(path, on_torn=lambda no, why:
+        records = read_journal(path, on_torn=lambda no, why, end:
                                torn.append(no))
         assert records == [{"n": 0}, {"n": 2}]
         assert torn == [2]
@@ -287,7 +287,7 @@ class TestConsumersShareTornTailBehavior:
             handle.write(b'{"type": "span", "trunc\n')
         append_journal(path, {"type": "span", "name": "diff"})
         torn = []
-        grouped = read_grouped(path, on_torn=lambda line_no, reason:
+        grouped = read_grouped(path, on_torn=lambda line_no, reason, end:
                                torn.append(line_no))
         assert [r["name"] for r in grouped["span"]] == ["scan", "diff"]
         assert torn == [2]

@@ -15,6 +15,7 @@ Covers the PR-10 contract end to end:
   restart (journal-rebuilt tracker suppresses duplicates);
 * kill/resume mid-stealth-campaign is element-identical to an
   uninterrupted run;
+* the precision/recall-per-level curve, naive against defended;
 * sweep traces record stealth events and replay them verbatim.
 """
 
@@ -25,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.ghostbuster import GhostBuster
 from repro.errors import CoordinatorKilled
-from repro.fleet import FleetCoordinator
+from repro.fleet import FleetCoordinator, fleet_status
 from repro.fleet.policy import EscalationPolicy, campaign_fingerprints
 from repro.fleet.scheduler import recent_write_probe
 from repro.ghostware import FuRootkit, Urbin
@@ -254,6 +255,90 @@ class TestCampaignDedupe:
         after = self._campaign_records(resumed)
         assert [record["fingerprint"] for record in after] \
             == [record["fingerprint"] for record in before]
+
+
+def campaign_arm(fleet_dir, size, level, defended, workers, epochs=3):
+    """One arm of the stealth curve over the ``adv`` workload.
+
+    Two fully capable strains run at ``level``, so every rung of the
+    ladder changes behaviour: Urbin (AppInit IAT hooks) from epoch 1,
+    HackerDefender (NtDll detours) from epoch 2.  The defended arm is
+    scan-until-stable, flag-unstable and scan-order jitter with the
+    default inside-to-outside escalation; the naive arm is one inside
+    pass without escalation, the scanner the adversary engine exists
+    to defeat.
+    """
+    workload = FleetWorkload(FleetProfile(
+        name="adv", size=size, seed=31,
+        file_count=(24, 48), virtual_files=(4_000, 12_000),
+        registry_kb=(20, 40), churn_files=(1, 3), churn_registry=(0, 1),
+        disk_mb=64, max_records=2048,
+        waves=(InfectionWave("urbin", onset_epoch=1,
+                             initial=max(2, size // 12), spread=0.5,
+                             level=level),
+               InfectionWave("hackerdefender", onset_epoch=2,
+                             initial=max(1, size // 25), spread=0.4,
+                             level=level, conceal_budget=2))))
+    config = (dict(DEFENDED, scan_order_jitter=11) if defended
+              else dict(policy=EscalationPolicy(escalate=False)))
+    coordinator = FleetCoordinator(
+        str(fleet_dir), workload.machines.values(), workers=workers,
+        outbreak_threshold=3, console_index=False, **config)
+    reported, verdict_maps = set(), []
+    for epoch in range(1, epochs + 1):
+        workload.apply_epoch(epoch)
+        aggregate = coordinator.run_epoch()
+        verdict_maps.append({v.machine: verdict_key(v)
+                             for v in aggregate.verdicts})
+        reported.update(v.machine for v in aggregate.verdicts
+                        if v.verdict == "infected")
+    truth = workload.infected_machines(epochs)
+    return {
+        "recall": len(reported & truth) / len(truth) if truth else 1.0,
+        "precision": (len(reported & truth) / len(reported)
+                      if reported else 1.0),
+        "campaigns": [record["fingerprint"] for record
+                      in fleet_status(str(fleet_dir))["campaigns"]],
+        "verdict_maps": verdict_maps,
+    }
+
+
+class TestStealthCurve:
+    """Precision and recall per stealth level, naive against defended:
+    the defence must hold while the malware changes its behaviour
+    under observation, and the naive scanner must visibly fail."""
+
+    @staticmethod
+    def check_curve(tmp_path, size, workers):
+        arms = {(level, defended): campaign_arm(
+                    tmp_path / f"{level}-{defended}", size, level,
+                    defended, workers)
+                for level in LEVELS for defended in (False, True)}
+        defended = {level: arms[level, True] for level in LEVELS}
+        naive = {level: arms[level, False] for level in LEVELS}
+        assert all(arm["precision"] == 1.0 for arm in defended.values())
+        floor = min(defended[level]["recall"]
+                    for level in ("off", "low", "medium", "high"))
+        assert floor >= 0.95
+        # Scan-aware levels measurably degrade the naive scanner.
+        assert max(naive[level]["recall"]
+                   for level in ("medium", "high", "maximum")) \
+            <= floor - 0.5
+        # One alert per campaign across rotated identities.
+        for level in ("high", "maximum"):
+            fingerprints = defended[level]["campaigns"]
+            assert fingerprints
+            assert len(fingerprints) == len(set(fingerprints))
+        rerun = campaign_arm(tmp_path / "high-rerun", size, "high", True,
+                             workers)
+        assert rerun["verdict_maps"] == defended["high"]["verdict_maps"]
+
+    def test_defended_holds_at_every_level(self, tmp_path):
+        self.check_curve(tmp_path, size=12, workers=2)
+
+    @pytest.mark.slow
+    def test_defended_holds_at_every_level_at_fleet_size(self, tmp_path):
+        self.check_curve(tmp_path, size=50, workers=4)
 
 
 class TestKillResume:

@@ -1,18 +1,27 @@
-"""Telemetry core: tracer spans, metrics registry, audit log, context."""
+"""Telemetry core: tracer spans, metrics registry, audit log, context,
+and the cost of instrumentation on uninstrumented runs, counted."""
 
 import json
+import tempfile
 import threading
 
 import pytest
 
 from repro.clock import SimClock
+from repro.disk import Disk, DiskGeometry
+from repro.faults import context as faults_context
+from repro.fleet import EscalationPolicy, FleetCoordinator
+from repro.ghostware import HackerDefender
+from repro.ntfs import MftParser, NtfsVolume
+from repro.registry import hive_parser
 from repro.telemetry import Telemetry
 from repro.telemetry import context as telemetry_context
 from repro.telemetry.audit import (AuditLog, LAYER_IAT, LAYER_INLINE,
                                    LAYER_SSDT, resource_of)
-from repro.telemetry.metrics import (DEFAULT_BUCKETS, MetricsRegistry,
-                                     NullMetrics)
-from repro.telemetry.tracer import NULL_SPAN, NULL_TRACER, Tracer
+from repro.telemetry.metrics import (DEFAULT_BUCKETS, CounterHandle,
+                                     MetricsRegistry)
+from repro.telemetry.tracer import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
+from repro.workloads.scenarios import build_home_pc
 
 
 # -- tracer -------------------------------------------------------------------
@@ -175,13 +184,6 @@ class TestMetrics:
         assert 'h{le="+Inf"}' in text
         assert "h_count 1" in text
 
-    def test_null_metrics_records_nothing(self):
-        registry = NullMetrics()
-        registry.incr("a")
-        registry.observe("h", 1.0)
-        registry.counter_handle("a").add(100)
-        assert registry.snapshot()["counters"] == {}
-
     def test_parallel_incr_is_exact(self):
         registry = MetricsRegistry()
 
@@ -195,6 +197,92 @@ class TestMetrics:
         for thread in threads:
             thread.join()
         assert registry.counter("shared") == 4000
+
+
+# -- instrumentation cost -----------------------------------------------------
+
+
+@pytest.fixture
+def instrumentation_calls(monkeypatch):
+    """Every instrumentation call made during the test, by method name.
+
+    Counted: the registry's ``incr``/``gauge``/``observe``, a counter
+    handle's ``add`` and the no-op tracer's ``span``.  The suite's
+    chaos plan is uninstalled meanwhile, so no retry moves a count.
+    """
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(self, *args, **kwargs):
+            calls.append(name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((MetricsRegistry, "incr"),
+                        (MetricsRegistry, "gauge"),
+                        (MetricsRegistry, "observe"),
+                        (CounterHandle, "add"), (NullTracer, "span")):
+        count(owner, name)
+    previous = faults_context.install_global_plan(None)
+    try:
+        yield calls
+    finally:
+        faults_context.install_global_plan(previous)
+
+
+class TestInstrumentationCost:
+    """Inactive telemetry costs a fixed number of calls per unit of
+    work, never one per record: counts, not timings, so the gate holds
+    on any host."""
+
+    @pytest.mark.parametrize("file_count", [120, 1000])
+    def test_read_loop_pays_one_call_per_read(self, instrumentation_calls,
+                                              file_count):
+        disk = Disk(DiskGeometry.from_megabytes(256))
+        volume = NtfsVolume.format(disk, max_records=file_count * 2 + 64)
+        volume.create_directories("\\data")
+        for index in range(file_count):
+            volume.create_file(f"\\data\\file{index:05d}.bin", b"x" * 100)
+        reads = 500
+        disk.raw_cache.clear()
+        del instrumentation_calls[:]
+        parser = MftParser(disk.read_bytes)
+        for index in range(reads):
+            assert parser.read_file_content(
+                f"\\data\\file{index % file_count:05d}.bin")
+        # One counter add per read, one span for the cold parse.
+        assert len(instrumentation_calls) == reads + 1
+
+    def test_epoch_calls_do_not_grow_with_files(self,
+                                                instrumentation_calls):
+        def epoch_calls(files):
+            hive_parser.clear_hive_cache()
+            machines = [build_home_pc(
+                f"m{index}", HackerDefender() if index == 1 else None,
+                files=files, seed=3 + index, with_services=False).machine
+                for index in range(3)]
+            counts = []
+            with tempfile.TemporaryDirectory() as fleet_dir:
+                coordinator = FleetCoordinator(
+                    fleet_dir, machines, policy=EscalationPolicy("winpe"))
+                for epoch in ("cold", "delta", "steady"):
+                    if epoch == "delta":
+                        machines[0].volume.create_file(
+                            "\\Temp\\delta.bin", b"delta")
+                    del instrumentation_calls[:]
+                    scanned = coordinator.run_epoch().summary.scanned
+                    assert scanned == {"cold": 3, "delta": 1,
+                                       "steady": 0}[epoch]
+                    counts.append(len(instrumentation_calls))
+            return counts
+
+        small, large = epoch_calls(30), epoch_calls(120)
+        assert all(count > 0 for count in small)
+        assert all(big <= 1.05 * few for big, few in zip(large, small)), \
+            (small, large)
 
 
 # -- audit --------------------------------------------------------------------

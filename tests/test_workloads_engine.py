@@ -16,7 +16,10 @@ Covers the PR-9 acceptance surface:
 * the Hypothesis escalation property — on every machine the sampled
   sweep escalated, its reported infections are a superset-of-or-equal
   of the full sweep's, and recall accounting matches the planted
-  ground truth.
+  ground truth;
+* the recall-vs-cost curve — sampled sweeps keep recall with no false
+  positives, and (``slow``) cut the steady-state simulated scan cost of
+  a 200-machine fleet at least five-fold.
 """
 
 from __future__ import annotations
@@ -357,24 +360,49 @@ class TestTraces:
         disk_mb=64, max_records=2048,
         waves=(InfectionWave("hackerdefender", onset_epoch=2),))
 
-    def test_record_then_replay_twice(self, tmp_path):
+    # The 20-machine reference workload: sampled scans and one planted
+    # infection.
+    REFERENCE = FleetProfile(
+        name="trb", size=20, seed=53, file_count=(40, 80),
+        virtual_files=(5_000, 20_000), registry_kb=(20, 40),
+        churn_files=(1, 4), churn_registry=(0, 2),
+        disk_mb=64, max_records=2048,
+        waves=(InfectionWave("hackerdefender", onset_epoch=2, initial=1,
+                             spread=0.0),))
+
+    @staticmethod
+    def record_then_replay_twice(tmp_path, profile, epochs, **kwargs):
+        """Record a sweep, replay it twice; every run must agree."""
         trace = str(tmp_path / "trace.jsonl")
-        recorded = record_sweep(trace, self.PROFILE,
-                                str(tmp_path / "rec"), epochs=3,
-                                sampling=SamplingPolicy(seed=3,
-                                                        full_every=64))
-        first = replay_sweep(trace, str(tmp_path / "rep1"))
-        second = replay_sweep(trace, str(tmp_path / "rep2"))
-        assert recorded.trace_digest == first.trace_digest \
-            == second.trace_digest
-        assert recorded.verdicts == first.verdicts == second.verdicts
-        assert recorded.infected == first.infected == second.infected
+        recorded = record_sweep(trace, profile, str(tmp_path / "rec"),
+                                epochs=epochs, **kwargs)
+        runs = [recorded] + [replay_sweep(trace, str(tmp_path / f"rep{n}"))
+                             for n in (1, 2)]
+        assert len({run.trace_digest for run in runs}) == 1
+        assert all(run.verdicts == recorded.verdicts for run in runs)
+        assert all(run.infected == recorded.infected for run in runs)
         assert recorded.infected   # the wave actually fired
         if not CHAOS_ACTIVE:
             # Within one process an ambient chaos plan's per-site
             # streams keep their positions, perturbing scan_seconds;
             # without one the journals are byte-identical.
-            assert first.journal_digest == second.journal_digest
+            assert len({run.journal_digest for run in runs}) == 1
+        return recorded
+
+    def test_record_then_replay_twice(self, tmp_path):
+        self.record_then_replay_twice(
+            tmp_path, self.PROFILE, 3,
+            sampling=SamplingPolicy(seed=3, full_every=64))
+
+    def test_reference_workload_replays_and_convicts(self, tmp_path):
+        recorded = self.record_then_replay_twice(
+            tmp_path, self.REFERENCE, 2,
+            sampling=SamplingPolicy(seed=3, file_rate=0.25, full_every=4),
+            workers=2)
+        # A planted infection is convicted in some epoch.
+        assert any(verdicts.get(machine, ("",))[0] == "infected"
+                   for machine in recorded.infected
+                   for verdicts in recorded.verdicts)
 
     def test_replay_rejects_tampered_trace(self, tmp_path):
         trace = str(tmp_path / "trace.jsonl")
@@ -403,13 +431,74 @@ class TestTraces:
                              {"ops": [], "epoch": 1}])
         assert trace_digest(records) != trace_digest(records[:1])
 
-    def test_coordinator_classmethod_entry_points(self, tmp_path):
-        trace = str(tmp_path / "trace.jsonl")
-        recorded = FleetCoordinator.record_trace(
-            trace, self.PROFILE, str(tmp_path / "rec"), epochs=2)
-        replayed = FleetCoordinator.replay_trace(
-            trace, str(tmp_path / "rep"))
-        assert recorded.verdicts == replayed.verdicts
+
+def sampled_sweep_profile(size):
+    """File-heavy machines (small hives, many virtual files), so the
+    sampled pass's always-full registry stratum stays cheap next to the
+    file scan it avoids, and a persistent wave that must hook an ASEP
+    to survive reboot: the stratum sampling never skips."""
+    return FleetProfile(
+        name="swp", size=size, seed=97,
+        file_count=(240, 340), virtual_files=(80_000, 200_000),
+        registry_kb=(6, 12), churn_files=(2, 5), churn_registry=(0, 1),
+        disk_mb=64, max_records=2048,
+        waves=(InfectionWave("hackerdefender", onset_epoch=2,
+                             initial=2, spread=0.4),))
+
+
+def sweep_summaries(fleet_dir, profile, epochs, workers, sampling=None):
+    """One sweep's epoch summaries, the machines it convicted in any
+    epoch, and the planted truth."""
+    workload = FleetWorkload(profile)
+    coordinator = FleetCoordinator(
+        str(fleet_dir), workload.machines.values(), workers=workers,
+        sampling=sampling, console_index=False)
+    summaries, reported = [], set()
+    for epoch in range(1, epochs + 1):
+        workload.apply_epoch(epoch)
+        aggregate = coordinator.run_epoch()
+        summaries.append(aggregate.summary)
+        reported.update(v.machine for v in aggregate.verdicts
+                        if v.verdict == "infected")
+    return summaries, reported, workload.infected_machines(epochs)
+
+
+class TestSampledSweepCurve:
+    """Recall against cost: a full sweep and sampled sweeps at several
+    file rates over the same workload.  The steady-state cost is the
+    simulated scan seconds after epoch 1 (never-scanned machines get a
+    full scan in every arm)."""
+
+    @staticmethod
+    def curve(tmp_path, size, epochs, rates, workers):
+        """rate -> (recall, steady cost reduction against full)."""
+        profile = sampled_sweep_profile(size)
+        full, reported, truth = sweep_summaries(
+            tmp_path / "full", profile, epochs, workers)
+        assert truth and reported == truth   # full recall 1.0, no FP
+        full_cost = sum(summary.scan_seconds for summary in full[1:])
+        points = {}
+        for rate in rates:
+            summaries, reported, truth = sweep_summaries(
+                tmp_path / f"rate-{rate}", profile, epochs, workers,
+                SamplingPolicy(seed=5, file_rate=rate, full_every=64))
+            assert reported <= truth, rate   # no false positives
+            assert sum(summary.sampled for summary in summaries) > 0, rate
+            cost = sum(summary.scan_seconds for summary in summaries[1:])
+            points[rate] = (len(reported & truth) / len(truth),
+                            full_cost / cost)
+        return points
+
+    def test_every_rate_samples_without_false_positives(self, tmp_path):
+        self.curve(tmp_path, size=20, epochs=3, rates=(0.05, 0.35),
+                   workers=2)
+
+    @pytest.mark.slow
+    def test_five_fold_steady_reduction_keeps_recall(self, tmp_path):
+        (recall, reduction), = self.curve(
+            tmp_path, size=200, epochs=4, rates=(0.05,), workers=8).values()
+        assert recall >= 0.95
+        assert reduction >= 5
 
 
 # Strains whose persistence hooks an ASEP *and* whose stealth hides it
