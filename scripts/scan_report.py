@@ -24,6 +24,7 @@ one client changes on disk, which rescans that client and skips the rest.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -133,6 +134,23 @@ def is_fleet_journal(records: dict) -> bool:
                 or records.get("epoch-start"))
 
 
+def bench_document(text: str):
+    """The bench JSON object ``text`` holds, or None for a journal.
+
+    A bench file is one JSON object over one or more lines; so is a
+    one-record journal, but every journal record carries a ``type``.
+    """
+    if not text.lstrip().startswith("{") or "\n{" in text:
+        return None
+    try:
+        document = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(document, dict) or "type" in document:
+        return None
+    return document
+
+
 def render_stealth_curve(payload: dict) -> str:
     """Per-stealth-level detection columns from a bench results JSON
     (the committed ``BENCH_PR10.json``), which carries the curve under
@@ -211,12 +229,11 @@ def main(argv=None) -> int:
         path = Path(options.jsonl)
     else:
         parser.error("give a JSONL file or --demo")
-    text = path.read_text()
-    if text.lstrip().startswith("{") and "\n{" not in text:
+    bench = bench_document(path.read_text())
+    if bench is not None:
         # A bench JSON artifact, not a journal: render the per-level
         # stealth detection columns (docs/adversary.md).
-        import json
-        print(render_stealth_curve(json.loads(text)))
+        print(render_stealth_curve(bench))
         return 0
     def warn(line_no: int, reason: str, *_) -> None:
         # A torn line (a writer killed mid-record) costs only itself.

@@ -28,7 +28,10 @@ so its own index never re-reads the epochs journal.
 (:func:`~repro.telemetry.journal_io.replace_journal`).  ``update()``
 notices a journal that shrank below its cursor, or whose last folded
 record no longer reads back at its ``[start, end)``, and refolds that
-journal alone from byte 0; the other journals' state stays.
+journal alone from byte 0; the other journals' state stays.  The
+coordinator's retention rewrite of ``epochs.jsonl`` hands its kept
+records straight in (:meth:`~JournalIndex.note_epochs_rewrite`), so
+that refold never reads the journal.
 
 :meth:`JournalIndex.status` is the one fold behind
 :func:`repro.fleet.fleet_status`, ``repro fleet-status`` and
@@ -172,6 +175,19 @@ class JournalIndex:
         self._cursors["epochs"] = end
         self._last["epochs"] = (record, start, end)
         self._hooked_counter.add(1)
+
+    def note_epochs_rewrite(self, located: Iterable[_Located]) -> None:
+        """Refold ``epochs.jsonl`` from the records its rewrite kept.
+
+        Called by the fleet coordinator after a retention rewrite, with
+        each kept record and the byte range it was written at — exactly
+        what a refold from byte 0 would read back, without the read.
+        """
+        self._reset("epochs")
+        for record, start, end in located:
+            self._fold_epoch_record(record, start, end)
+            self._cursors["epochs"] = end
+            self._last["epochs"] = (record, start, end)
 
     # -- tailing -----------------------------------------------------------------
 

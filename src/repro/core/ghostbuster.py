@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace as dc_replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core import costmodel
 from repro.core.diff import (DetectionReport, Finding, ScanConfidence,
@@ -128,7 +128,8 @@ class GhostBuster:
 
     # -- inside-the-box ---------------------------------------------------------
 
-    def inside_scan(self, resources: Iterable[str] = ALL_RESOURCES
+    def inside_scan(self, resources: Iterable[str] = ALL_RESOURCES,
+                    directories: Optional[Sequence[str]] = None
                     ) -> DetectionReport:
         """High-level vs low-level cross-view diff, inside the box.
 
@@ -138,6 +139,11 @@ class GhostBuster:
         survive, and a layer that failed in some rounds still reports
         the findings of its good rounds (as DEGRADED).  Rounds stop
         early once two consecutive rounds agree.
+
+        ``directories`` narrows the file layer to those directory
+        strata, each listed without recursion against the raw entries
+        it holds (the fleet's sampled pass); every other layer scans
+        whole.
         """
         wanted = set(resources)
         rounds: List[DetectionReport] = []
@@ -150,7 +156,8 @@ class GhostBuster:
                                                   self.machine):
                     previous = None
                     for __ in range(self.stabilize_rounds):
-                        round_report = self._scan_round(wanted)
+                        round_report = self._scan_round(wanted,
+                                                        directories)
                         rounds.append(round_report)
                         identities = {
                             (f.resource_type, f.entry.identity)
@@ -163,11 +170,12 @@ class GhostBuster:
         global_metrics().incr("scan.stabilize.rounds", len(rounds))
         return self._merge_rounds(rounds, wanted)
 
-    def _scan_round(self, wanted) -> DetectionReport:
+    def _scan_round(self, wanted, directories=None) -> DetectionReport:
         """One full pass over the wanted layers, each degrading alone."""
         report = DetectionReport(self.machine.name, mode="inside")
         if "files" in wanted:
-            self._run_layer(report, "files", self._inside_files)
+            self._run_layer(report, "files", lambda rep: self._inside_files(
+                rep, directories))
         if "registry" in wanted:
             self._run_layer(report, "registry", self._inside_registry)
         if "processes" in wanted:
@@ -281,7 +289,8 @@ class GhostBuster:
     def _merge(report: DetectionReport, findings: List[Finding]) -> None:
         report.add_findings(findings)
 
-    def _inside_files(self, report: DetectionReport) -> None:
+    def _inside_files(self, report: DetectionReport,
+                      directories: Optional[Sequence[str]] = None) -> None:
         order_rng = None
         if self.scan_order_jitter is not None:
             self._file_walks += 1
@@ -290,10 +299,12 @@ class GhostBuster:
                 f":{self._file_walks}")
         lie = file_scans.high_level_file_scan(self.machine,
                                               self._scanner_process,
-                                              order_rng=order_rng)
+                                              order_rng=order_rng,
+                                              directories=directories)
         if self.interleave_gap > 0:
             self.machine.run_background(self.interleave_gap)
-        truth = file_scans.low_level_file_scan(self.machine)
+        truth = file_scans.low_level_file_scan(self.machine,
+                                               directories=directories)
         self._diff_into(report, "files", lie, truth,
                         filter_noise=self.interleave_gap > 0)
 

@@ -13,7 +13,7 @@ r"""File scanners (Section 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.core import costmodel
 from repro.core.snapshot import FileEntry, ResourceType, ScanSnapshot
@@ -78,7 +78,9 @@ def ensure_scanner_process(machine: Machine,
 def high_level_file_scan(machine: Machine,
                          process: Optional[Process] = None,
                          root: str = "\\",
-                         order_rng=None) -> ScanSnapshot:
+                         order_rng=None,
+                         directories: Optional[Sequence[str]] = None
+                         ) -> ScanSnapshot:
     """Recursive Win32 enumeration through the full (hookable) API chain.
 
     ``order_rng`` (a ``random.Random``) shuffles the order subdirectories
@@ -87,15 +89,22 @@ def high_level_file_scan(machine: Machine,
     alphabetical walk.  The entry set is order-independent, so findings
     are unchanged; ``None`` preserves the exact historical interleaved
     recursion (and its call sequence).
+
+    ``directories`` (the fleet's sampled pass) lists each of those
+    directories *non-recursively* instead of walking ``root``: a file
+    belongs to exactly one directory stratum, so the cost follows the
+    sampled namespace, not the subtree.  ``order_rng`` then shuffles the
+    order the strata are listed in.
     """
     scanner = ensure_scanner_process(machine, process)
     entries: List[FileEntry] = []
+    recurse = directories is None
 
     def walk(directory: str) -> None:
         faults_context.maybe_inject(SITE_WINAPI_ENUM, clock=machine.clock,
                                     scope=machine.name)
         handle, stat = scanner.call("kernel32", "FindFirstFile", directory)
-        if order_rng is None:
+        if order_rng is None or not recurse:
             # A fault inside a child walk unwinds through every open
             # ancestor handle; close each on the way out, or a retried
             # walk leaves them in the scanner process for good.
@@ -103,7 +112,7 @@ def high_level_file_scan(machine: Machine,
                 while stat is not None:
                     entries.append(FileEntry(stat.path, stat.name,
                                              stat.is_directory, stat.size))
-                    if stat.is_directory:
+                    if recurse and stat.is_directory:
                         walk(stat.path)
                     stat = scanner.call("kernel32", "FindNextFile", handle)
             finally:
@@ -125,7 +134,14 @@ def high_level_file_scan(machine: Machine,
         # The walk is idempotent, so recovery re-runs it whole rather
         # than resuming a half-enumerated tree mid-interruption.
         entries.clear()
-        walk(root)
+        if recurse:
+            walk(root)
+            return
+        strata = list(directories)
+        if order_rng is not None:
+            order_rng.shuffle(strata)
+        for directory in strata:
+            walk(directory)
 
     start = machine.clock.now()
     with telemetry_context.current_tracer().span(
@@ -226,11 +242,17 @@ def raw_file_view(source, clock=None, win32_naming: bool = False):
     return len(namespace.entries), list(view.entries), view.index
 
 
-def low_level_file_scan(machine: Machine) -> ScanSnapshot:
+def low_level_file_scan(machine: Machine,
+                        directories: Optional[Sequence[str]] = None
+                        ) -> ScanSnapshot:
     """Raw MFT parse via the kernel's disk port (inside-the-box truth).
 
     The port is itself interceptable by sufficiently privileged ghostware
     — the paper's stated limit of the inside-the-box approach.
+
+    ``directories`` keeps only the entries whose parent is one of them —
+    the truth for :func:`high_level_file_scan` over the same strata —
+    and charges the parse for those entries alone.
     """
     start = machine.clock.now()
     with telemetry_context.current_tracer().span(
@@ -238,6 +260,13 @@ def low_level_file_scan(machine: Machine) -> ScanSnapshot:
             machine=machine.name, view="raw-mft") as span:
         parsed, entries, index = raw_file_view(machine.kernel.disk_port,
                                                machine.clock)
+        if directories is not None:
+            chosen = {directory.casefold() for directory in directories}
+            entries = [entry for entry in entries
+                       if (entry.path.rsplit("\\", 1)[0] or "\\"
+                           ).casefold() in chosen]
+            index = {entry.identity: entry for entry in entries}
+            parsed = len(entries)
         # Disk cost follows the in-use MFT footprint (free record slots
         # on a real volume are proportionally rare; our reserved region
         # is not).

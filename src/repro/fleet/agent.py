@@ -54,8 +54,7 @@ from repro.core.reporting import report_to_dict
 from repro.errors import ReproError, TransportError
 from repro.faults.plan import FaultPlan
 from repro.fleet import transport
-from repro.fleet.scanwork import (ScanSettings, perform_machine_scan,
-                                  perform_sampled_machine_scan)
+from repro.fleet.scanwork import ScanSettings, perform_machine_scan
 from repro.machine import Machine
 from repro.telemetry.metrics import global_metrics
 
@@ -237,11 +236,9 @@ class ScanAgent:
                 and machine.disk.generation == int(baseline_generation)):
             self.stats["skips"] += 1
             return dict(base, skip=True)
-        # The same two-way choice as the coordinator's own worker.
-        scan = (perform_sampled_machine_scan if sampled
-                else perform_machine_scan)
         try:
-            outcome = scan(machine, epoch, self.settings)
+            outcome = perform_machine_scan(machine, epoch, self.settings,
+                                           sampled=sampled)
         except ReproError as exc:
             self.stats["errors"] += 1
             logger.warning("agent %s scan of %s failed: %s",

@@ -69,7 +69,7 @@ from repro.fleet.controller import ScanController
 from repro.fleet.policy import EscalationPolicy
 from repro.fleet.queue import Lease, WorkQueue
 from repro.fleet.scanwork import (ScanSettings, perform_machine_scan,
-                                  perform_sampled_machine_scan, skip_verdict)
+                                  skip_verdict)
 from repro.fleet.scheduler import (FleetHistory, FleetScheduler,
                                    load_history)
 from repro.fleet import transport
@@ -121,8 +121,8 @@ class FleetCoordinator:
         self.workers = max(1, int(workers))
         # What every worker scans with, in-process or forked.  An
         # optional SamplingPolicy (repro.workloads.sampling) gives the
-        # epoch's sample tier the cheap stratified pass instead of the
-        # full scan body.
+        # epoch's sample tier an inside scan over seeded directory
+        # strata first; only a finding there buys the full scan.
         self.settings = ScanSettings(
             policy=policy or EscalationPolicy(),
             noise_filter=noise_filter or NoiseFilter(),
@@ -348,20 +348,28 @@ class FleetCoordinator:
             before = 0
             # Folded from the records the rewrite keeps, so a restarted
             # coordinator, replaying the rewrite, plans from the same
-            # history.
+            # history; the index gets them with the byte ranges they
+            # are written at, so it need not re-read the journal.
             history = FleetHistory()
+            kept = []
 
             def retained():
                 nonlocal before
+                end = 0
                 for line in iter_journal(self.epochs_path):
                     before += 1
                     epoch = line.record.get("epoch")
                     if epoch is None or int(epoch) >= cutoff:
                         history.note_record(line.record)
-                        yield json.dumps(line.record, sort_keys=True)
+                        text = json.dumps(line.record, sort_keys=True)
+                        start, end = end, end + len(text.encode()) + 1
+                        kept.append((line.record, start, end))
+                        yield text
 
             after = replace_journal(self.epochs_path, retained())
             self.history = history
+            if self.index is not None:
+                self.index.note_epochs_rewrite(kept)
             metrics = global_metrics()
             metrics.incr("fleet.journal.compactions")
             metrics.incr("fleet.journal.compacted_records",
@@ -517,11 +525,10 @@ class FleetCoordinator:
         # machine's own clock, and the fleet clock mirrors the elapsed
         # time when the two are distinct, so journal and WAL timestamps
         # after a scan stay true.
-        scan = (perform_sampled_machine_scan if self._sampled(name)
-                else perform_machine_scan)
         try:
-            outcome = scan(machine, epoch, self.settings,
-                           span_clock=self.clock)
+            outcome = perform_machine_scan(machine, epoch, self.settings,
+                                           span_clock=self.clock,
+                                           sampled=self._sampled(name))
         except ReproError as exc:
             return self._scan_failed(
                 name, epoch, f"{type(exc).__name__}: {exc}"), None

@@ -2,7 +2,8 @@
 
 One epoch's unit of work is the same whether it runs on a thread inside
 the coordinator process or inside a remote scan agent: boot if needed,
-run the cross-view inside scan, escalate the machines the
+run the cross-view inside scan (for a sample-tier lease, first over the
+seeded directory strata alone), escalate the machines the
 :class:`~repro.fleet.policy.EscalationPolicy` picks, and capture
 the disk generation *after* the scans: the escalation's reboot writes
 the disk, so a generation captured before the scans would never match
@@ -26,23 +27,22 @@ zero, so later epochs under a fault plan can differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.anomaly import check_mass_hiding
 from repro.core.baseline import MachineBaseline
 from repro.core.diff import DetectionReport
 from repro.core.ghostbuster import GhostBuster
 from repro.core.noise import NoiseFilter
+from repro.core.scanners.files import raw_file_view
+from repro.faults import context as faults_context
 from repro.faults.plan import FaultPlan
 from repro.fleet.aggregator import MachineVerdict
 from repro.fleet.policy import (EscalationPolicy, campaign_fingerprints,
                                 finding_ids)
 from repro.machine import Machine
 from repro.telemetry import context as telemetry_context
-
-if TYPE_CHECKING:
-    from repro.workloads.sampling import SamplingPolicy
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class ScanSettings:
     noise_filter: NoiseFilter = field(default_factory=NoiseFilter)
     resources: Tuple[str, ...] = ("files", "registry")
     fault_plan: Optional[FaultPlan] = None
-    # The sample tier's cheap stratified pass (repro.workloads.sampling).
-    sampling: Optional["SamplingPolicy"] = None
+    # The sample tier's strata (a repro.workloads.SamplingPolicy).
+    sampling: Optional[object] = None
     # Scan-until-stable and the stealth counter-moves (docs/adversary.md).
     stabilize_rounds: int = 1
     flag_unstable: bool = False
@@ -121,29 +121,84 @@ class ScanOutcome:
             campaign_fingerprints=list(self.campaign_fingerprints))
 
 
+def _sampled_pass(ghostbuster: GhostBuster, epoch: int,
+                  settings: ScanSettings) -> Tuple[DetectionReport, float]:
+    """The inside scan over the epoch's seeded directory strata.
+
+    The strata are chosen from the raw file view, read in the machine's
+    fault scope; the registry stratum is scanned whole, and processes
+    and modules are left to the full scans the rotation and escalation
+    run.  Returns the report and its coverage: the share of the
+    machine's raw file entries and ASEP hooks that a truth view
+    checked.  A FAILED layer has no truth view: a FAILED file layer's
+    strata count as unchecked, and a FAILED registry layer's hooks,
+    never read, drop out of the count.
+    """
+    machine = ghostbuster.machine
+    resources = [r for r in settings.resources
+                 if r in ("files", "registry")]
+    namespace = 0
+    directories = None
+    if "files" in resources:
+        with faults_context.machine_scope(settings.fault_plan, machine):
+            __, entries, __ = raw_file_view(machine.kernel.disk_port,
+                                            machine.clock)
+        namespace = len(entries)
+        strata = {"\\": "\\"}
+        strata.update((entry.path.casefold(), entry.path)
+                      for entry in entries if entry.is_directory)
+        directories = [strata[folded] for folded in
+                       settings.sampling.choose_strata(machine.name, epoch,
+                                                       list(strata))]
+    report = ghostbuster.inside_scan(resources, directories=directories)
+    report.mode = "inside-sampled"
+    truths = {snapshot.view: len(snapshot) for snapshot in report.snapshots}
+    hooks = truths.get("raw-hive", 0)
+    scope = namespace + hooks
+    checked = truths.get("raw-mft", 0) + hooks
+    return report, round(checked / scope, 6) if scope else 1.0
+
+
 def perform_machine_scan(machine: Machine, epoch: int,
                          settings: ScanSettings,
-                         span_clock=None) -> ScanOutcome:
+                         span_clock=None,
+                         sampled: bool = False) -> ScanOutcome:
     """Boot-if-needed, inside scan, optional escalation; no writes.
 
     ``span_clock`` picks which clock the telemetry span charges (the
     coordinator passes the fleet clock; an agent has only the
     machine's own).  The confirmation runs under the scan's own noise
     filter and fault plan.
+
+    A sample-tier lease (``sampled``) first runs the same inside scan
+    over the seeded strata of ``settings.sampling``.  A pass with no
+    non-noise finding is the verdict, carrying its coverage; any
+    finding goes on to the full scan and escalation below, timed on
+    the same stopwatch, so escalation is never cheaper than having
+    scanned fully in the first place.
     """
     if not machine.powered_on:
         machine.boot()
     stopwatch = machine.clock.stopwatch()
+    ghostbuster = GhostBuster(machine, advanced=True,
+                              noise_filter=settings.noise_filter,
+                              fault_plan=settings.fault_plan,
+                              stabilize_rounds=settings.stabilize_rounds,
+                              flag_unstable=settings.flag_unstable,
+                              scan_order_jitter=settings.scan_order_jitter)
     with telemetry_context.current_tracer().span(
             "fleet.scan", clock=span_clock or machine.clock,
             machine=machine.name, epoch=epoch):
-        report = GhostBuster(machine, advanced=True,
-                             noise_filter=settings.noise_filter,
-                             fault_plan=settings.fault_plan,
-                             stabilize_rounds=settings.stabilize_rounds,
-                             flag_unstable=settings.flag_unstable,
-                             scan_order_jitter=settings.scan_order_jitter
-                             ).inside_scan(resources=settings.resources)
+        if sampled:
+            report, coverage = _sampled_pass(ghostbuster, epoch, settings)
+            if report.is_clean:
+                return ScanOutcome(report=report,
+                                   scan_seconds=stopwatch.elapsed(),
+                                   disk_generation=machine.disk.generation,
+                                   escalated=False, confirmed=False,
+                                   confirmed_by=None, sampled=True,
+                                   coverage=coverage)
+        report = ghostbuster.inside_scan(resources=settings.resources)
     escalated = confirmed = False
     confirmed_by = None
     policy = settings.policy
@@ -165,43 +220,8 @@ def perform_machine_scan(machine: Machine, epoch: int,
                        confirmed_by=confirmed_by,
                        finding_ids=finding_ids(report),
                        mass_hiding=check_mass_hiding(report) is not None,
+                       sampling_escalated=sampled,
                        campaign_fingerprints=campaign_fingerprints(report))
-
-
-def perform_sampled_machine_scan(machine: Machine, epoch: int,
-                                 settings: ScanSettings,
-                                 span_clock=None) -> ScanOutcome:
-    """The cheap stratified pass, escalating discrepancies to a full scan.
-
-    A clean sampled pass yields a sampled verdict carrying its honest
-    coverage; any non-noise discrepancy buys the machine the exact same
-    full scan body the full tier runs (plus the
-    :class:`EscalationPolicy`), with the sampled pass's scan-seconds
-    added on top — escalation is never cheaper than having scanned
-    fully in the first place.
-    """
-    # Lazy: repro.workloads imports repro.fleet (traces drive the
-    # coordinator), so the fleet layer must never import workloads at
-    # module scope.
-    from repro.workloads.sampling import perform_sampled_scan
-
-    sampled = perform_sampled_scan(machine, epoch, settings.sampling,
-                                   noise_filter=settings.noise_filter,
-                                   resources=settings.resources,
-                                   fault_plan=settings.fault_plan,
-                                   span_clock=span_clock)
-    if sampled.escalate:
-        full = perform_machine_scan(machine, epoch, settings,
-                                    span_clock=span_clock)
-        return replace(full,
-                       scan_seconds=full.scan_seconds + sampled.scan_seconds,
-                       sampling_escalated=True)
-    return ScanOutcome(report=sampled.report,
-                       scan_seconds=sampled.scan_seconds,
-                       disk_generation=machine.disk.generation,
-                       escalated=False, confirmed=False, confirmed_by=None,
-                       finding_ids=[], mass_hiding=False,
-                       sampled=True, coverage=sampled.coverage)
 
 
 def skip_verdict(baseline: MachineBaseline, epoch: int) -> MachineVerdict:

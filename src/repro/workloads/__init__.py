@@ -22,8 +22,7 @@ from repro.workloads.fleetgen import (FleetProfile, FleetWorkload,
                                       apply_infections, apply_ops,
                                       apply_stealth,
                                       build_profiled_machine)
-from repro.workloads.sampling import (SampledScan, SamplingPolicy,
-                                      perform_sampled_scan)
+from repro.workloads.sampling import SamplingPolicy
 from repro.workloads.traces import (TraceResult, journal_digest, load_trace,
                                     record_sweep, replay_sweep, trace_digest,
                                     verdict_key)
@@ -40,7 +39,7 @@ __all__ = [
     "FleetProfile", "FleetWorkload", "InfectionWave", "STRAINS",
     "apply_ops", "apply_infections", "apply_stealth",
     "build_profiled_machine",
-    "SamplingPolicy", "SampledScan", "perform_sampled_scan",
+    "SamplingPolicy",
     "TraceResult", "record_sweep", "replay_sweep", "load_trace",
     "trace_digest", "journal_digest", "verdict_key",
 ]

@@ -26,6 +26,7 @@ from repro.fleet import EscalationPolicy, FleetCoordinator, clone_fleet
 from repro.ghostware import (Aphex, HackerDefender, ProBotSE, Urbin,
                              Vanquish)
 from repro.machine import Machine
+from repro.workloads import FleetProfile, FleetWorkload, SamplingPolicy
 from tests.test_fleet_coordinator import checkpoint_failures, golden_image
 
 FAMILIES = (HackerDefender, Aphex, Urbin, Vanquish, ProBotSE)
@@ -373,6 +374,35 @@ class TestGracefulDegradation:
         assert all(value is ScanConfidence.FULL
                    for value in report.confidence.values())
         assert not report.layer_errors
+
+
+class TestSampledTierUnderChaos:
+    def test_sample_tier_degrades_per_layer_instead_of_erroring(
+            self, tmp_path):
+        """The sample tier's pass is the inside scan, layer retries
+        included: under a 5% plan a layer may degrade, but no
+        sample-tier machine comes back an ``error`` verdict."""
+        profile = FleetProfile(
+            name="p", size=12, seed=4, file_count=(40, 60),
+            virtual_files=(2000, 4000), registry_kb=(40, 60),
+            churn_files=(1, 2), churn_registry=(0, 0), disk_mb=32,
+            max_records=1024)
+        workload = FleetWorkload(profile)
+        coordinator = FleetCoordinator(
+            str(tmp_path), workload.machines.values(), workers=2,
+            fault_plan=FaultPlan.default(1, rate=0.05),
+            sampling=SamplingPolicy(seed=1, file_rate=0.25, full_every=4),
+            console_index=False)
+        tiers = {"sample": [], "full": []}
+        for epoch in range(1, 5):
+            workload.apply_epoch(epoch)
+            for verdict in coordinator.run_epoch().verdicts:
+                tier = ("sample" if verdict.machine
+                        in coordinator._sampled_tier else "full")
+                tiers[tier].append(verdict.verdict)
+        assert tiers["sample"] and tiers["full"]
+        assert "error" not in tiers["sample"]
+        assert "error" not in tiers["full"]
 
 
 class TestScanUntilStable:

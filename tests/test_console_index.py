@@ -452,10 +452,9 @@ class TestCompaction:
 
     def test_retention_folds_history_from_the_kept_records(
             self, tmp_path, monkeypatch):
-        """A retention rewrite folds the scheduler history from the
-        records it keeps: besides the rewrite's own pass, the only full
-        read of ``epochs.jsonl`` is the index refolding the journal once
-        the rewrite drops records."""
+        """A retention rewrite folds the scheduler history and the
+        console index from the records it keeps: the rewrite's own pass
+        is the only full read of ``epochs.jsonl``."""
         fleet_dir = str(tmp_path)
         machines = build_fleet(size=4, infected=())
         coordinator = FleetCoordinator(fleet_dir, machines, workers=2,
@@ -469,7 +468,7 @@ class TestCompaction:
             per_epoch.append(reads.count(0))
             assert coordinator.history \
                 == load_history(coordinator.epochs_path)
-        assert per_epoch == [1, 1, 2, 2]
+        assert per_epoch == [1, 1, 1, 1]
         assert JournalIndex(fleet_dir).status() == coordinator.index.status()
 
 

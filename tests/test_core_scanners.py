@@ -1,5 +1,7 @@
 """Tests for the four resource scanners."""
 
+import random
+
 import pytest
 
 from repro.core.scanners import files as file_scans
@@ -39,6 +41,18 @@ class TestFileScanners:
         file_scans.high_level_file_scan(booted)
         assert len([p for p in booted.user_processes()
                     if p.name == "ghostbuster.exe"]) == count
+
+    def test_directory_strata_are_listed_without_recursion(self, booted):
+        strata = ["\\Windows", "\\Windows\\System32"]
+        high = file_scans.high_level_file_scan(booted, directories=strata)
+        low = file_scans.low_level_file_scan(booted, directories=strata)
+        assert set(high.identities()) == set(low.identities())
+        parents = {entry.path.rsplit("\\", 1)[0].casefold()
+                   for entry in high.entries}
+        assert parents == {stratum.casefold() for stratum in strata}
+        shuffled = file_scans.high_level_file_scan(
+            booted, directories=strata, order_rng=random.Random(3))
+        assert set(shuffled.identities()) == set(high.identities())
 
     def test_interrupted_walk_closes_its_handles(self, booted):
         """A fault in a child walk unwinds through every open ancestor

@@ -876,3 +876,26 @@ class TestCliAndReport:
         other.write_text('{"type": "sweep"}\n{"type": "machine"}\n')
         assert scan_report.main([str(other)]) == 1
         assert "neither a fleet epochs journal" in capsys.readouterr().err
+
+    def test_scan_report_tells_a_one_record_journal_from_a_bench_file(
+            self, tmp_path, capsys):
+        """A single-line journal is one JSON object too; its ``type``
+        marks it a journal, so it renders as one."""
+        import importlib.util
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "scan_report", repo / "scripts" / "scan_report.py")
+        scan_report = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(scan_report)
+        journal = tmp_path / "epochs.jsonl"
+        journal.write_text(json.dumps(
+            {"epoch": 1, "machine": "m00", "type": "fleet-machine",
+             "verdict": "clean"}) + "\n")
+        assert scan_report.main([str(journal)]) == 0
+        rows = [line.split() for line in
+                capsys.readouterr().out.splitlines()]
+        assert ["m00", "1", "clean", "scan", "0", "0.0"] in rows
+        assert scan_report.main([str(repo / "BENCH_PR10.json")]) == 0
+        assert "stealth campaign curve" in capsys.readouterr().out

@@ -8,7 +8,8 @@ Covers the PR-9 acceptance surface:
 * cold-start LPT — never-scanned machines dispatch longest-first from
   the cost-model estimate instead of alphabetically;
 * sampled scanning — tier assignment, strata choice, honest costs,
-  ASEP-stratum detection, escalation to the full scan;
+  ASEP-stratum detection, escalation to the full scan, and the one
+  pipeline: at full rate the pass finds what the inside scan finds;
 * trace record/replay — element-identical verdicts, digest
   verification, tamper detection (byte-identical journals asserted
   only when no ambient chaos plan is installed, because per-site fault
@@ -31,18 +32,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.costmodel import estimate_scan_seconds
-from repro.errors import CoordinatorKilled, FleetError
-from repro.fleet import FleetCoordinator
+from repro.core.diff import ScanConfidence
+from repro.core.ghostbuster import GhostBuster
+from repro.core.scanners import files as file_scans
+from repro.errors import CoordinatorKilled, FleetError, RetryExhausted
+from repro.fleet import FleetCoordinator, scanwork
 from repro.fleet.aggregator import FleetAggregator, MachineVerdict
 from repro.fleet.scanwork import ScanSettings, perform_machine_scan
+from repro.ghostware import HideFiles
 from repro.machine import HIVE_FILES, Machine
 from repro.telemetry.journal_io import iter_journal
 from repro.workloads import (FleetProfile, FleetWorkload, InfectionWave,
                              SamplingPolicy, apply_infections, apply_ops,
                              build_profiled_machine, load_trace,
-                             perform_sampled_scan, populate_machine,
-                             record_sweep, replay_sweep, trace_digest,
-                             verdict_key)
+                             populate_machine, record_sweep, replay_sweep,
+                             trace_digest, verdict_key)
 from repro.workloads.fleetgen import STRAINS
 from repro.workloads.sampling import TIER_FULL, TIER_SAMPLE
 
@@ -231,6 +235,25 @@ class TestSamplingPolicy:
                                         [f"\\d{i}" for i in range(9)])) == 2
 
 
+def sampled_pass(machine, policy, **settings):
+    """The sample tier's pass alone (its report and coverage), before
+    any escalation to the full scan."""
+    settings = ScanSettings(sampling=policy, **settings)
+    return scanwork._sampled_pass(GhostBuster(machine, advanced=True), 1,
+                                  settings)
+
+
+def file_truth(report):
+    """The identities of the report's raw-MFT view."""
+    return {entry.identity for snapshot in report.snapshots
+            if snapshot.view == "raw-mft" for entry in snapshot.entries}
+
+
+def finding_keys(report):
+    return sorted((f.resource_type.value, str(f.entry.identity), f.is_noise)
+                  for f in report.findings)
+
+
 class TestSampledScan:
     @pytest.fixture
     def populated(self):
@@ -242,13 +265,14 @@ class TestSampledScan:
 
     def test_clean_machine_clean_and_cheaper(self, populated):
         policy = SamplingPolicy(seed=2, file_rate=0.2)
-        sampled = perform_sampled_scan(populated, 1, policy)
+        sampled = perform_machine_scan(
+            populated, 1, ScanSettings(sampling=policy), sampled=True)
         assert sampled.report.is_clean
-        assert not sampled.escalate
+        assert sampled.report.mode == "inside-sampled"
+        assert sampled.sampled and not sampled.sampling_escalated
         assert 0.0 < sampled.coverage < 1.0
-        assert sampled.sampled_entities < sampled.total_entities
-        assert sampled.strata_sampled < sampled.strata_total
         full = perform_machine_scan(populated, 1, ScanSettings())
+        assert file_truth(sampled.report) < file_truth(full.report)
         assert sampled.scan_seconds < full.scan_seconds
 
     def test_asep_ghost_always_escalates(self, populated):
@@ -256,20 +280,72 @@ class TestSampledScan:
         # is caught regardless of which file strata the seed picks.
         STRAINS["hackerdefender"]().install(populated)
         policy = SamplingPolicy(seed=2, file_rate=0.05)
-        sampled = perform_sampled_scan(populated, 1, policy)
-        assert sampled.escalate
+        outcome = perform_machine_scan(
+            populated, 1, ScanSettings(sampling=policy), sampled=True)
+        assert outcome.sampling_escalated and not outcome.sampled
+        assert not outcome.report.is_clean
 
     def test_hidden_files_found_at_full_rate(self, populated):
         # With every stratum sampled the file diff alone must surface
         # the hider's files — no help from the registry stratum.
         STRAINS["hackerdefender"]().install(populated)
-        sampled = perform_sampled_scan(
-            populated, 1, SamplingPolicy(seed=2, file_rate=1.0),
+        report, coverage = sampled_pass(
+            populated, SamplingPolicy(seed=2, file_rate=1.0),
             resources=("files",))
-        resources = {f.resource_type.value
-                     for f in sampled.report.findings}
-        assert sampled.escalate
-        assert "file" in resources
+        resources = {f.resource_type.value for f in report.findings}
+        assert not report.is_clean
+        assert resources == {"file"}
+        assert coverage == 1.0
+
+    @pytest.mark.parametrize("strain", sorted(STRAINS))
+    def test_full_rate_pass_reports_what_the_inside_scan_reports(
+            self, populated, strain):
+        """One pipeline: at file_rate 1.0 the sampled pass is the full
+        inside scan, finding for finding."""
+        STRAINS[strain]().install(populated)
+        report, __ = sampled_pass(populated,
+                                  SamplingPolicy(seed=2, file_rate=1.0))
+        full = GhostBuster(populated, advanced=True).inside_scan(
+            ("files", "registry"))
+        assert finding_keys(report) == finding_keys(full)
+
+    def test_hidden_noise_pattern_file_escalates(self, populated):
+        """Findings are labelled as a full inside scan labels them, so a
+        hidden ``*.tmp`` file escalates the machine, as a full scan
+        flags it."""
+        populated.volume.create_file("\\Temp\\stash.tmp", b"x")
+        HideFiles(["\\Temp\\stash.tmp"]).install(populated)
+        outcome = perform_machine_scan(
+            populated, 1, ScanSettings(
+                sampling=SamplingPolicy(seed=2, file_rate=1.0)),
+            sampled=True)
+        assert outcome.sampling_escalated
+        assert [f.entry.path for f in outcome.report.findings
+                if not f.is_noise] == ["\\Temp\\stash.tmp"]
+
+    def test_defended_settings_reach_the_sample_tier(self, populated):
+        outcome = perform_machine_scan(
+            populated, 1, ScanSettings(
+                sampling=SamplingPolicy(seed=2, file_rate=0.2),
+                stabilize_rounds=2, flag_unstable=True,
+                scan_order_jitter=11), sampled=True)
+        assert outcome.sampled and outcome.report.is_clean
+        assert outcome.report.rounds == 2
+
+    def test_failed_file_layer_counts_as_unchecked(self, populated,
+                                                   monkeypatch):
+        """A layer that fails every retry degrades the pass instead of
+        erroring it; its strata leave the coverage."""
+        def fail(*args, **kwargs):
+            raise RetryExhausted("scan.files.high-level", 3, None)
+
+        policy = SamplingPolicy(seed=2, file_rate=0.2)
+        __, healthy = sampled_pass(populated, policy)
+        monkeypatch.setattr(file_scans, "high_level_file_scan", fail)
+        report, coverage = sampled_pass(populated, policy)
+        assert report.confidence["files"] is ScanConfidence.FAILED
+        assert report.confidence["registry"] is ScanConfidence.FULL
+        assert 0.0 < coverage < healthy
 
 
 class TestSampledCoordinator:
