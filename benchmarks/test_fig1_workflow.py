@@ -34,8 +34,7 @@ def test_fig1_combined_workflow(benchmark):
 
         ghostbuster = GhostBuster(machine, advanced=True)
         inside = ghostbuster.inside_scan()
-        outside = ghostbuster.outside_scan(background_gap=60,
-                                           win32_naming=False)
+        outside = ghostbuster.outside_scan(background_gap=60)
         return inside, outside
 
     inside, outside = bench_once(benchmark, setup=lambda: None,
@@ -60,10 +59,16 @@ def test_fig1_combined_workflow(benchmark):
     assert len(inside.hidden_hooks()) >= 4
     assert any(finding.entry.name == "unlinked.exe"
                for finding in inside.hidden_processes())
-    # Outside-raw additionally exposes the naming-exploit ghosts.
+    # Outside reads the same raw truth: the same hidden files, the
+    # naming-exploit ghosts among them, and not GhostBuster's own
+    # crash dump (written before the file lie is taken).
+    inside_paths = {finding.entry.path.casefold()
+                    for finding in inside.hidden_files()}
     outside_paths = {finding.entry.path.casefold()
                      for finding in outside.hidden_files()}
+    assert outside_paths == inside_paths
     assert any("payload.exe." in path for path in outside_paths)
+    assert "\\windows\\memory.dmp" not in outside_paths
     # And classifies the reboot-window churn instead of crying wolf.
     churn = [finding for finding in outside.findings
              if hasattr(finding.entry, "path")

@@ -38,7 +38,7 @@ def main() -> None:
     print(outside.summary())
 
     hidden = {finding.entry.path for finding in outside.hidden_files()}
-    assert "\\Windows\\deepghost.exe" in hidden, \
+    assert hidden == {"\\Windows\\deepghost.exe"}, \
         "the clean OS reads the physical disk below the compromised kernel"
 
     print("\n=== step 3: triage the noise ===")

@@ -8,9 +8,9 @@ Combines the per-resource scanners into the paper's two workflows:
   ghostware that interferes with the raw scan paths themselves.
 * :meth:`GhostBuster.outside_scan` — the high-level snapshots are taken
   inside, the machine reboots into a clean WinPE environment, the truth
-  is scanned from outside, and the diff (plus noise filtering for the
-  reboot-window churn) exposes anything hidden.  Volatile state crosses
-  the reboot via a forced kernel crash dump.
+  is scanned from outside by the same raw readers, and the diff (plus
+  noise filtering for the reboot-window churn) exposes anything hidden.
+  Volatile state crosses the reboot via a forced kernel crash dump.
 
 ``advanced=True`` turns on the thread-table traversal that recovers
 DKOM-hidden processes (FU), at both the inside and outside levels.
@@ -31,6 +31,7 @@ from repro.core.scanners import modules as module_scans
 from repro.core.scanners import processes as process_scans
 from repro.core.scanners import registry as registry_scans
 from repro.core.snapshot import ResourceType, ScanSnapshot
+from repro.core.winpe import DUMP_PATH, WinPEEnvironment
 from repro.errors import (MachineStateError, MachineUnavailable, ReproError)
 from repro.faults import context as faults_context
 from repro.faults.plan import FaultPlan
@@ -42,7 +43,6 @@ from repro.telemetry.metrics import global_metrics
 from repro.usermode.process import Process
 
 ALL_RESOURCES = ("files", "registry", "processes", "modules")
-DUMP_PATH = "\\Windows\\MEMORY.DMP"
 
 # Which resource class a scan layer's findings belong to (used by the
 # scan-until-stable merge to intersect per-layer findings).
@@ -344,28 +344,29 @@ class GhostBuster:
 
     # -- outside-the-box ---------------------------------------------------------
 
-    def write_crash_dump(self, path: str = DUMP_PATH) -> str:
-        """Induce the blue screen: persist kernel memory to a dump file."""
+    def write_crash_dump(self) -> str:
+        """Induce the blue screen: persist kernel memory to
+        :data:`~repro.core.winpe.DUMP_PATH`, where WinPE reads it."""
         with telemetry_context.current_tracer().span(
                 "ghostbuster.crash_dump", clock=self.machine.clock) as span:
             blob = write_dump(self.machine.kernel)
             span.set(dump_bytes=len(blob))
         volume = self.machine.volume
-        if volume.exists(path):
-            volume.write_file(path, blob)
+        if volume.exists(DUMP_PATH):
+            volume.write_file(DUMP_PATH, blob)
         else:
-            volume.create_file(path, blob)
+            volume.create_file(DUMP_PATH, blob)
         costmodel.charge_crash_dump(self.machine, len(blob))
-        return path
+        return DUMP_PATH
 
     def outside_scan(self, resources: Iterable[str] = ALL_RESOURCES,
                      background_gap: float = 0.0,
-                     win32_naming: bool = True,
                      reboot_after: bool = True) -> DetectionReport:
         """Full outside-the-box workflow.
 
-        1. take the inside high-level snapshots (the lie);
-        2. if volatile resources are wanted, blue-screen for a dump;
+        1. if volatile resources are wanted, take the process lie and
+           blue-screen for a dump, so the dump file is in the file lie;
+        2. take the other inside high-level snapshots (the lie);
         3. let ``background_gap`` seconds of normal activity pass (the
            churn that causes the paper's outside-the-box FPs);
         4. shut down, boot WinPE, scan the truth from outside;
@@ -382,7 +383,7 @@ class GhostBuster:
                 with faults_context.machine_scope(self.fault_plan,
                                                   self.machine):
                     self._outside_scan_body(wanted, report, background_gap,
-                                            win32_naming, reboot_after)
+                                            reboot_after)
         return report
 
     def _capture_lie(self, report: DetectionReport, lies: Dict,
@@ -394,16 +395,8 @@ class GhostBuster:
         self._run_layer(report, layer, capture)
 
     def _outside_scan_body(self, wanted, report, background_gap,
-                           win32_naming, reboot_after) -> None:
+                           reboot_after) -> None:
         lies: Dict[str, ScanSnapshot] = {}
-        if "files" in wanted:
-            self._capture_lie(report, lies, "files",
-                              lambda: file_scans.high_level_file_scan(
-                                  self.machine, self._scanner_process))
-        if "registry" in wanted:
-            self._capture_lie(report, lies, "registry",
-                              lambda: registry_scans.high_level_asep_scan(
-                                  self.machine, self._scanner_process))
         if "processes" in wanted or "modules" in wanted:
             self._capture_lie(
                 report, lies, "processes",
@@ -420,6 +413,14 @@ class GhostBuster:
                     report.layer_errors["processes"] = \
                         f"{type(exc).__name__}: {exc}"
                     global_metrics().incr("scan.layer.failed")
+        if "files" in wanted:
+            self._capture_lie(report, lies, "files",
+                              lambda: file_scans.high_level_file_scan(
+                                  self.machine, self._scanner_process))
+        if "registry" in wanted:
+            self._capture_lie(report, lies, "registry",
+                              lambda: registry_scans.high_level_asep_scan(
+                                  self.machine, self._scanner_process))
 
         if background_gap > 0:
             self.machine.run_background(background_gap)
@@ -429,13 +430,11 @@ class GhostBuster:
 
         if "files" in lies:
             self._run_layer(report, "files", lambda rep: self._diff_into(
-                rep, "files", lies["files"],
-                winpe.file_scan(win32_naming=win32_naming),
+                rep, "files", lies["files"], winpe.file_scan(),
                 filter_noise=True))
         if "registry" in lies:
             self._run_layer(report, "registry", lambda rep: self._diff_into(
-                rep, "registry", lies["registry"],
-                winpe.asep_scan(win32_semantics=win32_naming),
+                rep, "registry", lies["registry"], winpe.asep_scan(),
                 filter_noise=True))
         if "processes" in wanted and "processes" in lies:
             def diff_processes(rep: DetectionReport) -> None:
@@ -455,8 +454,6 @@ class GhostBuster:
         The CD boot; the RIS network boot (:mod:`repro.core.risboot`)
         overrides this and nothing else of the outside-the-box scan.
         """
-        from repro.core.winpe import WinPEEnvironment
-
         winpe = WinPEEnvironment(self.machine)
         winpe.boot()
         report.durations["winpe-boot"] = winpe.boot_seconds

@@ -97,7 +97,7 @@ class RisServer:
         """
         telemetry = (telemetry or telemetry_context.current()
                      or Telemetry.disabled())
-        ghostbuster = _NetbootGhostBuster(machine,
+        ghostbuster = _NetbootGhostBuster(machine, advanced=True,
                                           noise_filter=self.noise_filter,
                                           telemetry=telemetry,
                                           fault_plan=self.fault_plan)

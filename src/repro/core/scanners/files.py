@@ -7,7 +7,11 @@ r"""File scanners (Section 2).
   through the kernel's raw device port (below the API stack, but still
   inside the potentially compromised OS);
 * :func:`outside_file_scan` — the same raw parse against the physical
-  disk from a clean OS, in either raw or Win32-naming mode.
+  disk from a clean OS.
+
+Only the first applies Win32 naming rules (kernel32's, on the way up
+the API stack): both raw views list every name NTFS holds, so a
+naming-exploit file is a finding inside and outside alike.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from repro.faults import context as faults_context
 from repro.faults.plan import SITE_WINAPI_ENUM
 from repro.faults.retry import construct_with_retry
 from repro.machine import Machine
-from repro.ntfs import naming
 from repro.ntfs.constants import MFT_RECORD_SIZE
 from repro.ntfs.mft_parser import MftParser
 from repro.telemetry import context as telemetry_context
@@ -33,11 +36,11 @@ SCANNER_PROCESS_NAME = "ghostbuster.exe"
 
 _ENUM_ATTEMPTS = 3
 
-# disk.raw_cache key for the derived file views: {flavor: _FileView},
-# each flavor's last view.  Like the MFT namespace cache, only the
-# *unfiltered* view is ever stored — reads intercepted by a port filter
-# (A3) must never launder their lie into a cache another consumer
-# trusts.
+# disk.raw_cache key for the disk's last derived file view (a
+# _FileView), whichever scan derived it.  Like the MFT namespace cache,
+# only the *unfiltered* view is ever stored — reads intercepted by a
+# port filter (A3) must never launder their lie into a cache another
+# consumer trusts.
 _VIEWS_CACHE_KEY = "file-entries"
 
 
@@ -157,7 +160,7 @@ def high_level_file_scan(machine: Machine,
 
 @dataclass(frozen=True)
 class _FileView:
-    """One flavor's FileEntry list and identity index over one namespace.
+    """The FileEntry list and identity index over one namespace.
 
     ``records`` and ``identities`` run parallel to ``entries`` (record
     slot order), so a patch rebuilds all of them at C speed and makes
@@ -172,18 +175,15 @@ class _FileView:
     index: Dict[Hashable, FileEntry]     # identity → entry, last one wins
 
 
-def _derive_view(namespace, win32_naming: bool,
-                 base: Optional[_FileView] = None) -> _FileView:
+def _derive_view(namespace, base: Optional[_FileView] = None) -> _FileView:
     """Build a view cold, or patch ``base`` (the view of ``namespace``'s
     base) by re-making only the entries of ``namespace.affected``."""
-    visible = naming.is_win32_visible_path
     if base is None:
         records: List[int] = []
         entries: List[FileEntry] = []
         for item in namespace.entries:
             path = item.path
-            if path.startswith("\\$Orphan") \
-                    or (win32_naming and not visible(path)):
+            if path.startswith("\\$Orphan"):
                 continue
             records.append(item.record_no)
             entries.append(FileEntry(path, item.name, item.is_directory,
@@ -198,8 +198,7 @@ def _derive_view(namespace, win32_naming: bool,
         by_record.pop(record_no, None)
         identity_of.pop(record_no, None)
         item = parsed.get(record_no)
-        if item is None or item.path.startswith("\\$Orphan") \
-                or (win32_naming and not visible(item.path)):
+        if item is None or item.path.startswith("\\$Orphan"):
             continue
         entry = FileEntry(item.path, item.name, item.is_directory, item.size)
         by_record[record_no] = entry
@@ -211,34 +210,32 @@ def _derive_view(namespace, win32_naming: bool,
                      dict(zip(identities, entries)))
 
 
-def raw_file_view(source, clock=None, win32_naming: bool = False):
+def raw_file_view(source, clock=None):
     """One raw MFT parse as ``(parsed count, entries, identity index)``.
 
     ``source`` is the kernel's disk port (inside the box) or a disk
     (outside).  The entries derive purely from the parsed namespace, so
-    each flavor's last view is kept in ``disk.raw_cache`` under the
-    serial of the namespace it came from: the same namespace hits, and
-    a namespace patched from that one patches the view, re-making only
-    the entries of the records the patch re-made.  A filtered port or
-    an unbacked source consults and stores nothing.  A store only
-    happens if the generation did not move during the parse (a chaos
-    fault bumping it mid-read means the bytes behind the parse are
-    suspect).
+    the disk keeps one view, the last one derived by any scan, in
+    ``disk.raw_cache`` under the serial of the namespace it came from:
+    the same namespace hits, and a namespace patched from that one
+    patches the view, re-making only the entries of the records the
+    patch re-made.  A filtered port or an unbacked source consults and
+    stores nothing.  A store only happens if the generation did not
+    move during the parse (a chaos fault bumping it mid-read means the
+    bytes behind the parse are suspect).
     """
     parse_generation = getattr(source, "generation", None)
     parser = construct_with_retry(
         "mft.bootstrap", lambda: MftParser(source.read_bytes), clock=clock)
     disk = parser.shared_disk
     namespace = parser.namespace()
-    flavor = "win32" if win32_naming else "raw"
-    views = {} if disk is None else disk.raw_cache.get(_VIEWS_CACHE_KEY, {})
-    view = views.get(flavor)
+    view = None if disk is None else disk.raw_cache.get(_VIEWS_CACHE_KEY)
     if view is None or view.namespace != namespace.serial:
         base = view if view is not None \
             and view.namespace == namespace.base else None
-        view = _derive_view(namespace, win32_naming, base)
+        view = _derive_view(namespace, base)
         if disk is not None and disk.generation == parse_generation:
-            disk.raw_cache[_VIEWS_CACHE_KEY] = {**views, flavor: view}
+            disk.raw_cache[_VIEWS_CACHE_KEY] = view
     return len(namespace.entries), list(view.entries), view.index
 
 
@@ -281,20 +278,18 @@ def low_level_file_scan(machine: Machine,
     return snapshot
 
 
-def outside_file_scan(disk, clock=None, win32_naming: bool = True,
-                      view: str = "winpe-outside") -> ScanSnapshot:
+def outside_file_scan(disk, clock=None,
+                      view: str = "winpe-raw") -> ScanSnapshot:
     """Scan the physical disk from a clean OS.
 
-    ``win32_naming=True`` models scanning the mounted drive with Win32
-    tools (``dir /s /b`` from the WinPE prompt); ``False`` models running
-    the low-level scanning code outside, which additionally exposes the
-    naming-exploit ghosts.
+    The paper runs the same low-level scanning code outside the box, so
+    this is :func:`low_level_file_scan`'s raw view read straight off
+    the disk, below any port a ghost could filter.
     """
     start = clock.now() if clock else 0.0
     with telemetry_context.current_tracer().span(
             "scan.files.outside", clock=clock, view=view) as span:
-        __, entries, index = raw_file_view(disk, clock,
-                                           win32_naming=win32_naming)
+        __, entries, index = raw_file_view(disk, clock)
         span.set(entries=len(entries))
     global_metrics().incr("scan.files.enumerated", len(entries))
     snapshot = ScanSnapshot(ResourceType.FILE, view=view, entries=entries,

@@ -1,18 +1,16 @@
 r"""Registry (ASEP hook) scanners — Section 3.
 
-Three readers feed the same catalog-driven enumerator
+Two readers feed the same catalog-driven enumerator
 (:func:`repro.registry.asep.enumerate_asep_hooks`):
 
 * :class:`Win32ApiReader` — RegEnumKey/RegEnumValue/RegQueryValue calls
-  issued as a process, through every hookable layer, with Win32 string
-  semantics (the lie);
+  issued as a process, through every hookable layer, with advapi32's
+  Win32 string semantics (the lie);
 * :class:`RawHiveReader` — reads each hive's backing *file* straight off
-  the MFT through the raw disk port and parses the bytes: no registry API
-  anywhere in the path, counted-string semantics (the inside truth
-  approximation);
-* :class:`OutsideHiveReader` — same parse against the physical disk from
-  the clean OS; Win32 semantics by default (the paper mounts the hives
-  and scans with Win32 tools), raw mode optionally.
+  the MFT through the raw disk port and parses the bytes: no registry
+  API anywhere in the path, counted-string semantics (the inside truth
+  approximation).  :func:`outside_asep_scan` runs the same parse, with
+  the same semantics, against the physical disk from the clean OS.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from repro.telemetry import context as telemetry_context
 from repro.telemetry.metrics import global_metrics
 from repro.usermode.process import Process
 
-_MAX_WIN32_NAME = 255
 _HIVE_ATTEMPTS = 3
 
 
@@ -72,12 +69,12 @@ class Win32ApiReader:
 
 
 class _ParsedHiveForest:
-    """Shared navigation over {mount root → ParsedKey} for raw readers."""
+    """Navigation over {mount root → ParsedKey}: counted names, data
+    decoded to the last byte."""
 
-    def __init__(self, roots: Dict[str, ParsedKey], win32_semantics: bool):
+    def __init__(self, roots: Dict[str, ParsedKey]):
         self._roots = {mount.casefold(): root
                        for mount, root in roots.items()}
-        self.win32 = win32_semantics
 
     def _find(self, path: str) -> Optional[ParsedKey]:
         folded = path.casefold()
@@ -94,52 +91,22 @@ class _ParsedHiveForest:
                 return key
         return None
 
-    def _name(self, name: str) -> Optional[str]:
-        if not self.win32:
-            return name
-        truncated = name.split("\x00")[0]
-        if len(truncated) > _MAX_WIN32_NAME:
-            return None
-        return truncated
-
-    def _view(self, value) -> Optional[ValueView]:
-        name = self._name(value.name)
-        if name is None:
-            return None
-        data = decode_value(value.reg_type, value.raw_data,
-                            win32=self.win32)
-        if isinstance(data, bytes):
-            shown = data.hex()
-        elif isinstance(data, list):
-            shown = ";".join(str(item) for item in data)
-        else:
-            shown = str(data)
-        return ValueView(name, value.reg_type, shown)
+    @staticmethod
+    def _view(value) -> ValueView:
+        return ValueView.of(value.name, value.reg_type,
+                            decode_value(value.reg_type, value.raw_data,
+                                         win32=False))
 
     def key_exists(self, path: str) -> bool:
         return self._find(path) is not None
 
     def enum_subkeys(self, path: str) -> List[str]:
         key = self._find(path)
-        if key is None:
-            return []
-        out = []
-        for child in key.subkeys:
-            name = self._name(child.name)
-            if name is not None:
-                out.append(name)
-        return out
+        return [] if key is None else [child.name for child in key.subkeys]
 
     def enum_values(self, path: str) -> List[ValueView]:
         key = self._find(path)
-        if key is None:
-            return []
-        out = []
-        for value in key.values:
-            view = self._view(value)
-            if view is not None:
-                out.append(view)
-        return out
+        return [] if key is None else [self._view(v) for v in key.values]
 
     def get_value(self, path: str, name: str) -> Optional[ValueView]:
         key = self._find(path)
@@ -147,8 +114,7 @@ class _ParsedHiveForest:
             return None
         wanted = name.casefold()
         for value in key.values:
-            shown = self._name(value.name)
-            if shown is not None and shown.casefold() == wanted:
+            if value.name.casefold() == wanted:
                 return self._view(value)
         return None
 
@@ -204,16 +170,7 @@ class RawHiveReader(_ParsedHiveForest):
         roots, self.hive_bytes, self.degraded = _parse_hives_via(
             machine.kernel.disk_port.read_bytes, HIVE_FILES,
             clock=machine.clock, scope=machine.name)
-        super().__init__(roots, win32_semantics=False)
-
-
-class OutsideHiveReader(_ParsedHiveForest):
-    """Outside-the-box: hive files parsed from the physical disk."""
-
-    def __init__(self, disk, win32_semantics: bool = True, clock=None):
-        roots, __, self.degraded = _parse_hives_via(disk.read_bytes,
-                                                    HIVE_FILES, clock=clock)
-        super().__init__(roots, win32_semantics=win32_semantics)
+        super().__init__(roots)
 
 
 def _hooks_to_entries(hooks: List[AsepHook]) -> List[RegistryHookEntry]:
@@ -260,21 +217,21 @@ def low_level_asep_scan(machine: Machine) -> ScanSnapshot:
     return snapshot
 
 
-def outside_asep_scan(disk, clock=None,
-                      win32_semantics: bool = True) -> ScanSnapshot:
-    """ASEP hooks from hives mounted under a clean OS."""
+def outside_asep_scan(disk, clock=None) -> ScanSnapshot:
+    """ASEP hooks from the hive files on the physical disk, parsed from
+    a clean OS with the inside truth's counted-string semantics."""
     start = clock.now() if clock else 0.0
-    view = "winpe-regedit" if win32_semantics else "winpe-rawhive"
+    view = "winpe-rawhive"
     with telemetry_context.current_tracer().span(
             "scan.registry.outside", clock=clock, view=view) as span:
-        reader = OutsideHiveReader(disk, win32_semantics=win32_semantics,
-                                   clock=clock)
-        hooks = enumerate_asep_hooks(reader, ASEP_CATALOG)
+        roots, __, degraded = _parse_hives_via(disk.read_bytes, HIVE_FILES,
+                                               clock=clock)
+        hooks = enumerate_asep_hooks(_ParsedHiveForest(roots), ASEP_CATALOG)
         span.set(hooks=len(hooks))
     global_metrics().incr("scan.asep.enumerated", len(hooks))
     snapshot = ScanSnapshot(ResourceType.REGISTRY, view=view,
                             entries=_hooks_to_entries(hooks), taken_at=start,
                             duration=0.0)
-    if reader.degraded:
-        snapshot.degraded = reader.degraded
+    if degraded:
+        snapshot.degraded = degraded
     return snapshot

@@ -1,7 +1,7 @@
 """Typed scan snapshots.
 
 A :class:`ScanSnapshot` is one view of one resource type at one instant:
-which view (``win32-api``, ``raw-mft``, ``winpe-outside``, ...), which
+which view (``win32-api``, ``raw-mft``, ``winpe-raw``, ...), which
 entries it contained, and how long the scan took on the simulated clock.
 The cross-view diff compares snapshots by entry *identity* — a stable,
 case-folded key per resource type.

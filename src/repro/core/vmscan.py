@@ -7,12 +7,15 @@ Two flows from the paper:
   host, diff.  Because both scans cover exactly the same drive image,
   this diff has zero false positives by construction.  It is the WinPE
   outside scan with the CD boot swapped for the drive attach, so it
-  runs under the same fault plan, layer retries and span.
+  runs the same raw readers (and, with ``advanced=True``, the same
+  thread-table walk of the dump) under the same fault plan, layer
+  retries and span.
 * :func:`automated_winpe_vm_scan` — the GhostBuster WinPE CD carries a VM:
   it plants a ``RunOnce`` ASEP hook on the suspect drive that auto-starts
   the high-level scan, boots the drive inside a VM instance, collects the
-  scan-result file the guest wrote, powers the VM down, runs the
-  outside scan against the released drive, removes the hook, and diffs.
+  scan-result file the guest wrote, powers the VM down, runs the raw
+  outside file scan against the released drive, removes the hook, and
+  diffs.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ GB_SCANNER_EXE = "\\Windows\\System32\\gbscan.exe"
 class _HostAttachedDrive(WinPEEnvironment):
     """The powered-down VM's virtual disk, attached to the host."""
 
-    def file_scan(self, win32_naming: bool = True) -> ScanSnapshot:
-        return outside_file_scan(self.disk, self.clock,
-                                 win32_naming=win32_naming, view="vm-host")
+    def file_scan(self) -> ScanSnapshot:
+        return outside_file_scan(self.disk, self.clock, view="vm-host")
 
 
 class _VmHostGhostBuster(GhostBuster):
@@ -61,7 +63,7 @@ def vm_outside_scan(machine: Machine,
                     ) -> DetectionReport:
     """Host-side scan of a powered-down VM's virtual disk."""
     report = _VmHostGhostBuster(
-        machine, noise_filter=noise_filter,
+        machine, advanced=True, noise_filter=noise_filter,
         fault_plan=fault_plan).outside_scan(resources=resources,
                                             reboot_after=power_up_after)
     report.mode = "vm-outside"
@@ -118,8 +120,7 @@ def automated_winpe_vm_scan(machine: Machine,
     except Exception as exc:
         raise ScanError("guest scan result missing") from exc
     lie = _deserialize_snapshot(blob, view="vm-guest-win32")
-    truth = outside_file_scan(machine.disk, machine.clock,
-                              win32_naming=True, view="vm-host")
+    truth = outside_file_scan(machine.disk, machine.clock, view="vm-host")
 
     report = DetectionReport(machine.name, mode="winpe-vm")
     findings = cross_view_diff(lie, truth)

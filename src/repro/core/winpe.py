@@ -6,6 +6,11 @@ so every scan taken here is ground truth by construction.  The
 environment holds the *physical* :class:`~repro.disk.Disk`, below the
 (now halted) kernel and its interceptable raw-device port.
 
+The scans here are the inside truth's raw readers pointed at the
+physical disk: the MFT parse lists every name NTFS holds and the hive
+parse keeps counted names, so what the Win32 API hides by name alone
+(a naming exploit) shows here as it does in the inside raw view.
+
 Volatile state is reached through the crash-dump file the inside tool
 wrote before the reboot (:meth:`GhostBuster.write_crash_dump`): the same
 pointer-chasing walkers run against the dump blob.
@@ -53,40 +58,36 @@ class WinPEEnvironment:
 
     # -- persistent state -------------------------------------------------------
 
-    def file_scan(self, win32_naming: bool = True) -> ScanSnapshot:
-        """Scan the suspect drive's namespace from the clean OS."""
+    def file_scan(self) -> ScanSnapshot:
+        """Scan the suspect drive's raw namespace from the clean OS."""
         self._require_boot()
-        view = "winpe-win32" if win32_naming else "winpe-raw"
-        return outside_file_scan(self.disk, self.clock,
-                                 win32_naming=win32_naming, view=view)
+        return outside_file_scan(self.disk, self.clock)
 
-    def asep_scan(self, win32_semantics: bool = True) -> ScanSnapshot:
-        """Mount the suspect hives under the clean registry and scan."""
+    def asep_scan(self) -> ScanSnapshot:
+        """Parse the suspect hive files from the clean OS and scan."""
         self._require_boot()
-        return outside_asep_scan(self.disk, self.clock,
-                                 win32_semantics=win32_semantics)
+        return outside_asep_scan(self.disk, self.clock)
 
     # -- volatile state ------------------------------------------------------------
 
-    def read_dump(self, path: str = DUMP_PATH) -> Optional[CrashDump]:
+    def read_dump(self) -> Optional[CrashDump]:
         """Load the crash dump file straight off the raw disk."""
         self._require_boot()
         parser = MftParser(self.disk.read_bytes)
         try:
-            blob = parser.read_file_content(path)
+            blob = parser.read_file_content(DUMP_PATH)
         except Exception:
             return None
         if not blob:
             return None
         return CrashDump(blob)
 
-    def process_scan(self, advanced: bool = False,
-                     dump_path: str = DUMP_PATH) -> ScanSnapshot:
+    def process_scan(self, advanced: bool = False) -> ScanSnapshot:
         """Walk the dumped kernel structures from outside."""
-        dump = self.read_dump(dump_path)
+        dump = self.read_dump()
         if dump is None:
             raise ScanError(
-                f"no crash dump at {dump_path}; run write_crash_dump() "
+                f"no crash dump at {DUMP_PATH}; run write_crash_dump() "
                 "inside the box before rebooting")
         return dump_process_scan(dump, advanced=advanced,
                                  taken_at=self.clock.now())

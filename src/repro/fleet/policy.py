@@ -5,11 +5,12 @@ cheapest scan that can possibly clear a machine: if its disk generation
 still matches the stored baseline the verdict is *rehydrated* without
 touching the box, and otherwise a (delta, cache-repaired) inside-the-box
 scan runs.  Only a machine whose inside scan shows findings pays for
-the expensive second tier — an outside-the-box confirmation pass, via
-the WinPE clean boot (``confirmed_by="winpe"``) or the powered-down
-virtual-disk scan (``confirmed_by="vmscan"``).  A clean machine never
-reboots, which is exactly the paper's "run the inside scan frequently,
-the outside scan on demand" deployment shape.
+the expensive second tier — an outside-the-box confirmation pass over
+the resources the inside scan covered, via the WinPE clean boot
+(``confirmed_by="winpe"``) or the powered-down virtual-disk scan
+(``confirmed_by="vmscan"``).  A clean machine never reboots, which is
+exactly the paper's "run the inside scan frequently, the outside scan
+on demand" deployment shape.
 
 The RIS network boot that replaces the CD in an enterprise
 (``confirmed_by="ris"``) needs nobody at the console, so with it every
@@ -114,18 +115,13 @@ class EscalationPolicy:
     """Decides when and how a machine pays for the outside-the-box tier."""
 
     def __init__(self, confirm_with: str = CONFIRM_WINPE,
-                 escalate: bool = True,
-                 resources: Sequence[str] = ("files", "registry")):
+                 escalate: bool = True):
         if confirm_with not in CONFIRM_METHODS:
             raise FleetError(
                 f"unknown confirmation method {confirm_with!r}; "
                 f"expected one of {CONFIRM_METHODS}")
         self.confirm_with = confirm_with
         self.escalate = escalate
-        # The confirmation pass sticks to the non-volatile resources:
-        # a process diff needs a crash dump written to the suspect disk,
-        # which would dirty the very generation the delta skip gates on.
-        self.resources = tuple(resources)
 
     def should_escalate(self, report: DetectionReport) -> bool:
         """Any non-noise inside finding buys a confirmation boot; with
@@ -135,15 +131,18 @@ class EscalationPolicy:
 
     def confirm(self, machine: Machine, inside_report: DetectionReport,
                 noise_filter: Optional[NoiseFilter],
-                fault_plan: Optional[FaultPlan]) -> EscalationOutcome:
+                fault_plan: Optional[FaultPlan],
+                resources: Sequence[str]) -> EscalationOutcome:
         """Run the outside-the-box pass and stamp the provenance.
 
-        The pass runs under the scan's own ``noise_filter`` and
-        ``fault_plan``: the policy decides only whether and how a
-        machine is confirmed.  The outcome's ``confirmed_by`` is also
-        attached to the outside report (``report.confirmed_by``) so the
-        verdict document itself carries the provenance, not just the
-        epoch record.
+        The pass scans the inside scan's own ``resources`` under its
+        own ``noise_filter`` and ``fault_plan``: the policy decides only
+        whether and how a machine is confirmed.  Every method scans
+        with ``advanced=True``, so a DKOM-hidden process the inside
+        scan found is in the crash dump's thread-table walk too.  The
+        outcome's ``confirmed_by`` is also attached to the outside
+        report (``report.confirmed_by``) so the verdict document itself
+        carries the provenance, not just the epoch record.
         """
         metrics = global_metrics()
         metrics.incr("fleet.escalations")
@@ -153,15 +152,14 @@ class EscalationPolicy:
             if self.confirm_with == CONFIRM_WINPE:
                 outside = GhostBuster(
                     machine, advanced=True, noise_filter=noise_filter,
-                    fault_plan=fault_plan).outside_scan(
-                        resources=self.resources)
+                    fault_plan=fault_plan).outside_scan(resources=resources)
             elif self.confirm_with == CONFIRM_RIS:
                 outside = RisServer(
                     noise_filter, fault_plan).network_boot_scan(
-                        machine, resources=self.resources)
+                        machine, resources=resources)
             else:
                 outside = vm_outside_scan(
-                    machine, resources=self.resources,
+                    machine, resources=resources,
                     noise_filter=noise_filter, fault_plan=fault_plan)
         confirmed = not outside.is_clean
         outside.confirmed_by = self.confirm_with

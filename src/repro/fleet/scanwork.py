@@ -4,11 +4,13 @@ One epoch's unit of work is the same whether it runs on a thread inside
 the coordinator process or inside a remote scan agent: boot if needed,
 run the cross-view inside scan (for a sample-tier lease, first over the
 seeded directory strata alone), escalate the machines the
-:class:`~repro.fleet.policy.EscalationPolicy` picks, and capture
-the disk generation *after* the scans: the escalation's reboot writes
-the disk, so a generation captured before the scans would never match
-the disk again and a confirmed machine would be rescanned every epoch
-instead of skipping on its stored verdict.
+:class:`~repro.fleet.policy.EscalationPolicy` picks over the same
+resources, and capture the disk generation *after* the scans: the
+escalation's reboot writes the disk (and, with processes among the
+resources, so does its crash dump), so a generation captured before
+the scans would never match the disk again and a confirmed machine
+would be rescanned every epoch instead of skipping on its stored
+verdict.
 
 Extracting the body here is what makes the distributed mode's
 element-identical-verdicts guarantee checkable: the agent executes
@@ -204,7 +206,7 @@ def perform_machine_scan(machine: Machine, epoch: int,
     policy = settings.policy
     if policy.should_escalate(report):
         outcome = policy.confirm(machine, report, settings.noise_filter,
-                                 settings.fault_plan)
+                                 settings.fault_plan, settings.resources)
         escalated = True
         confirmed = outcome.confirmed
         confirmed_by = outcome.confirmed_by

@@ -4,8 +4,9 @@ Section 2 of the paper describes a file-hiding technique that needs no
 hooking at all: NTFS itself accepts names the Win32 layer refuses — trailing
 dots or spaces, reserved device names (``CON``, ``NUL``, ``COM1``...),
 over-``MAX_PATH`` full paths — so a file created through the Native API with
-such a name is invisible to Win32 enumeration.  This module is the single
-authority on which names each view can see.
+such a name is invisible to Win32 enumeration.  This module defines which
+names each layer accepts; kernel32 applies the Win32 rules to what the API
+lists (:mod:`repro.winapi.kernel32`), and the raw views apply none.
 
 Paths are volume-rooted, backslash separated (``\Windows\System32\x.dll``),
 case-insensitive for lookup and case-preserving for storage, as on NTFS.
@@ -114,22 +115,6 @@ def validate_win32_component(name: str) -> None:
     violations = win32_component_violations(name)
     if violations:
         raise InvalidWin32Name(f"{name!r}: " + "; ".join(violations))
-
-
-def is_win32_visible_path(path: str) -> bool:
-    """Whether a Win32-API recursive enumeration can reach this full path.
-
-    Every component must be Win32-legal and the full path must fit within
-    ``MAX_PATH``; otherwise Win32 calls cannot open or enumerate the file
-    even though it exists on the volume (the "naming exploit" hiding class).
-    """
-    if len(path) > MAX_PATH:
-        return False
-    try:
-        components = split_path(path)
-    except ValueError:
-        return False
-    return all(is_valid_win32_component(c) for c in components)
 
 
 def is_valid_native_component(name: str) -> bool:

@@ -104,6 +104,17 @@ class ValueView:
     reg_type: int
     data: str
 
+    @classmethod
+    def of(cls, name: str, reg_type: int, data) -> "ValueView":
+        """A view of decoded ``data``: bytes as hex, lists ';'-joined."""
+        if isinstance(data, bytes):
+            shown = data.hex()
+        elif isinstance(data, list):
+            shown = ";".join(str(item) for item in data)
+        else:
+            shown = str(data)
+        return cls(name, int(reg_type), shown)
+
 
 class RegistryReader(Protocol):
     """The minimal read surface the ASEP enumerator needs."""

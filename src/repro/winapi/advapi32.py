@@ -31,14 +31,6 @@ def _win32_name(name: str) -> Optional[str]:
     return truncated
 
 
-def _display(data) -> str:
-    if isinstance(data, bytes):
-        return data.hex()
-    if isinstance(data, list):
-        return ";".join(str(item) for item in data)
-    return str(data)
-
-
 def reg_enum_key(process, key_path: str) -> List[str]:
     """Subkey names as Win32 sees them."""
     names = process.call("ntdll", "NtEnumerateKey", key_path)
@@ -58,8 +50,7 @@ def reg_enum_value(process, key_path: str) -> List[ValueView]:
         win32 = _win32_name(value.name)
         if win32 is None:
             continue
-        out.append(ValueView(win32, int(value.reg_type),
-                             _display(value.win32_data())))
+        out.append(ValueView.of(win32, value.reg_type, value.win32_data()))
     return out
 
 
@@ -71,7 +62,7 @@ def reg_query_value(process, key_path: str, name: str) -> Optional[ValueView]:
     win32 = _win32_name(value.name)
     if win32 is None:
         return None
-    return ValueView(win32, int(value.reg_type), _display(value.win32_data()))
+    return ValueView.of(win32, value.reg_type, value.win32_data())
 
 
 def reg_key_exists(process, key_path: str) -> bool:

@@ -58,9 +58,10 @@ class _OutsideRecorder(EscalationPolicy):
         super().__init__(*args, **kwargs)
         self.outside = {}
 
-    def confirm(self, machine, inside_report, noise_filter, fault_plan):
+    def confirm(self, machine, inside_report, noise_filter, fault_plan,
+                resources):
         outcome = super().confirm(machine, inside_report, noise_filter,
-                                  fault_plan)
+                                  fault_plan, resources)
         self.outside[machine.name] = outcome
         return outcome
 

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import GhostBuster
+from repro.core.winpe import DUMP_PATH
 from repro.ghostware import (Aphex, Berbew, FuRootkit, HackerDefender,
                              ProBotSE, Urbin, Vanquish)
 from repro.workloads import attach_standard_services
+from repro.workloads.scenarios import build_home_pc
 
 
 class TestInsideScan:
@@ -111,6 +113,15 @@ class TestOutsideScan:
         before = booted.clock.now()
         GhostBuster(booted).outside_scan(resources=("files",))
         assert booted.clock.now() - before > 90   # boot + scans
+
+    def test_own_crash_dump_is_not_a_finding(self):
+        # The dump lands on the disk the truth is read from; it is
+        # written before the file lie, so the lie lists it too.
+        machine = build_home_pc("client-01", None, files=30, seed=4).machine
+        report = GhostBuster(machine, advanced=True).outside_scan()
+        assert machine.volume.exists(DUMP_PATH)
+        assert report.is_clean, [f.entry.describe()
+                                 for f in report.findings if not f.is_noise]
 
     def test_crash_dump_written_to_volume(self, booted):
         gb = GhostBuster(booted)

@@ -77,10 +77,11 @@ class TestFileScanners:
 
     def test_outside_raw_mode_sees_naming_ghosts(self, booted):
         booted.volume.create_file("\\Temp\\dot.", b"", native=True)
-        win32 = file_scans.outside_file_scan(booted.disk, win32_naming=True)
-        raw = file_scans.outside_file_scan(booted.disk, win32_naming=False)
-        assert all(entry.name != "dot." for entry in win32.entries)
-        assert any(entry.name == "dot." for entry in raw.entries)
+        lie = file_scans.high_level_file_scan(booted)
+        outside = file_scans.outside_file_scan(booted.disk)
+        assert outside.view == "winpe-raw"
+        assert all(entry.name != "dot." for entry in lie.entries)
+        assert any(entry.name == "dot." for entry in outside.entries)
 
 
 class TestRegistryScanners:
@@ -101,17 +102,17 @@ class TestRegistryScanners:
         outside = registry_scans.outside_asep_scan(booted.disk)
         assert any(entry.name == "legit" for entry in outside.entries)
 
-    def test_win32_semantics_truncate_in_outside_view(self, booted):
+    def test_outside_view_keeps_counted_names(self, booted):
+        # advapi32 truncates the name at the NUL; the outside parse of
+        # the hive file keeps the counted name, as the inside raw view.
         booted.registry.set_value(RUN_KEY, "a\x00b", "\\x.exe")
         booted.registry.flush()
-        win32 = registry_scans.outside_asep_scan(booted.disk,
-                                                 win32_semantics=True)
-        raw = registry_scans.outside_asep_scan(booted.disk,
-                                               win32_semantics=False)
-        win32_names = {entry.name for entry in win32.entries}
-        raw_names = {entry.name for entry in raw.entries}
-        assert "a" in win32_names
-        assert "a\x00b" in raw_names
+        lie = registry_scans.high_level_asep_scan(booted)
+        outside = registry_scans.outside_asep_scan(booted.disk)
+        assert outside.view == "winpe-rawhive"
+        assert "a" in {entry.name for entry in lie.entries}
+        outside_names = {entry.name for entry in outside.entries}
+        assert "a\x00b" in outside_names and "a" not in outside_names
 
 
 class TestProcessScanners:

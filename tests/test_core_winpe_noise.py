@@ -40,12 +40,9 @@ class TestWinPE:
         booted.shutdown()
         winpe = WinPEEnvironment(booted)
         winpe.boot()
-        win32_names = {entry.name for entry in
-                       winpe.file_scan(win32_naming=True).entries}
-        raw_names = {entry.name for entry in
-                     winpe.file_scan(win32_naming=False).entries}
-        assert "payload.exe." not in win32_names
-        assert "payload.exe." in raw_names
+        snapshot = winpe.file_scan()
+        assert snapshot.view == "winpe-raw"
+        assert "payload.exe." in {entry.name for entry in snapshot.entries}
 
     def test_missing_dump_raises(self, booted):
         booted.shutdown()

@@ -446,12 +446,12 @@ class TestFilterTokens:
         machine.volume.create_file("\\seen.txt", b"x")
         machine.disk.raw_cache.clear()
         first = low_level_file_scan(machine)
-        # The raw view is kept under the serial of the namespace the
-        # disk caches for its current generation.
+        # The disk's one view is kept under the serial of the namespace
+        # the disk caches for its current generation.
         generation, namespace = machine.disk.raw_cache["mft-namespace"]
         assert generation == machine.disk.generation
-        views = machine.disk.raw_cache.get("file-entries")
-        assert views is not None and views["raw"].namespace == namespace.serial
+        view = machine.disk.raw_cache.get("file-entries")
+        assert view is not None and view.namespace == namespace.serial
         second = low_level_file_scan(machine)
         assert [e.identity for e in first.entries] \
             == [e.identity for e in second.entries]

@@ -290,7 +290,8 @@ class TestEscalationPolicy:
         policy = EscalationPolicy(confirm_with=method)
         assert policy.should_escalate(inside)
         outcome = policy.confirm(booted, inside, noise_filter=None,
-                                 fault_plan=None)
+                                 fault_plan=None,
+                                 resources=("files", "registry"))
         assert outcome.escalated and outcome.confirmed
         assert outcome.confirmed_by == method
         assert outcome.outside_report.confirmed_by == method

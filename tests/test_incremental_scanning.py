@@ -290,6 +290,45 @@ class TestDeltaRescanCost:
         assert made["keys"] <= 2 * writes
 
 
+class TestViewChain:
+    """Every file scan patches the disk's one view, whichever tier made
+    it: a WinPE confirmation's outside view is the base of the next
+    inside view, and the inside view the base of the next outside one.
+
+    Counted: after the first epoch of a fleet that confirms with WinPE
+    and writes files on every machine each epoch, no file view is
+    derived cold (a derivation with no base).
+    """
+
+    def test_confirmations_keep_the_view_chain(self, tmp_path,
+                                               monkeypatch):
+        from repro.core.scanners import files
+        from repro.fleet import EscalationPolicy, FleetCoordinator
+
+        machines = _fleet(count=3, infected=(0, 1))
+        coordinator = FleetCoordinator(str(tmp_path), machines,
+                                       policy=EscalationPolicy("winpe"))
+        derive = files._derive_view
+        cold = []
+
+        def counting_derive(namespace, *rest):
+            cold[-1] += rest[-1] is None     # rest ends with the base
+            return derive(namespace, *rest)
+
+        monkeypatch.setattr(files, "_derive_view", counting_derive)
+        confirmed = []
+        for epoch in range(4):
+            cold.append(0)
+            aggregate = coordinator.run_epoch()
+            assert aggregate.summary.scanned == len(machines)
+            confirmed.append(sum(v.confirmed for v in aggregate.verdicts))
+            for machine in machines:
+                machine.volume.create_file(f"\\Temp\\epoch-{epoch}.log",
+                                           b"churn")
+        assert confirmed == [2, 2, 2, 2]
+        assert cold[0] > 0 and cold[1:] == [0, 0, 0]
+
+
 class TestDeltaDetection:
     def test_journal_patched_detection_equals_cold(self):
         """A detection whose caches were repaired through the change

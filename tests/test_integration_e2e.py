@@ -74,9 +74,8 @@ class TestEverythingAtOnce:
                             inside.hidden_processes()}
         assert {"hxdef100.exe", "fu_victim.exe"} <= hidden_processes
 
-        # The outside scan (raw mode) additionally exposes naming ghosts.
-        outside = GhostBuster(machine, advanced=True).outside_scan(
-            win32_naming=False)
+        # The outside scan's raw views additionally expose naming ghosts.
+        outside = GhostBuster(machine, advanced=True).outside_scan()
         outside_files = {finding.entry.path.casefold()
                          for finding in outside.hidden_files()}
         assert any("payload.exe." in path for path in outside_files)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import InvalidWin32Name
 from repro.ntfs import naming
+from tests.conftest import win32_ls
 
 
 class TestPathAlgebra:
@@ -79,19 +80,30 @@ class TestWin32Components:
 
 
 class TestWin32Paths:
-    def test_normal_path_visible(self):
-        assert naming.is_win32_visible_path("\\Windows\\notepad.exe")
+    """Whole-path visibility: kernel32's enumeration applies the rules
+    above to each listed name and ``MAX_PATH`` to its full path."""
 
-    def test_over_max_path_invisible(self):
-        deep = "\\" + "\\".join(["d" * 30] * 10)
-        assert len(deep) > naming.MAX_PATH
-        assert not naming.is_win32_visible_path(deep)
+    @staticmethod
+    def _listed(machine, directory):
+        probe = machine.start_process("\\Windows\\explorer.exe",
+                                      name="probe.exe")
+        return win32_ls(probe, directory)
 
-    def test_invalid_component_makes_path_invisible(self):
-        assert not naming.is_win32_visible_path("\\Temp\\ghost. ")
+    def test_normal_path_visible(self, booted):
+        booted.volume.create_file("\\Windows\\notepad.exe", b"MZ")
+        assert "notepad.exe" in self._listed(booted, "\\Windows")
 
-    def test_relative_path_invisible(self):
-        assert not naming.is_win32_visible_path("relative\\path")
+    def test_over_max_path_invisible(self, booted):
+        deep = "\\" + "\\".join(["d" * 30] * 8)
+        booted.volume.create_directories(deep)
+        long_file = deep + "\\" + "f" * 20
+        assert len(deep) <= naming.MAX_PATH < len(long_file)
+        booted.volume.create_file(long_file, b"x", native=True)
+        assert "f" * 20 not in self._listed(booted, deep)
+
+    def test_invalid_component_makes_path_invisible(self, booted):
+        booted.volume.create_file("\\Temp\\ghost. ", b"", native=True)
+        assert "ghost. " not in self._listed(booted, "\\Temp")
 
 
 class TestNativeComponents:

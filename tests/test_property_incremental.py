@@ -7,7 +7,7 @@ journal must be element-identical to a from-scratch raw parse — and the
 same for hive trees rebuilt bin-by-bin.  The overflow variant runs the
 same sequences through a deliberately tiny journal so the wrap/fallback
 path gets the same hammering as the happy path.  The views derived from
-a patched namespace (path lookups, the raw and Win32 file views) are
+a patched namespace (path lookups, the disk's one raw file view) are
 held to the same standard, in order, on a disk and on its clone.  The
 "forge" op raw-writes a FILE record whose header claims another slot's
 number: cold and patched parses both key records by slot.
@@ -49,7 +49,7 @@ file_op = st.one_of(
               st.integers(0, _SLOTS - 1)),     # (op, slot, claimed slot)
 )
 file_ops = st.lists(file_op, min_size=1, max_size=12)
-# (op, derive the file views after it?): skipping the views lets the
+# (op, derive the file view after it?): skipping the view lets the
 # namespace be patched more than once between two view derivations.
 viewed_ops = st.lists(st.tuples(file_op, st.booleans()),
                       min_size=1, max_size=12)
@@ -172,11 +172,6 @@ class _Unbound:
         return self._disk.read_bytes(offset, length)
 
 
-def _file_views(source):
-    return [outside_file_scan(source, win32_naming=flag)
-            for flag in (False, True)]
-
-
 def _lookup(parser, path):
     try:
         return parser.find_by_path(path)
@@ -200,10 +195,11 @@ def _assert_matches_cold(disk, seen, views=True):
             assert _lookup(warm_parser, path) == _lookup(cold_parser, path)
     if not views:
         return
-    for warm, fresh in zip(_file_views(disk), _file_views(_Unbound(disk))):
-        assert warm.entries == fresh.entries
-        assert list(warm.identities().items()) \
-            == list(fresh.identities().items())
+    warm = outside_file_scan(disk)
+    fresh = outside_file_scan(_Unbound(disk))
+    assert warm.entries == fresh.entries
+    assert list(warm.identities().items()) \
+        == list(fresh.identities().items())
 
 
 @settings(max_examples=30, deadline=None)
@@ -219,14 +215,13 @@ def test_patched_views_equal_cold_ones_in_order(ops):
     _assert_matches_cold(disk, seen)
 
 
-def _contents(namespace, views):
-    """A deep copy of a cached namespace and its views."""
+def _contents(namespace, view):
+    """A deep copy of a cached namespace and its view."""
     return (list(namespace.entries), list(namespace.by_key.items()),
             list(namespace.by_record.items()), dict(namespace.records),
             {parent: set(kids) for parent, kids in namespace.children.items()},
-            {flavor: (list(view.records), list(view.identities),
-                      list(view.entries), list(view.index.items()))
-             for flavor, view in views.items()})
+            (list(view.records), list(view.identities), list(view.entries),
+             list(view.index.items())))
 
 
 @settings(max_examples=20, deadline=None)
@@ -239,8 +234,8 @@ def test_clones_patch_their_own_views(ops, clone_ops):
     clone = disk.clone()
     twin = _Mutator(NtfsVolume.mount(clone))
     namespace = disk.raw_cache[_NAMESPACE_CACHE_KEY][1]
-    views = disk.raw_cache["file-entries"]
-    shared = _contents(namespace, views)
+    view = disk.raw_cache["file-entries"]
+    shared = _contents(namespace, view)
     for mine, theirs in zip_longest(ops, clone_ops):
         if mine is not None:
             mutator.apply(*mine)
@@ -249,7 +244,7 @@ def test_clones_patch_their_own_views(ops, clone_ops):
             twin.apply(*theirs)
             _assert_matches_cold(clone, clone_seen)
     # What both disks shared at clone time is exactly as it was.
-    assert _contents(namespace, views) == shared
+    assert _contents(namespace, view) == shared
 
 
 # -- hive bin-level delta ------------------------------------------------------

@@ -121,7 +121,8 @@ class TestDetectionAwareness:
         outcome = EscalationPolicy().confirm(
             machine, GhostBuster(machine, **DEFENDED).inside_scan(
                 resources=("files", "registry")),
-            noise_filter=None, fault_plan=None)
+            noise_filter=None, fault_plan=None,
+            resources=("files", "registry"))
         assert outcome.confirmed
         assert outcome.outside_findings > 0
 
@@ -140,7 +141,8 @@ class TestDetectionAwareness:
         assert not report.is_clean
         outcome = EscalationPolicy().confirm(machine, report,
                                              noise_filter=None,
-                                             fault_plan=None)
+                                             fault_plan=None,
+                                             resources=("files", "registry"))
         assert outcome.confirmed
         recovered = {str(f.entry.identity).casefold()
                      for f in outcome.outside_report.hidden_files()}
